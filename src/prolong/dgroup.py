@@ -61,7 +61,7 @@ class AffineAlgGroup:
     mult: RationalMap
     inv: RationalMap
     identity: tuple[FieldElement, ...]
-    _axiom_report: CheckReport | None = dataclass_field(default=None, repr=False)
+    _axiom_reports: dict = dataclass_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.mult = RationalMap.coerce(self.mult)
@@ -124,9 +124,13 @@ def _compare_components(
 def check_group_axioms(
     g: AffineAlgGroup, degree_cap: int = 40, order: TermOrder = DEFAULT_ORDER
 ) -> CheckReport:
-    """Identity, inverse, and associativity modulo the stacked variety ideals."""
-    if g._axiom_report is not None:
-        return g._axiom_report
+    """Identity, inverse, and associativity modulo the stacked variety ideals.
+
+    The report is cached on the group per (degree_cap, order).
+    """
+    cached = g._axiom_reports.get((degree_cap, order))
+    if cached is not None:
+        return cached
     v = g.variety
     n = v.nvars
     report = CheckReport()
@@ -148,7 +152,7 @@ def check_group_axioms(
     _compare_components(
         report, "associativity", left_assoc, right_assoc, gb3, names3, degree_cap
     )
-    g._axiom_report = report
+    g._axiom_reports[(degree_cap, order)] = report
     return report
 
 
@@ -226,11 +230,10 @@ class DGroupSection:
 
 @dataclass
 class DGroup:
-    """A group with a candidate D-group section and its verification report."""
+    """A group with a candidate D-group section."""
 
     group: AffineAlgGroup
     section: DGroupSection
-    verified: CheckReport | None = None
 
 
 def zero_section_T(g: AffineAlgGroup) -> DGroupSection:

@@ -7,33 +7,38 @@ derivation is d/dt extended to quotients by the quotient rule.
 
 Univariate polynomials in t are plain tuples of Fractions, lowest degree
 first, with no trailing zeros; the empty tuple is the zero polynomial.
+
+Arithmetic keeps that form by cancelling only what the operands can share
+(Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), so the elements of Q and the
+t-polynomials, whose denominators are 1, add and multiply with no gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DivisionByZero
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_UNIT = (_ONE,)
 
 
-def _norm(coeffs) -> tuple[Fraction, ...]:
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
+def _trim(cs: list) -> tuple[Fraction, ...]:
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def _udeg(a: tuple[Fraction, ...]) -> int:
-    return len(a) - 1
-
-
 def _uadd(a, b):
-    n = max(len(a), len(b))
-    return _norm((a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO) for i in range(n))
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
 
 
 def _uneg(a):
@@ -47,32 +52,35 @@ def _usub(a, b):
 def _umul(a, b):
     if not a or not b:
         return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return b if c == 1 else tuple(c * x for x in b)
     out = [_ZERO] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if ca == 0:
+        if not ca:
             continue
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return _norm(out)
+    return _trim(out)
 
 
 def _udivmod(a, b):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
+    """Quotient and remainder of a by a monic b."""
+    nb = len(b)
+    if len(a) < nb:
+        return (), a
     r = list(a)
-    lb = b[-1]
-    while len(r) >= len(b) and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        c = r[-1] / lb
+    q = [_ZERO] * (len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb - 1]
+        if not c:
+            continue
         q[k] = c
-        for j, cb in enumerate(b):
-            r[k + j] -= c * cb
-    return _norm(q), _norm(r)
+        for j in range(nb - 1):
+            r[k + j] -= c * b[j]
+    return _trim(q), _trim(r[: nb - 1])
 
 
 def _umonic(a):
@@ -85,14 +93,30 @@ def _umonic(a):
 
 
 def _ugcd(a, b):
+    """Monic gcd; a nonzero constant on either side makes it 1 at once."""
     while b:
-        _, r = _udivmod(a, b)
-        a, b = b, r
+        if len(b) == 1:
+            return _UNIT
+        b = _umonic(b)
+        a, b = b, _udivmod(a, b)[1]
     return _umonic(a)
 
 
+def _uquo(a, b):
+    """Quotient of an exact division by a monic b."""
+    return _udivmod(a, b)[0]
+
+
 def _uderiv(a):
-    return _norm(k * a[k] for k in range(1, len(a)))
+    return _trim([k * a[k] for k in range(1, len(a))])
+
+
+def _monic_den(num, den):
+    """Scale coprime num/den so that den is monic."""
+    lc = den[-1]
+    if lc == 1:
+        return num, den
+    return tuple(c / lc for c in num), tuple(c / lc for c in den)
 
 
 def _term_count(a) -> int:
@@ -132,25 +156,33 @@ class BaseField:
         return self.tag == "Qt"
 
     def elem(self, value) -> "FieldElement":
+        """The element value: an element of this field, or an exact rational.
+
+        Exact rationals are int, Fraction, or a string Fraction parses, such
+        as "-3/4".  Floats are refused: they would carry binary rounding.
+        """
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise ValueError(f"element of {value.field} used over {self}")
             return value
-        return FieldElement._make(self, (Fraction(value),), (_ONE,))
+        if not isinstance(value, (int, Fraction, str)):
+            raise TypeError(f"field elements are exact rationals, not {type(value).__name__}")
+        c = value if type(value) is Fraction else Fraction(value)
+        return FieldElement(self, (c,), _UNIT) if c else self.zero
 
-    @property
+    @cached_property
     def zero(self) -> "FieldElement":
-        return self.elem(0)
+        return FieldElement(self, (), _UNIT)
 
-    @property
+    @cached_property
     def one(self) -> "FieldElement":
-        return self.elem(1)
+        return FieldElement(self, _UNIT, _UNIT)
 
     @property
     def t(self) -> "FieldElement":
         if not self.has_t:
             raise ValueError("Q has no element t")
-        return FieldElement._make(self, (_ZERO, _ONE), (_ONE,))
+        return FieldElement(self, (_ZERO, _ONE), _UNIT)
 
     def __str__(self) -> str:
         return "Q(t)" if self.has_t else "Q"
@@ -161,7 +193,10 @@ QT = BaseField("Qt")
 
 
 class FieldElement:
-    """Canonical rational function of t (constant over Q)."""
+    """Canonical rational function of t (constant over Q).
+
+    A denominator of length one is 1, because denominators are monic.
+    """
 
     __slots__ = ("field", "num", "den")
 
@@ -173,33 +208,13 @@ class FieldElement:
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
-    @classmethod
-    def _make(cls, field: BaseField, num, den) -> "FieldElement":
-        num = _norm(num)
-        den = _norm(den)
-        if not den:
-            raise DivisionByZero("zero denominator in field element")
-        if not num:
-            return cls(field, (), (_ONE,))
-        g = _ugcd(num, den)
-        if _udeg(g) > 0:
-            num, _ = _udivmod(num, g)
-            den, _ = _udivmod(den, g)
-        lc = den[-1]
-        if lc != 1:
-            num = tuple(c / lc for c in num)
-            den = tuple(c / lc for c in den)
-        if not field.has_t and (_udeg(num) > 0 or _udeg(den) > 0):
-            raise ValueError("nonconstant element over Q")
-        return cls(field, num, den)
-
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError(f"mixed fields {self.field} and {other.field}")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement._make(self.field, (Fraction(other),), (_ONE,))
+            return self.field.elem(other)
         return None
 
     @property
@@ -217,8 +232,32 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num = _uadd(_umul(self.num, o.den), _umul(o.num, self.den))
-        return FieldElement._make(self.field, num, _umul(self.den, o.den))
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        field = self.field
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if len(d1) == 1 and len(d2) == 1:
+            num = _uadd(n1, n2)
+            return FieldElement(field, num, _UNIT) if num else field.zero
+        # Henrici: with g = gcd(d1, d2) and di = g*ei, the sum is
+        # (n1*e2 + n2*e1) / (e1*e2*g), whose only common factor lies in g.
+        # With g = 1 the sum is already canonical, and nonzero: canonical
+        # n1/d1 = -n2/d2 would force d1 = d2.
+        g = _ugcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else _UNIT
+        if len(g) == 1:
+            return FieldElement(field, _uadd(_umul(n1, d2), _umul(n2, d1)), _umul(d1, d2))
+        e1 = _uquo(d1, g)
+        num = _uadd(_umul(n1, _uquo(d2, g)), _umul(n2, e1))
+        if not num:
+            return field.zero
+        den = _umul(e1, d2)
+        h = _ugcd(num, g)
+        if len(h) > 1:
+            num = _uquo(num, h)
+            den = _uquo(den, h)
+        return FieldElement(field, num, den)
 
     __radd__ = __add__
 
@@ -241,14 +280,31 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement._make(self.field, _umul(self.num, o.num), _umul(self.den, o.den))
+        field = self.field
+        if not self.num or not o.num:
+            return field.zero
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        if len(d1) == 1 and len(d2) == 1:
+            return FieldElement(field, _umul(n1, n2), _UNIT)
+        # Cross-cancel: gcd(n1, d2) and gcd(n2, d1) are all that n1*n2
+        # and d1*d2 can share, and dividing monic by monic stays monic.
+        if len(n1) > 1 and len(d2) > 1:
+            g = _ugcd(n1, d2)
+            if len(g) > 1:
+                n1, d2 = _uquo(n1, g), _uquo(d2, g)
+        if len(n2) > 1 and len(d1) > 1:
+            g = _ugcd(n2, d1)
+            if len(g) > 1:
+                n2, d1 = _uquo(n2, g), _uquo(d1, g)
+        return FieldElement(field, _umul(n1, n2), _umul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        return FieldElement._make(self.field, self.den, self.num)
+        num, den = _monic_den(self.den, self.num)
+        return FieldElement(self.field, num, den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -269,21 +325,37 @@ class FieldElement:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one
+        if k == 0:
+            return self.field.one
+        # Square-and-multiply from the low bit, with no product by one and
+        # no square after the top bit: self**e costs e - 1 products for e <= 3.
+        out = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def derive(self) -> "FieldElement":
         """Apply the field derivation: zero on Q, d/dt on Q(t)."""
-        if not self.field.has_t:
-            return self.field.zero
-        dn = _usub(_umul(_uderiv(self.num), self.den), _umul(self.num, _uderiv(self.den)))
-        return FieldElement._make(self.field, dn, _umul(self.den, self.den))
+        field = self.field
+        if not field.has_t:
+            return field.zero
+        n, d = self.num, self.den
+        if len(d) == 1:
+            dn = _uderiv(n)
+            return FieldElement(field, dn, _UNIT) if dn else field.zero
+        # (n/d)' = (n'd - nd')/d^2.  The numerator is nonzero, since n/d is
+        # not a constant, and d^2 over the monic gcd stays monic.
+        dn = _usub(_umul(_uderiv(n), d), _umul(n, _uderiv(d)))
+        dd = _umul(d, d)
+        g = _ugcd(dn, dd)
+        if len(g) > 1:
+            dn, dd = _uquo(dn, g), _uquo(dd, g)
+        return FieldElement(field, dn, dd)
 
     @property
     def is_negative_leading(self) -> bool:
@@ -291,7 +363,7 @@ class FieldElement:
         return bool(self.num) and self.num[-1] < 0
 
     def as_fraction(self) -> Fraction:
-        if _udeg(self.num) > 0 or _udeg(self.den) > 0:
+        if len(self.num) > 1 or len(self.den) > 1:
             raise ValueError("element is not a rational constant")
         return (self.num[0] if self.num else _ZERO) / self.den[0]
 

@@ -17,10 +17,6 @@ Vector = tuple[FieldElement, ...]
 Matrix = tuple[Vector, ...]
 
 
-def zero_vector(field: BaseField, n: int) -> Vector:
-    return (field.zero,) * n
-
-
 def mat_vec(matrix: Matrix, v: Sequence[FieldElement], field: BaseField) -> Vector:
     out = []
     for row in matrix:

@@ -205,12 +205,17 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ArityMismatch(f"point of length {len(point)} for {self.nvars} variables")
         vals = [self.field.elem(v) for v in point]
+        # powers[i][e] is vals[i]**e, computed the first time e occurs
+        powers = [{} for _ in vals]
         total = self.field.zero
         for mono, c in self.terms.items():
             term = c
-            for v, e in zip(vals, mono):
+            for v, ps, e in zip(vals, powers, mono):
                 if e:
-                    term = term * v**e
+                    p = ps.get(e)
+                    if p is None:
+                        p = ps[e] = v**e
+                    term = term * p
             total = total + term
         return total
 

@@ -6,11 +6,13 @@ from prolong import (
     AffineAlgGroup,
     AffineVariety,
     ArityMismatch,
+    DegreeCapExceeded,
     DGroup,
     DGroupSection,
     IndeterminateOnVariety,
     Q,
     QT,
+    TermOrder,
     check_dgroup,
     check_group_axioms,
     dpoint_check,
@@ -74,6 +76,17 @@ def test_group_axioms_hold():
 def test_axiom_report_is_cached():
     g = multiplicative_group(Q)
     assert check_group_axioms(g) is check_group_axioms(g)
+
+
+def test_axiom_report_cache_is_keyed_on_cap_and_order():
+    g = multiplicative_group(Q)
+    assert check_group_axioms(g).ok
+    # x*w - 1 has degree 2, so a cap of 1 fails whether or not a report is cached
+    with pytest.raises(DegreeCapExceeded):
+        check_group_axioms(g, degree_cap=1)
+    lex = TermOrder("lex")
+    assert check_group_axioms(g, order=lex) is not check_group_axioms(g)
+    assert check_group_axioms(g, order=lex) is check_group_axioms(g, order=lex)
 
 
 def test_broken_group_law_detected():

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from prolong import Q, QT, DivisionByZero, FieldElement, format_element, parse_element
+from prolong import Q, QT, DivisionByZero, MultiPoly, format_element, parse_element
 
-from helpers import random_element, random_point
+from helpers import random_element, random_fraction, random_point, random_unit
 
 
 def qt(text):
@@ -134,3 +134,141 @@ def test_random_field_axioms(rng):
         assert a * (b + c) == a * b + a * c
         if not a.is_zero:
             assert a * a.inverse() == QT.one
+
+
+def test_elem_rejects_floats():
+    for field in (Q, QT):
+        with pytest.raises(TypeError):
+            field.elem(0.1)
+    with pytest.raises(TypeError):
+        MultiPoly.const(Q, 1, 0.5)
+    with pytest.raises(TypeError):
+        MultiPoly.var(Q, 1, 0).evaluate((0.5,))
+    assert Q.elem(True) == Q.one
+    assert Q.elem("-3/4") == Q.elem(Fraction(-3, 4))
+
+
+# Reference canonical form, kept apart from the kernel: polynomials are
+# lists of Fractions, lowest degree first; num/den are reduced by a full
+# Euclidean gcd and then scaled to a monic denominator.
+
+
+def _ptrim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _padd(a, b):
+    n = max(len(a), len(b))
+    return _ptrim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _pneg(a):
+    return [-c for c in a]
+
+
+def _pmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ptrim(out)
+
+
+def _pdivmod(a, b):
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = r[-1] / b[-1]
+        q[k] = c
+        r = _padd(r, _pmul([Fraction(0)] * k + [-c], b))
+    return _ptrim(q), r
+
+
+def _pgcd(a, b):
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _pderiv(a):
+    return _ptrim(k * a[k] for k in range(1, len(a)))
+
+
+def _canon(num, den):
+    num, den = _ptrim(num), _ptrim(den)
+    if not num:
+        return (), (Fraction(1),)
+    g = _pgcd(num, den)
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    lc = den[-1]
+    return tuple(c / lc for c in num), tuple(c / lc for c in den)
+
+
+def _ref(e):
+    return list(e.num), list(e.den)
+
+
+def _ref_binary(op, a, b):
+    (n1, d1), (n2, d2) = _ref(a), _ref(b)
+    if op == "+":
+        return _canon(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+    if op == "-":
+        return _canon(_padd(_pmul(n1, d2), _pneg(_pmul(n2, d1))), _pmul(d1, d2))
+    if op == "*":
+        return _canon(_pmul(n1, n2), _pmul(d1, d2))
+    return _canon(_pmul(n1, d2), _pmul(d1, n2))
+
+
+def _operands(rng, field):
+    """Zero, one, a constant and, over Q(t), t-polynomials and true
+    rational functions, including pairs of denominators with a common
+    factor and a factor that cancels against a numerator."""
+    out = [field.zero, field.one, field.elem(random_fraction(rng)), -field.one]
+    if field.has_t:
+        u, v = random_unit(rng, field, 2), random_unit(rng, field)
+        out += [
+            field.t,
+            random_element(rng, field),
+            random_point(rng, field, 1)[0],
+            random_element(rng, field) / u,
+            random_element(rng, field) / (u * v),
+            v / u,
+            (u - v) / u,
+            u / (v * v),
+            (u * field.elem(random_fraction(rng, 1, 5))) / v,
+        ]
+    return out
+
+
+def _assert_stored(e, expected):
+    assert (e.num, e.den) == expected
+    assert all(type(c) is Fraction for c in e.num + e.den)
+
+
+def test_fast_paths_match_reference_canonical_form(rng):
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+    for field in (Q, QT):
+        for _ in range(3):
+            pool = _operands(rng, field)
+            for a in pool:
+                n, d = _ref(a)
+                _assert_stored(a, _canon(n, d))
+                dn = _padd(_pmul(_pderiv(n), d), _pneg(_pmul(n, _pderiv(d))))
+                _assert_stored(a.derive(), _canon(dn, _pmul(d, d)))
+                if not a.is_zero:
+                    _assert_stored(a.inverse(), _canon(d, n))
+                for k in range(-3 if not a.is_zero else 0, 4):
+                    num, den = [Fraction(1)], [Fraction(1)]
+                    for _ in range(abs(k)):
+                        num, den = _pmul(num, n), _pmul(den, d)
+                    _assert_stored(a ** k, _canon(num, den) if k >= 0 else _canon(den, num))
+                for b in pool:
+                    for name, op in ops.items():
+                        if name == "/" and b.is_zero:
+                            continue
+                        _assert_stored(op(a, b), _ref_binary(name, a, b))
