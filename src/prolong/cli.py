@@ -68,6 +68,14 @@ from .prolongation import (
 from .series import SeriesPoint, TruncSeries, solve_dpoint, variety_residuals
 
 
+# Largest truncation order solve-series and verify-series accept.  The solve
+# is linear in the order for sections of degree one, but the residual check
+# multiplies series (quadratic) and the coefficients carry denominators near
+# k!: order 1000 takes about 0.2 s for B and 11 s for Gm on
+# tests/data/model_q.json.
+MAX_SERIES_ORDER = 1000
+
+
 class UsageError(Exception):
     """Raised for malformed invocations so a JSON report is still emitted."""
 
@@ -428,6 +436,8 @@ def _series_details(variety, point):
 
 
 def _cmd_solve_series(args):
+    if args.order > MAX_SERIES_ORDER:
+        raise UsageError(f"--order must be at most {MAX_SERIES_ORDER}, got {args.order}")
     model = load_model_file(args.input)
     group = model.group(args.group)
     section = _named_section(model, args)
@@ -467,6 +477,9 @@ def _load_series_file(path, variety):
     lengths = {len(table[n]) for n in variety.var_names}
     if len(lengths) != 1 or 0 in lengths:
         raise UsageError("all coefficient arrays must share one nonzero length")
+    (length,) = lengths
+    if length - 1 > MAX_SERIES_ORDER:
+        raise UsageError(f"series order must be at most {MAX_SERIES_ORDER}, got {length - 1}")
     try:
         components = tuple(
             TruncSeries([Fraction(str(c)) for c in table[name]])
@@ -628,7 +641,7 @@ def build_parser():
     p.add_argument("-s", "--section", required=True)
     _add_init_flag(p, "comma-separated rational initial values")
     p.add_argument("--order", type=int, required=True, metavar="N",
-                   help="truncation order")
+                   help=f"truncation order, at most {MAX_SERIES_ORDER}")
     p.set_defaults(handler=_cmd_solve_series)
 
     p = sub.add_parser("verify-series",

@@ -13,6 +13,12 @@ rational literal, so the literal is the atom and '^' binds to it as a
 whole.  In rational mode '/' is additionally an operator at term level,
 which admits map components such as 1/x.  Element mode is rational mode
 with no variables (only t is allowed, and only over Q(t)).
+
+Parsing is bounded: parentheses nest at most MAX_NESTING deep, exponents
+are at most MAX_DEGREE, no power or product is expanded when its total
+degree in the variables would exceed MAX_DEGREE, and the products one parse
+expands cost at most MAX_WORK coefficient products in all.  Each bound
+raises ExprSyntaxError before the work that would break it is done.
 """
 
 from __future__ import annotations
@@ -34,6 +40,25 @@ from .poly import MultiPoly, reduce_fraction
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
 _INT, _NAME, _OP, _END = "int", "name", "op", "end"
+
+# Each level of parentheses costs four stack frames of the descent, so this
+# stays far below the interpreter's recursion limit.
+MAX_NESTING = 100
+# Exponent and total-degree cap, equal to the CLI's default Groebner degree
+# cap.
+MAX_DEGREE = 40
+# The degree does not bound the number of terms ((x + y + z + w)^40 has
+# 12341), so one parse may expand products of at most this many coefficient
+# products, counting one per pair of t-coefficients: about a second of work.
+MAX_WORK = 500_000
+
+
+def _size(p: MultiPoly) -> int:
+    return sum(len(c.num) + len(c.den) for c in p.terms.values())
+
+
+def _is_one(p: MultiPoly) -> bool:
+    return len(p.terms) == 1 and p.is_constant and p.constant_value().is_one
 
 
 @dataclass(frozen=True)
@@ -74,10 +99,14 @@ class _Parser:
         self.src = src
         self.field = field
         self.vars = {name: i for i, name in enumerate(var_names)}
+        if len(self.vars) != len(var_names):
+            raise ValueError(f"duplicate variable names in {list(var_names)}")
         self.nvars = len(var_names)
         self.allow_div = allow_div
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
+        self.work = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -92,6 +121,30 @@ class _Parser:
 
     def _one(self) -> MultiPoly:
         return self._const(1)
+
+    def _mul(self, a: MultiPoly, b: MultiPoly, pos: int) -> MultiPoly:
+        # most products are by the denominator 1: they cost nothing
+        if _is_one(b):
+            return a
+        if _is_one(a):
+            return b
+        if a.total_degree() + b.total_degree() > MAX_DEGREE:
+            raise ExprSyntaxError(f"product of degree above {MAX_DEGREE}", pos)
+        self.work += _size(a) * _size(b)
+        if self.work > MAX_WORK:
+            raise ExprSyntaxError(f"expression expands beyond {MAX_WORK} coefficient products", pos)
+        return a * b
+
+    def _pow(self, base: MultiPoly, e: int, pos: int) -> MultiPoly:
+        """base**e by square-and-multiply through _mul, so the budget sees it."""
+        out = self._one()
+        while e:
+            if e & 1:
+                out = self._mul(out, base, pos)
+            e >>= 1
+            if e:
+                base = self._mul(base, base, pos)
+        return out
 
     def parse(self) -> tuple[MultiPoly, MultiPoly]:
         num, den = self.expr()
@@ -117,7 +170,8 @@ class _Parser:
             n2, d2 = self.term()
             if tok.text == "-":
                 n2 = -n2
-            num, den = num * d2 + n2 * den, den * d2
+            num = self._mul(num, d2, tok.pos) + self._mul(n2, den, tok.pos)
+            den = self._mul(den, d2, tok.pos)
 
     def term(self) -> tuple[MultiPoly, MultiPoly]:
         num, den = self.factor()
@@ -130,13 +184,13 @@ class _Parser:
             self.next()
             n2, d2 = self.factor()
             if tok.text == "*":
-                num, den = num * n2, den * d2
+                num, den = self._mul(num, n2, tok.pos), self._mul(den, d2, tok.pos)
             else:
                 if n2.is_zero:
                     raise IdenticallyZeroDenominator(
                         f"division by an identically zero expression (offset {tok.pos})"
                     )
-                num, den = num * d2, den * n2
+                num, den = self._mul(num, d2, tok.pos), self._mul(den, n2, tok.pos)
 
     def factor(self) -> tuple[MultiPoly, MultiPoly]:
         num, den = self.atom()
@@ -147,7 +201,11 @@ class _Parser:
             if etok.kind != _INT:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", etok.pos)
             e = int(etok.text)
-            num, den = num**e, den**e
+            if e > MAX_DEGREE:
+                raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", etok.pos)
+            if e * max(num.total_degree(), den.total_degree()) > MAX_DEGREE:
+                raise ExprSyntaxError(f"power of degree above {MAX_DEGREE}", etok.pos)
+            num, den = self._pow(num, e, etok.pos), self._pow(den, e, etok.pos)
         return num, den
 
     def atom(self) -> tuple[MultiPoly, MultiPoly]:
@@ -177,7 +235,11 @@ class _Parser:
                 raise UnknownVariable(tok.text, tok.pos)
             return MultiPoly.var(self.field, self.nvars, idx), self._one()
         if tok.kind == _OP and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+            self.depth += 1
             num, den = self.expr()
+            self.depth -= 1
             closing = self.next()
             if closing.kind != _OP or closing.text != ")":
                 raise ExprSyntaxError("expected ')'", closing.pos)

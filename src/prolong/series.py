@@ -1,4 +1,4 @@
-"""Truncated power series in t and the recursive flow solver for section maps."""
+"""Truncated power series in t and the online flow solver for section maps."""
 
 from __future__ import annotations
 
@@ -12,22 +12,29 @@ from .errors import (
     PointNotOnVariety,
 )
 from .field import FieldElement
-from .poly import MultiPoly, PolyMap, RationalMap
-from .prolongation import AffineVariety
+from .poly import PolyMap, RationalMap
 from .reporting import CheckReport
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _coerce_fraction(value):
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, FieldElement):
         # only constant elements embed into the coefficient field
         if len(value.den) == 1 and value.den[0] == 1 and len(value.num) <= 1:
-            return value.num[0] if value.num else Fraction(0)
+            return value.num[0] if value.num else _ZERO
         raise ValueError("initial data must be rational constants")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _nonzero(coeffs):
+    """(index, coefficient) pairs of the nonzero coefficients, index ascending."""
+    return [(i, c) for i, c in enumerate(coeffs) if c]
 
 
 class TruncSeries:
@@ -42,9 +49,16 @@ class TruncSeries:
         self.coeffs = cs
 
     @classmethod
+    def _of(cls, coeffs):
+        """Wrap a nonempty tuple of Fractions as is; for results of arithmetic."""
+        s = object.__new__(cls)
+        s.coeffs = coeffs
+        return s
+
+    @classmethod
     def const(cls, value, order):
         c = _coerce_fraction(value)
-        return cls((c,) + (Fraction(0),) * order)
+        return cls._of((c,) + (_ZERO,) * order)
 
     @classmethod
     def zero(cls, order):
@@ -54,7 +68,7 @@ class TruncSeries:
     def t(cls, order):
         if order < 1:
             raise ValueError("the series t needs order at least 1")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
+        return cls._of((_ZERO, _ONE) + (_ZERO,) * (order - 1))
 
     @property
     def order(self):
@@ -70,26 +84,28 @@ class TruncSeries:
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: order + 1])
+        return TruncSeries._of(self.coeffs[: order + 1])
 
     def _pair(self, other):
         if isinstance(other, TruncSeries):
             n = min(self.order, other.order)
-            return self.truncate(n), other.truncate(n)
+            a = self if self.order == n else self.truncate(n)
+            b = other if other.order == n else other.truncate(n)
+            return a, b
         return self, TruncSeries.const(other, self.order)
 
     def __add__(self, other):
         a, b = self._pair(other)
-        return TruncSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return TruncSeries._of(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(tuple(-c for c in self.coeffs))
+        return TruncSeries._of(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return TruncSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return TruncSeries._of(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -97,15 +113,14 @@ class TruncSeries:
     def __mul__(self, other):
         a, b = self._pair(other)
         n = a.order
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j in range(n + 1 - i):
-                y = b.coeffs[j]
-                if y != 0:
-                    out[i + j] += x * y
-        return TruncSeries(out)
+        out = [_ZERO] * (n + 1)
+        bs = _nonzero(b.coeffs)
+        for i, x in _nonzero(a.coeffs):
+            for j, y in bs:
+                if i + j > n:
+                    break
+                out[i + j] += x * y
+        return TruncSeries._of(tuple(out))
 
     __rmul__ = __mul__
 
@@ -113,15 +128,16 @@ class TruncSeries:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise NonUnitConstantTerm("series has zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / a0
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out[k] = -acc / a0
-        return TruncSeries(out)
+        tail = _nonzero(self.coeffs)[1:]
+        out = [1 / a0]
+        for k in range(1, self.order + 1):
+            acc = _ZERO
+            for j, c in tail:
+                if j > k:
+                    break
+                acc += c * out[k - j]
+            out.append(-acc / a0)
+        return TruncSeries._of(tuple(out))
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
@@ -136,20 +152,25 @@ class TruncSeries:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = TruncSeries.const(1, self.order)
+        if exponent == 0:
+            return TruncSeries.const(1, self.order)
+        # Square-and-multiply from the low bit, with no product by one and
+        # no square after the top bit.
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def derive(self):
         if self.order == 0:
             raise ValueError("an order-0 series has no usable derivative")
-        return TruncSeries(
+        return TruncSeries._of(
             tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:]))
         )
 
@@ -227,17 +248,28 @@ class SeriesPoint:
         return tuple(c.coefficient(0) for c in self.components)
 
 
+def _fractions(f):
+    """(numerator, denominator) per component of a map, None for a denominator 1."""
+    if isinstance(f, PolyMap):
+        return [(c, None) for c in f.components]
+    return [
+        (num, None if den.is_constant and den.constant_value().is_one else den)
+        for num, den in f.components
+    ]
+
+
 def element_to_series(elem, order):
     """Expand a base-field element in Q[[t]]; the denominator must be a unit."""
-    num = list(elem.num) + [Fraction(0)] * (order + 1 - len(elem.num))
-    den = list(elem.den) + [Fraction(0)] * (order + 1 - len(elem.den))
-    n = TruncSeries(num[: order + 1])
-    d = TruncSeries(den[: order + 1])
-    if d.coefficient(0) == 0:
+    num = elem.num[: order + 1] + (_ZERO,) * (order + 1 - len(elem.num))
+    if len(elem.den) == 1:
+        # denominators are monic, so a constant one is 1
+        return TruncSeries._of(num)
+    den = elem.den[: order + 1] + (_ZERO,) * (order + 1 - len(elem.den))
+    if den[0] == 0:
         raise DenominatorVanishesAtInitialPoint(
             "coefficient denominator vanishes at t = 0"
         )
-    return n * d.inverse()
+    return TruncSeries._of(num) * TruncSeries._of(den).inverse()
 
 
 def poly_on_series(p, point):
@@ -246,7 +278,7 @@ def poly_on_series(p, point):
         raise ArityMismatch(f"expected {p.nvars} components, got {len(point)}")
     order = point.order
     acc = TruncSeries.zero(order)
-    powers = [{0: TruncSeries.const(1, order)} for _ in range(len(point))]
+    powers = [{1: c} for c in point]
     for mono, coeff in p.terms.items():
         term = element_to_series(coeff, order)
         for i, e in enumerate(mono):
@@ -262,15 +294,16 @@ def poly_on_series(p, point):
 
 def map_on_series(f, point):
     """Evaluate a polynomial or rational map at a series point."""
-    if isinstance(f, PolyMap):
-        f = f.as_rational()
-    if not isinstance(f, RationalMap):
+    if not isinstance(f, (PolyMap, RationalMap)):
         raise TypeError("expected a polynomial or rational map")
     if f.in_arity != len(point):
         raise ArityMismatch(f"expected {f.in_arity} components, got {len(point)}")
     out = []
-    for num, den in f.components:
+    for num, den in _fractions(f):
         n = poly_on_series(num, point)
+        if den is None:
+            out.append(n)
+            continue
         d = poly_on_series(den, point)
         if d.coefficient(0) == 0:
             raise DenominatorVanishesAtInitialPoint(
@@ -301,16 +334,106 @@ def verify_on_variety(variety, point):
     return report
 
 
+class _OnlineMap:
+    """A map's fractions compiled into a straight-line program on online series.
+
+    An online series is a list holding the coefficients computed so far.
+    The inputs are the solution's own coefficient lists.  Every distinct
+    monomial of degree two or more is one product node, the monomial with
+    its first variable peeled off times that variable, shared by all
+    components.  ``coefficient(k)`` extends every node by its coefficient k,
+    reading only coefficients 0..k of the inputs, and returns coefficient k
+    of each component.  A product or quotient coefficient is a sum of at
+    most k + 1 terms, and so is a term whose coefficient is a rational
+    function of t; a map of degree one with coefficients in Q[t] costs O(1)
+    per step.
+    """
+
+    def __init__(self, fractions, inputs, order):
+        self.inputs = inputs
+        self.order = order
+        self.nodes = {}
+        self.products = []  # (out, left, right) in dependency order
+        # per component: (numerator, None) or (numerator, (denominator,
+        # coefficients of the denominator, coefficients of the quotient))
+        self.components = [
+            (self._poly(num), None if den is None else (self._poly(den), [], []))
+            for num, den in fractions
+        ]
+
+    def _node(self, mono):
+        chain = []
+        while mono not in self.nodes:
+            i = next(j for j, e in enumerate(mono) if e)
+            if sum(mono) == 1:
+                self.nodes[mono] = self.inputs[i]
+                break
+            chain.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1 :]
+        node = self.nodes[mono]
+        for mono, i in reversed(chain):
+            out = []
+            self.products.append((out, node, self.inputs[i]))
+            self.nodes[mono] = node = out
+        return node
+
+    def _poly(self, p):
+        """(constant term's coefficients, [(nonzero coefficients, node)])."""
+        const = (_ZERO,) * (self.order + 1)
+        terms = []
+        for mono, c in p.terms.items():
+            cs = element_to_series(c, self.order).coeffs
+            if any(mono):
+                terms.append((_nonzero(cs), self._node(mono)))
+            else:
+                const = cs
+        return const, terms
+
+    @staticmethod
+    def _poly_coefficient(poly, k):
+        const, terms = poly
+        acc = const[k]
+        for pairs, node in terms:
+            for i, c in pairs:
+                if i > k:
+                    break
+                x = node[k - i]
+                if x:
+                    acc += c * x
+        return acc
+
+    def coefficient(self, k):
+        for out, left, right in self.products:
+            out.append(sum([x * y for x, y in zip(left, reversed(right)) if x and y], _ZERO))
+        velocity = []
+        for num, quotient in self.components:
+            n = self._poly_coefficient(num, k)
+            if quotient is None:
+                velocity.append(n)
+                continue
+            # q_k = (n_k - sum_{j>=1} d_j q_{k-j}) / d_0
+            den, ds, qs = quotient
+            ds.append(self._poly_coefficient(den, k))
+            for j in range(1, k + 1):
+                if ds[j]:
+                    n -= ds[j] * qs[k - j]
+            qs.append(n / ds[0])
+            velocity.append(qs[k])
+        return velocity
+
+
 def solve_dpoint(variety, sigma, initial, order):
     """Integrate the flow da/dt = sigma(a) from a rational point of the variety.
 
     Coefficients obey coeff_{k+1}(a_i) = coeff_k(sigma_i(a)) / (k+1), so the
     result is the unique series point with a(0) = initial solving the system
-    through the requested order.
+    through the requested order.  The solver is online: sigma is compiled
+    once, and step k computes coefficient k of sigma(a) from coefficients
+    0..k of a only.  A solve costs O(order) when sigma has degree one and
+    coefficients in Q[t], and O(order^2) per product node, denominator other
+    than 1 or coefficient that is a true rational function of t.
     """
-    if isinstance(sigma, PolyMap):
-        sigma = sigma.as_rational()
-    if not isinstance(sigma, RationalMap):
+    if not isinstance(sigma, (PolyMap, RationalMap)):
         raise TypeError("expected a polynomial or rational section map")
     n = len(variety.var_names)
     if sigma.in_arity != n or len(sigma.components) != n:
@@ -324,24 +447,24 @@ def solve_dpoint(variety, sigma, initial, order):
     if order < 0:
         raise ValueError("order must be nonnegative")
 
-    start = SeriesPoint.constant(a0, order)
+    start = SeriesPoint.constant(a0, 0)
     for gen in variety.gens:
         if poly_on_series(gen, start).coefficient(0) != 0:
             raise PointNotOnVariety(
                 f"initial point {a0} does not lie on {variety.name} at t = 0"
             )
-    for num, den in sigma.components:
-        if poly_on_series(den, start).coefficient(0) == 0:
+    fractions = _fractions(sigma)
+    for _, den in fractions:
+        if den is not None and poly_on_series(den, start).coefficient(0) == 0:
             raise DenominatorVanishesAtInitialPoint(
                 "section denominator vanishes at the initial point"
             )
 
-    coeffs = [[Fraction(0)] * (order + 1) for _ in range(n)]
-    for i, v in enumerate(a0):
-        coeffs[i][0] = v
-    for k in range(order):
-        current = SeriesPoint(tuple(TruncSeries(c) for c in coeffs))
-        velocity = map_on_series(sigma, current)
-        for i in range(n):
-            coeffs[i][k + 1] = velocity[i].coefficient(k) / (k + 1)
-    return SeriesPoint(tuple(TruncSeries(c) for c in coeffs))
+    coeffs = [[v] for v in a0]
+    if order:
+        # compiled only now: at order 0 the numerators are never expanded
+        program = _OnlineMap(fractions, coeffs, order)
+        for k in range(order):
+            for cs, v in zip(coeffs, program.coefficient(k)):
+                cs.append(v / (k + 1))
+    return SeriesPoint(tuple(TruncSeries._of(tuple(cs)) for cs in coeffs))

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from prolong.cli import main
+from prolong.cli import MAX_SERIES_ORDER, main
+from prolong.expr import MAX_DEGREE
 
 DATA = Path(__file__).parent / "data"
 MODEL_Q = str(DATA / "model_q.json")
@@ -50,6 +51,27 @@ def test_parse_canonicalizes(capsys):
         capsys, "parse", "-i", MODEL_Q, "--expr", "x*w - 1", "-v", "GmV"
     )
     assert report["details"]["variables"] == ["x", "w"]
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("(" * 3000 + "x" + ")" * 3000, "nested deeper"),
+        ("(x+1)^100000", "exponent above"),
+        (f"(x+1)^{MAX_DEGREE // 2}*(x+1)^{MAX_DEGREE // 2 + 1}", "degree above"),
+    ],
+)
+def test_parse_caps_give_one_report(capsys, expr, message):
+    code, report, _ = run(capsys, "parse", "-i", MODEL_Q, "--expr", expr, "--vars", "x")
+    assert code == 2
+    assert report["details"]["error"] == "ExprSyntaxError"
+    assert message in report["details"]["message"]
+
+
+def test_parse_rejects_repeated_variables(capsys):
+    code, report, _ = run(capsys, "parse", "-i", MODEL_Q, "--expr", "x", "--vars", "x,x")
+    assert code == 2
+    assert "duplicate variable names" in report["details"]["message"]
 
 
 def test_parse_variety_and_vars_exclusive(capsys):
@@ -345,6 +367,17 @@ def test_solve_series_off_variety(capsys):
     assert report["details"]["error"] == "PointNotOnVariety"
 
 
+def test_solve_series_order_cap(capsys):
+    argv = ("solve-series", "-i", MODEL_Q, "-g", "B", "-s", "b_s01", "--init", "2,0,1/2")
+    code, report, _ = run(capsys, *argv, "--order", str(MAX_SERIES_ORDER))
+    assert code == 0
+    assert report["details"]["order"] == MAX_SERIES_ORDER
+    code, report, err = run(capsys, *argv, "--order", "100000")
+    assert code == 2
+    assert report["details"]["error"] == "UsageError"
+    assert f"at most {MAX_SERIES_ORDER}" in err
+
+
 def test_verify_series_round_trip(capsys, tmp_path):
     code, report, _ = run(
         capsys, "solve-series", "-i", MODEL_Q, "-g", "B", "-s", "b_s01",
@@ -384,6 +417,13 @@ def test_verify_series_validates_file(capsys, tmp_path):
         capsys, "verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(stored)
     )
     assert code == 2
+    long = ["1"] + ["0"] * (MAX_SERIES_ORDER + 1)
+    stored.write_text(json.dumps({"coefficients": {"x": long, "y": long, "w": long}}))
+    code, report, _ = run(
+        capsys, "verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(stored)
+    )
+    assert code == 2
+    assert f"at most {MAX_SERIES_ORDER}" in report["details"]["message"]
 
 
 def test_unknown_subcommand(capsys):

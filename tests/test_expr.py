@@ -17,6 +17,8 @@ from prolong import (
     parse_rational,
 )
 
+from prolong.expr import MAX_DEGREE, MAX_NESTING
+
 from helpers import poly, random_poly
 
 XY = ("x", "y")
@@ -178,3 +180,22 @@ def test_caret_requires_nonnegative_integer():
         parse_poly("x^-2", ("x",), Q)
     with pytest.raises(ExprSyntaxError):
         parse_poly("x^(2)", ("x",), Q)
+
+
+def test_parse_caps():
+    x = parse_poly("x", ("x",), Q)
+    assert parse_poly("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, ("x",), Q) == x
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse_poly("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), ("x",), Q)
+    assert parse_poly(f"x^{MAX_DEGREE}", ("x",), Q).total_degree() == MAX_DEGREE
+    with pytest.raises(ExprSyntaxError, match="exponent above"):
+        parse_element(f"(1 + t)^{MAX_DEGREE + 1}", QT)
+    with pytest.raises(ExprSyntaxError, match="power of degree above"):
+        parse_poly(f"(x*y)^{MAX_DEGREE // 2 + 1}", XY, Q)
+    with pytest.raises(ExprSyntaxError, match="degree above"):
+        parse_rational(f"1/x^{MAX_DEGREE} + 1/y", XY, Q)
+    # the degree does not bound the number of terms; the work budget does
+    with pytest.raises(ExprSyntaxError, match="coefficient products"):
+        parse_poly(f"(x + y + z + w)^{MAX_DEGREE}", ("x", "y", "z", "w"), Q)
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        parse_poly("x", ("x", "x"), Q)

@@ -7,10 +7,13 @@ from prolong import (
     AffineVariety,
     ArityMismatch,
     DenominatorVanishesAtInitialPoint,
+    MultiPoly,
     NonUnitConstantTerm,
     PointNotOnVariety,
+    PolyMap,
     Q,
     QT,
+    RationalMap,
     SeriesPoint,
     TruncSeries,
     element_to_series,
@@ -22,7 +25,16 @@ from prolong import (
     verify_on_variety,
 )
 
-from helpers import poly, random_fraction, rmap
+from helpers import (
+    pmap,
+    poly,
+    random_element,
+    random_fraction,
+    random_nonzero_poly,
+    random_poly,
+    random_unit,
+    rmap,
+)
 
 XY = ("x", "y")
 
@@ -248,3 +260,103 @@ def test_solve_initial_point_must_be_constant():
     line = AffineVariety("A1", QT, ("x",), ())
     with pytest.raises((TypeError, ValueError)):
         solve_dpoint(line, rmap(QT, ("x",), ["x"]), (parse_element("t", QT),), 4)
+
+
+def _reference_solve(variety, sigma, initial, order):
+    """The solver before it went online: every step re-evaluates sigma on the
+    whole truncated series, O(order^3).  Slow reference for the tests."""
+    sigma = sigma.as_rational()
+    a0 = tuple(Fraction(v) for v in initial)
+    start = SeriesPoint.constant(a0, order)
+    for gen in variety.gens:
+        if poly_on_series(gen, start).coefficient(0) != 0:
+            raise PointNotOnVariety("initial point off the variety")
+    for _, den in sigma.components:
+        if poly_on_series(den, start).coefficient(0) == 0:
+            raise DenominatorVanishesAtInitialPoint("denominator vanishes")
+    coeffs = [[v] + [Fraction(0)] * order for v in a0]
+    for k in range(order):
+        current = SeriesPoint(tuple(TruncSeries(c) for c in coeffs))
+        velocity = map_on_series(sigma, current)
+        for i, c in enumerate(coeffs):
+            c[k + 1] = velocity[i].coefficient(k) / (k + 1)
+    return tuple(tuple(c) for c in coeffs)
+
+
+def _outcome(solve, *args):
+    try:
+        point = solve(*args)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+    return point if isinstance(point, tuple) else tuple(s.coeffs for s in point)
+
+
+def _random_section(rng, field, n):
+    """Polynomial or rational map K^n -> K^n; over Q(t) some coefficients are
+    rational functions of t, with denominators that do not vanish at 0."""
+    nums = []
+    for _ in range(n):
+        num = random_poly(rng, field, n, deg=2, terms=3, tdeg=1)
+        if field.has_t and rng.random() < 0.5:
+            num = num * (random_element(rng, field, 1) / random_unit(rng, field))
+        nums.append(num)
+    if rng.random() < 0.5:
+        return PolyMap(field, n, tuple(nums))
+    dens = tuple(random_nonzero_poly(rng, field, n, deg=2, terms=2, tdeg=1) for _ in range(n))
+    return RationalMap(field, n, tuple(zip(nums, dens)))
+
+
+def _random_variety(rng, field, n, a0):
+    """Affine space, or a hypersurface through a0."""
+    names = ("x", "y", "z")[:n]
+    if rng.random() < 0.5:
+        return AffineVariety("A", field, names, ())
+    g = random_nonzero_poly(rng, field, n, deg=2, terms=3, tdeg=1)
+    g = g - MultiPoly.const(field, n, g.evaluate([field.elem(v) for v in a0]))
+    return AffineVariety("H", field, names, (g,))
+
+
+def test_online_solver_matches_full_reevaluation(rng):
+    cases = []
+    for _ in range(60):
+        field = rng.choice((Q, QT))
+        n = rng.randint(1, 3)
+        a0 = tuple(random_fraction(rng) for _ in range(n))
+        variety = _random_variety(rng, field, n, a0)
+        if rng.random() < 0.1:
+            a0 = a0[:-1] + (a0[-1] + 1,)  # usually off the variety now
+        cases.append((variety, _random_section(rng, field, n), a0, rng.randint(0, 12)))
+    # a numerator coefficient 1/t is expanded only from order 1 on
+    line = AffineVariety("A1", QT, ("x",), ())
+    over_t = rmap(QT, ("x",), ["x/t + 1"])
+    cases += [(line, over_t, (Fraction(1),), 0), (line, over_t, (Fraction(1),), 3)]
+    outcomes = set()
+    for case in cases:
+        got = _outcome(solve_dpoint, *case)
+        assert got == _outcome(_reference_solve, *case)
+        if isinstance(got, tuple):
+            assert all(type(c) is Fraction for cs in got for c in cs)
+            outcomes.add("solved")
+        else:
+            outcomes.add(got)
+    assert outcomes == {"solved", PointNotOnVariety, DenominatorVanishesAtInitialPoint}
+    assert _outcome(solve_dpoint, line, over_t, (Fraction(1),), 0) == ((Fraction(1),),)
+
+
+def test_solve_order_80_closed_forms():
+    # the online solver makes order 80 cheap; re-evaluating sigma on the
+    # whole series at every step took about 11 s (2-core x86 VM, Python 3.11)
+    line = AffineVariety("GaV", Q, ("x",), ())
+    sol = solve_dpoint(line, pmap(Q, ("x",), ["-2*x"]), (Fraction(3),), 80)
+    assert sol[0].coeffs == tuple(3 * Fraction(-2) ** k / factorial(k) for k in range(81))
+    names = ("x", "y", "w")
+    bv = AffineVariety("BV", Q, names, (poly("x*w - 1", names, Q),))
+    sigma = pmap(Q, names, ["0", "2*y + (1/2)*(1 - x)", "0"])
+    sol = solve_dpoint(bv, sigma, (Fraction(2), Fraction(0), Fraction(1, 2)), 80)
+    # y' = 2y - 1/2 with y(0) = 0, so y = (1 - e^(2t))/4
+    assert sol[1].coeffs == (Fraction(0),) + tuple(
+        Fraction(-(2**k), 4 * factorial(k)) for k in range(1, 81)
+    )
+    assert sol[0] == TruncSeries.const(2, 80)
+    assert sol[2] == TruncSeries.const(Fraction(1, 2), 80)
+    assert verify_on_variety(bv, sol).ok
