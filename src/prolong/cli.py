@@ -3,8 +3,10 @@
 Every invocation prints one JSON report on stdout with the keys "command",
 "details", "status", and "timing_ms", sorted.  Exit codes: 0 when the
 computation or check passed, 1 when a mathematical check failed, 2 when the
-invocation or its input was malformed.  All mathematical content is rendered
-as exact rational strings.
+invocation or its input was malformed.  main() loads the model and builds
+the report in one place; an error that ends a run chooses between exit 1 and
+2 by the ``status`` of its class (see prolong.errors).  All mathematical
+content is rendered as exact rational strings.
 """
 
 from __future__ import annotations
@@ -19,31 +21,13 @@ from fractions import Fraction
 from .atlas import check_cocycle, check_sigma_compatibility, sample_point, tau_atlas
 from .dgroup import (
     DGroup,
-    DGroupSection,
     check_dgroup,
     check_group_axioms,
     dpoint_check,
     stacked_names,
     tau_group,
 )
-from .errors import (
-    ArityMismatch,
-    ChartIncompatibility,
-    CocycleViolation,
-    DegreeCapExceeded,
-    DenominatorVanishes,
-    DenominatorVanishesAtInitialPoint,
-    DivisionByZero,
-    ExprSyntaxError,
-    IdenticallyZeroDenominator,
-    IndeterminateOnVariety,
-    IndexOutOfRange,
-    ModelError,
-    NonUnitConstantTerm,
-    NoSolution,
-    PointNotOnVariety,
-    TransferNotFunctional,
-)
+from .errors import DenominatorVanishes, ProlongError, UsageError
 from .expr import (
     format_element,
     format_poly,
@@ -75,39 +59,19 @@ from .series import SeriesPoint, TruncSeries, solve_dpoint, variety_residuals
 # tests/data/model_q.json.
 MAX_SERIES_ORDER = 1000
 
+# Largest derivative order nabla accepts.  The derivatives of a point with a
+# true rational function of t grow like k!/t^(k+1): order 200 of (t^2, 1/t)
+# takes about 0.6 s, order 1000 about 16 s.
+MAX_NABLA_ORDER = 200
 
-class UsageError(Exception):
-    """Raised for malformed invocations so a JSON report is still emitted."""
+# Most sample points tau-atlas tests per transition: 200 take about 0.8 s on
+# the two-chart atlas P1 of tests/data/model_qt.json.
+MAX_SAMPLES = 200
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-_FAIL_ERRORS = (
-    PointNotOnVariety,
-    DenominatorVanishes,
-    DenominatorVanishesAtInitialPoint,
-    DegreeCapExceeded,
-    NoSolution,
-    TransferNotFunctional,
-    CocycleViolation,
-    ChartIncompatibility,
-    IdenticallyZeroDenominator,
-    IndeterminateOnVariety,
-    NonUnitConstantTerm,
-)
-
-_INPUT_ERRORS = (
-    UsageError,
-    ModelError,
-    ExprSyntaxError,
-    ArityMismatch,
-    DivisionByZero,
-    IndexOutOfRange,
-    ValueError,
-)
 
 
 def _term_order(args) -> TermOrder:
@@ -147,8 +111,7 @@ def _variety_basis(variety, order, cap):
     return buchberger(variety.gens, order, degree_cap=cap)
 
 
-def _cmd_parse(args):
-    model = load_model_file(args.input)
+def _cmd_parse(args, model):
     if args.variety is not None:
         names = model.variety(args.variety).var_names
     elif args.vars is not None:
@@ -166,8 +129,7 @@ def _cmd_parse(args):
     return "pass", details
 
 
-def _cmd_gb(args):
-    model = load_model_file(args.input)
+def _cmd_gb(args, model):
     variety = model.variety(args.variety)
     order = _term_order(args)
     basis = _variety_basis(variety, order, args.degree_cap)
@@ -183,8 +145,7 @@ def _cmd_gb(args):
     return "pass", details
 
 
-def _cmd_nf(args):
-    model = load_model_file(args.input)
+def _cmd_nf(args, model):
     variety = model.variety(args.variety)
     order = _term_order(args)
     p = parse_poly(args.expr, variety.var_names, model.field)
@@ -199,8 +160,7 @@ def _cmd_nf(args):
     return "pass", details
 
 
-def _cmd_fdel(args):
-    model = load_model_file(args.input)
+def _cmd_fdel(args, model):
     named = model.map(args.map)
     image = f_del(named.rmap)
     details = {
@@ -211,8 +171,7 @@ def _cmd_fdel(args):
     return "pass", details
 
 
-def _cmd_tau_map(args):
-    model = load_model_file(args.input)
+def _cmd_tau_map(args, model):
     named = model.map(args.map)
     image = tau_map(named.rmap)
     names = named.var_names + fiber_names(named.var_names)
@@ -224,23 +183,23 @@ def _cmd_tau_map(args):
     return "pass", details
 
 
-def _cmd_prolong_variety(args, kind):
-    model = load_model_file(args.input)
+def _cmd_prolong_variety(args, model):
     variety = model.variety(args.variety)
-    prolonged = tangent_variety(variety) if kind == "tangent" else tau_variety(variety)
+    prolonged = tangent_variety(variety) if args.kind == "tangent" else tau_variety(variety)
     details = {
         "generators": [
             format_poly(g, prolonged.total.var_names) for g in prolonged.total.gens
         ],
-        "kind": kind,
+        "kind": args.kind,
         "variables": list(prolonged.total.var_names),
         "variety": args.variety,
     }
     return "pass", details
 
 
-def _cmd_nabla(args):
-    model = load_model_file(args.input)
+def _cmd_nabla(args, model):
+    if args.order > MAX_NABLA_ORDER:
+        raise UsageError(f"--order must be at most {MAX_NABLA_ORDER}, got {args.order}")
     variety = model.variety(args.variety)
     point = _point(args, model.field, variety.nvars, f"variety {args.variety!r}")
     variety.require_point(point)
@@ -254,8 +213,7 @@ def _cmd_nabla(args):
     return "pass", details
 
 
-def _cmd_check_nabla(args):
-    model = load_model_file(args.input)
+def _cmd_check_nabla(args, model):
     variety = model.variety(args.variety)
     point = _point(args, model.field, variety.nvars, f"variety {args.variety!r}")
     holds = check_nabla_in_tau(variety, point)
@@ -267,8 +225,7 @@ def _cmd_check_nabla(args):
     return ("pass" if holds else "fail"), details
 
 
-def _cmd_fiber(args):
-    model = load_model_file(args.input)
+def _cmd_fiber(args, model):
     variety = model.variety(args.variety)
     point = _point(args, model.field, variety.nvars, f"variety {args.variety!r}")
     description = fiber_solve(variety, point, kind=args.kind)
@@ -283,8 +240,7 @@ def _cmd_fiber(args):
     return "pass", details
 
 
-def _cmd_transfer(args):
-    model = load_model_file(args.input)
+def _cmd_transfer(args, model):
     corr = model.correspondence(args.correspondence)
     n1 = corr.left.nvars
     n2 = corr.right.nvars
@@ -305,8 +261,7 @@ def _cmd_transfer(args):
     return "pass", details
 
 
-def _cmd_check_cocycle(args):
-    model = load_model_file(args.input)
+def _cmd_check_cocycle(args, model):
     atlas = model.atlas(args.atlas)
     report = check_cocycle(atlas)
     details = {"atlas": args.atlas, **report.as_dict()}
@@ -320,8 +275,9 @@ def _transitions_dict(atlas):
     return out
 
 
-def _cmd_tau_atlas(args):
-    model = load_model_file(args.input)
+def _cmd_tau_atlas(args, model):
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}, got {args.samples}")
     atlas = model.atlas(args.atlas)
     prolonged = tau_atlas(atlas).atlas
     rng = random.Random(args.seed)
@@ -361,16 +317,14 @@ def _cmd_tau_atlas(args):
     return ("pass" if all_ok else "fail"), details
 
 
-def _cmd_check_group(args):
-    model = load_model_file(args.input)
+def _cmd_check_group(args, model):
     group = model.group(args.group)
     report = check_group_axioms(group, args.degree_cap, _term_order(args))
     details = {"group": args.group, **report.as_dict()}
     return ("pass" if report.ok else "fail"), details
 
 
-def _cmd_tau_group(args):
-    model = load_model_file(args.input)
+def _cmd_tau_group(args, model):
     group = model.group(args.group)
     order = _term_order(args)
     axioms = check_group_axioms(group, args.degree_cap, order)
@@ -392,8 +346,7 @@ def _cmd_tau_group(args):
     return "pass", details
 
 
-def _cmd_check_dgroup(args):
-    model = load_model_file(args.input)
+def _cmd_check_dgroup(args, model):
     group = model.group(args.group)
     section = _named_section(model, args)
     order = _term_order(args)
@@ -406,8 +359,7 @@ def _cmd_check_dgroup(args):
     return ("pass" if report.ok else "fail"), details
 
 
-def _cmd_check_dpoint(args):
-    model = load_model_file(args.input)
+def _cmd_check_dpoint(args, model):
     group = model.group(args.group)
     section = _named_section(model, args)
     point = _point(args, model.field, group.nvars, f"group {args.group!r}")
@@ -435,10 +387,9 @@ def _series_details(variety, point):
     }
 
 
-def _cmd_solve_series(args):
+def _cmd_solve_series(args, model):
     if args.order > MAX_SERIES_ORDER:
         raise UsageError(f"--order must be at most {MAX_SERIES_ORDER}, got {args.order}")
-    model = load_model_file(args.input)
     group = model.group(args.group)
     section = _named_section(model, args)
     initial = parse_point(args.init, model.field)
@@ -456,10 +407,12 @@ def _load_series_file(path, variety):
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read series file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"series file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"series file {path} is not valid JSON: nested too deeply") from None
     if isinstance(doc, dict) and "details" in doc and isinstance(doc["details"], dict):
         doc = doc["details"]
     if not isinstance(doc, dict) or "coefficients" not in doc:
@@ -474,24 +427,25 @@ def _load_series_file(path, variety):
             f"coefficients must cover exactly {list(variety.var_names)}; "
             f"missing {missing}, unexpected {extra}"
         )
-    lengths = {len(table[n]) for n in variety.var_names}
+    arrays = [table[n] for n in variety.var_names]
+    if not all(isinstance(a, list) for a in arrays):
+        raise UsageError('"coefficients" must map variable names to arrays')
+    if any(isinstance(c, (list, dict)) for a in arrays for c in a):
+        raise UsageError("series coefficients must be strings or numbers")
+    lengths = {len(a) for a in arrays}
     if len(lengths) != 1 or 0 in lengths:
         raise UsageError("all coefficient arrays must share one nonzero length")
     (length,) = lengths
     if length - 1 > MAX_SERIES_ORDER:
         raise UsageError(f"series order must be at most {MAX_SERIES_ORDER}, got {length - 1}")
     try:
-        components = tuple(
-            TruncSeries([Fraction(str(c)) for c in table[name]])
-            for name in variety.var_names
-        )
+        components = tuple(TruncSeries([Fraction(str(c)) for c in a]) for a in arrays)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational coefficient: {exc}") from exc
     return SeriesPoint(components)
 
 
-def _cmd_verify_series(args):
-    model = load_model_file(args.input)
+def _cmd_verify_series(args, model):
     variety = model.variety(args.variety)
     point = _load_series_file(args.series, variety)
     details = {"variety": args.variety, **_series_details(variety, point)}
@@ -556,19 +510,19 @@ def build_parser():
     p = sub.add_parser("t-variety", help="tangent prolongation of a variety")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
-    p.set_defaults(handler=lambda a: _cmd_prolong_variety(a, "tangent"))
+    p.set_defaults(handler=_cmd_prolong_variety, kind="tangent")
 
     p = sub.add_parser("tau-variety", help="twisted prolongation of a variety")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
-    p.set_defaults(handler=lambda a: _cmd_prolong_variety(a, "tau"))
+    p.set_defaults(handler=_cmd_prolong_variety, kind="tau")
 
     p = sub.add_parser("nabla", help="iterated derivative sequence of a point")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
     _add_init_flag(p, "comma-separated point coordinates")
     p.add_argument("--order", type=int, default=1, metavar="R",
-                   help="number of derivative steps")
+                   help=f"number of derivative steps, at most {MAX_NABLA_ORDER}")
     p.set_defaults(handler=_cmd_nabla)
 
     p = sub.add_parser("check-nabla",
@@ -603,7 +557,7 @@ def build_parser():
     p.add_argument("-a", "--atlas", required=True)
     p.add_argument("--seed", type=int, default=0, help="sample generator seed")
     p.add_argument("--samples", type=int, default=20, metavar="N",
-                   help="sample points per transition")
+                   help=f"sample points per transition, 1 to {MAX_SAMPLES}")
     p.set_defaults(handler=_cmd_tau_atlas)
 
     p = sub.add_parser("check-group", help="verify the group axioms on the variety")
@@ -660,17 +614,24 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     command = "prolong " + " ".join(argv) if argv else "prolong"
     started = time.perf_counter()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        status, details = args.handler(args)
-    except _INPUT_ERRORS as exc:
+        args = build_parser().parse_args(argv)
+        status, details = args.handler(args, load_model_file(args.input))
+    except (ProlongError, ValueError) as exc:
+        status = exc.status if isinstance(exc, ProlongError) else "error"
+        details = {"error": type(exc).__name__, "message": str(exc)}
+        if status == "error":
+            print(str(exc), file=sys.stderr)
+    except Exception as exc:
+        # Last resort: an exception no error class accounts for is a defect
+        # of the package, not of the input.  It still gets its one report,
+        # as a malformed run, with the traceback on stderr.  traceback is
+        # imported here so that the common runs do not pay for it at start-up.
+        import traceback
+
         status = "error"
         details = {"error": type(exc).__name__, "message": str(exc)}
-        print(str(exc), file=sys.stderr)
-    except _FAIL_ERRORS as exc:
-        status = "fail"
-        details = {"error": type(exc).__name__, "message": str(exc)}
+        traceback.print_exc()
     report = {
         "command": command,
         "details": details,

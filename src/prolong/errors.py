@@ -2,7 +2,10 @@
 
 Every error that corresponds to bad mathematical input or a failed
 structural requirement derives from ProlongError, so callers can catch
-one base class at the boundary.
+one base class at the boundary.  Each class says on its ``status`` which
+verdict the command line gives when it ends a run: "fail" (exit 1) when
+the request was well formed and the mathematics says no, "error" (exit 2)
+when the request itself was malformed.
 """
 
 from __future__ import annotations
@@ -11,21 +14,31 @@ from __future__ import annotations
 class ProlongError(Exception):
     """Base class for all toolkit errors."""
 
+    status = "fail"
+
 
 class DivisionByZero(ProlongError):
     """Division by the zero element of the base field."""
+
+    status = "error"
 
 
 class ArityMismatch(ProlongError):
     """Operands or maps with incompatible numbers of variables."""
 
+    status = "error"
+
 
 class IndexOutOfRange(ProlongError):
     """Variable index outside the valid range of a polynomial ring."""
 
+    status = "error"
+
 
 class ExprSyntaxError(ProlongError):
     """Malformed expression text.  Carries the 0-based offset of the fault."""
+
+    status = "error"
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (offset {pos})")
@@ -93,3 +106,11 @@ class IndeterminateOnVariety(ProlongError):
 
 class ModelError(ProlongError):
     """Structurally invalid or inconsistent model file."""
+
+    status = "error"
+
+
+class UsageError(ProlongError):
+    """Malformed command line invocation or series file."""
+
+    status = "error"

@@ -101,6 +101,8 @@ class _Parser:
         self.vars = {name: i for i, name in enumerate(var_names)}
         if len(self.vars) != len(var_names):
             raise ValueError(f"duplicate variable names in {list(var_names)}")
+        if "t" in self.vars:
+            raise ValueError("'t' names the base field element and cannot be a variable")
         self.nvars = len(var_names)
         self.allow_div = allow_div
         self.tokens = _tokenize(src)

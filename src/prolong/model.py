@@ -88,10 +88,18 @@ class Model:
 
 
 def _lookup(table, name, category):
+    if not isinstance(name, str):
+        raise ModelError(f"{category} reference must be a string, got {_show(name)}")
     if name not in table:
         known = ", ".join(sorted(table)) or "none defined"
         raise ModelError(f"unknown {category} {name!r} (known: {known})")
     return table[name]
+
+
+def _show(value):
+    """repr of a JSON scalar; a list or object only by its type, since it may
+    nest too deeply to print."""
+    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
 
 
 def _reject_duplicates(pairs):
@@ -108,6 +116,13 @@ def _expect_object(value, where):
         raise ModelError(f"{where} must be a JSON object")
     return value
 
+
+def _expect_positive_int(value, where):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ModelError(f"{where} must be a positive integer")
+    return value
+
+
 def _expect_keys(spec, where, required, optional=()):
     for key in required:
         if key not in spec:
@@ -123,7 +138,9 @@ def _expect_names(value, where):
     names = []
     for item in value:
         if not isinstance(item, str) or not item.isidentifier():
-            raise ModelError(f"{where} contains a bad variable name {item!r}")
+            raise ModelError(f"{where} contains a bad variable name {_show(item)}")
+        if item == "t":
+            raise ModelError(f"{where} uses 't', which names the base field element")
         names.append(item)
     if len(set(names)) != len(names):
         raise ModelError(f"{where} repeats a variable name")
@@ -135,7 +152,7 @@ def _expect_strings(value, where, allow_empty=False):
         raise ModelError(f"{where} must be a {'' if allow_empty else 'nonempty '}list of strings")
     for item in value:
         if not isinstance(item, str):
-            raise ModelError(f"{where} contains a non-string entry {item!r}")
+            raise ModelError(f"{where} contains a non-string entry {_show(item)}")
     return tuple(value)
 
 
@@ -221,12 +238,8 @@ def _default_coords(dim):
 
 def _load_atlas(name, spec, field):
     _expect_keys(spec, f"atlas {name!r}", ("dim", "charts", "transitions"), ("coords",))
-    dim = spec["dim"]
-    count = spec["charts"]
-    if not isinstance(dim, int) or dim < 1:
-        raise ModelError(f"atlas {name!r} dim must be a positive integer")
-    if not isinstance(count, int) or count < 1:
-        raise ModelError(f"atlas {name!r} charts must be a positive integer")
+    dim = _expect_positive_int(spec["dim"], f"atlas {name!r} dim")
+    count = _expect_positive_int(spec["charts"], f"atlas {name!r} charts")
     if "coords" in spec:
         coords = _expect_names(spec["coords"], f"atlas {name!r} coords")
         if len(coords) != dim:
@@ -291,6 +304,8 @@ def load_model(text):
         doc = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelError("invalid JSON: nested too deeply") from None
     doc = _expect_object(doc, "model document")
     for key in doc:
         if key not in _TOP_KEYS:
@@ -303,7 +318,7 @@ def load_model(text):
     elif tag == "Qt":
         field = QT
     else:
-        raise ModelError(f'basefield must be "Q" or "Qt", got {tag!r}')
+        raise ModelError(f'basefield must be "Q" or "Qt", got {_show(tag)}')
 
     def category(key):
         return _expect_object(doc.get(key, {}), f'"{key}"')
@@ -346,6 +361,6 @@ def load_model_file(path):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
     return load_model(text)

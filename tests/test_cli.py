@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from prolong.cli import MAX_SERIES_ORDER, main
+import prolong
+from prolong import cli, errors
+from prolong.cli import MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
 from prolong.expr import MAX_DEGREE
 
 DATA = Path(__file__).parent / "data"
@@ -154,6 +156,17 @@ def test_nabla_rejects_off_variety_point(capsys):
     assert report["details"]["error"] == "PointNotOnVariety"
 
 
+def test_nabla_order_cap(capsys):
+    argv = ("nabla", "-i", MODEL_QT, "-v", "Hyp", "--init", "t,1")
+    code, report, _ = run(capsys, *argv, "--order", str(MAX_NABLA_ORDER))
+    assert code == 0
+    assert len(report["details"]["sequence"]) == MAX_NABLA_ORDER + 1
+    code, report, err = run(capsys, *argv, "--order", str(MAX_NABLA_ORDER + 1))
+    assert code == 2
+    assert report["details"]["error"] == "UsageError"
+    assert f"at most {MAX_NABLA_ORDER}" in err
+
+
 def test_check_nabla(capsys):
     code, report, _ = run(
         capsys, "check-nabla", "-i", MODEL_QT, "-v", "Hyp", "--init", "t^2,1/t"
@@ -238,6 +251,16 @@ def test_tau_atlas(capsys):
     assert d["transitions"]["1,2"] == ["1/x", "-u_x/x^2"]
     assert all(entry["ok"] for entry in d["sigma_compatibility"])
     assert all(entry["samples"] == 5 for entry in d["sigma_compatibility"])
+
+
+@pytest.mark.parametrize("samples", ["0", "-3", str(MAX_SAMPLES + 1)])
+def test_tau_atlas_samples_range(capsys, samples):
+    code, report, err = run(
+        capsys, "tau-atlas", "-i", MODEL_QT, "-a", "P1", "--samples", samples
+    )
+    assert code == 2
+    assert report["details"]["error"] == "UsageError"
+    assert f"between 1 and {MAX_SAMPLES}" in err
 
 
 def test_check_group(capsys):
@@ -459,3 +482,123 @@ def test_missing_model_file(capsys):
     code, report, _ = run(capsys, "gb", "-i", "/nonexistent.json", "-v", "V")
     assert code == 2
     assert report["status"] == "error"
+
+
+def test_parse_refuses_t_as_variable(capsys):
+    code, report, _ = run(
+        capsys, "parse", "-i", MODEL_QT, "--expr", "t*y - 1", "--vars", "t,y"
+    )
+    assert code == 2
+    assert report["details"]["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "category, name, key, argv",
+    [
+        ("groups", "Ga", "variety", ("check-group", "-g", "Ga")),
+        ("sections", "ga_c1", "group", ("check-dgroup", "-g", "Ga", "-s", "ga_c1")),
+        ("correspondences", "parab0", "left", ("transfer", "-c", "parab0", "--init", "0,0")),
+        ("correspondences", "parab0", "right", ("transfer", "-c", "parab0", "--init", "0,0")),
+    ],
+)
+@pytest.mark.parametrize("value", [["GaV"], {"name": "GaV"}])
+def test_non_string_reference_is_model_error(capsys, tmp_path, category, name, key, argv, value):
+    doc = json.loads((DATA / "model_q.json").read_text())
+    doc[category][name][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(capsys, argv[0], "-i", str(path), *argv[1:])
+    assert code == 2
+    assert report["details"]["error"] == "ModelError"
+    assert "must be a string" in report["details"]["message"]
+
+
+@pytest.mark.parametrize("key", ["dim", "charts"])
+def test_boolean_atlas_sizes_are_model_errors(capsys, tmp_path, key):
+    doc = json.loads((DATA / "model_qt.json").read_text())
+    doc["atlases"]["P1"][key] = True
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(capsys, "check-cocycle", "-i", str(path), "-a", "P1")
+    assert code == 2
+    assert "must be a positive integer" in report["details"]["message"]
+
+
+def test_deeply_nested_model_is_model_error(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, report, _ = run(capsys, "gb", "-i", str(path), "-v", "V")
+    assert code == 2
+    assert report["details"]["error"] == "ModelError"
+    assert "nested too deeply" in report["details"]["message"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100000 + "]" * 100000, "nested too deeply"),
+        ('{"coefficients": {"x": 5, "y": 5, "w": 5}}', "must map variable names to arrays"),
+        ('{"coefficients": {"x": [[1]], "y": ["0"], "w": ["1"]}}', "strings or numbers"),
+    ],
+    ids=["deep", "not-arrays", "nested-coefficient"],
+)
+def test_malformed_series_file_is_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path / "series.json"
+    path.write_text(text)
+    code, report, _ = run(
+        capsys, "verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(path)
+    )
+    assert code == 2
+    assert report["details"]["error"] == "UsageError"
+    assert message in report["details"]["message"]
+
+
+# The verdict each exported error class gave through the command line's
+# hand-kept tuples before the status moved onto the classes.  ProlongError
+# itself was in neither tuple (it escaped main as a traceback); it is "fail".
+EXIT_STATUS = {
+    "ProlongError": "fail",
+    "PointNotOnVariety": "fail",
+    "DenominatorVanishes": "fail",
+    "DenominatorVanishesAtInitialPoint": "fail",
+    "DegreeCapExceeded": "fail",
+    "NoSolution": "fail",
+    "TransferNotFunctional": "fail",
+    "CocycleViolation": "fail",
+    "ChartIncompatibility": "fail",
+    "IdenticallyZeroDenominator": "fail",
+    "IndeterminateOnVariety": "fail",
+    "NonUnitConstantTerm": "fail",
+    "ModelError": "error",
+    "ExprSyntaxError": "error",
+    "UnknownVariable": "error",
+    "TInQField": "error",
+    "ArityMismatch": "error",
+    "DivisionByZero": "error",
+    "IndexOutOfRange": "error",
+}
+
+
+def test_error_classes_keep_their_exit_status():
+    exported = {
+        name: value for name, value in vars(prolong).items()
+        if isinstance(value, type) and issubclass(value, errors.ProlongError)
+    }
+    assert set(exported) == set(EXIT_STATUS)
+    for name, cls in exported.items():
+        assert cls.status == EXIT_STATUS[name], name
+    assert UsageError is errors.UsageError
+    assert UsageError.status == "error"
+
+
+def test_unexpected_exception_gets_last_resort_report(capsys, monkeypatch):
+    def broken(args, model):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(cli, "_cmd_gb", broken)
+    code, report, err = run(capsys, "gb", "-i", MODEL_Q, "-v", "Twisted")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["details"] == {"error": "RuntimeError", "message": "handler bug"}
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: handler bug" in err

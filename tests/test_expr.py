@@ -79,6 +79,9 @@ def test_t_as_variable_name_shadowing_rejected():
     # over Q(t) the symbol t is the field element, never a ring variable
     with pytest.raises(TInQField):
         parse_poly("x", ("x",), Q) and parse_poly("t", (), Q)
+    for field in (Q, QT):
+        with pytest.raises(ValueError, match="'t' names the base field element"):
+            parse_poly("t*y - 1", ("t", "y"), field)
 
 
 def test_unknown_variable_reports_name_and_offset():

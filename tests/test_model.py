@@ -179,6 +179,10 @@ def test_atlas_dim_and_charts_validation():
         load_model(minimal(atlases={"M": {"dim": 0, "charts": 1, "transitions": {}}}))
     with pytest.raises(ModelError, match="charts must be a positive integer"):
         load_model(minimal(atlases={"M": {"dim": 1, "charts": "2", "transitions": {}}}))
+    with pytest.raises(ModelError, match="dim must be a positive integer"):
+        load_model(minimal(atlases={"M": {"dim": True, "charts": 1, "transitions": {}}}))
+    with pytest.raises(ModelError, match="charts must be a positive integer"):
+        load_model(minimal(atlases={"M": {"dim": 1, "charts": True, "transitions": {}}}))
     with pytest.raises(ModelError, match="coords must list 2 names"):
         load_model(
             minimal(
@@ -215,3 +219,17 @@ def test_categories_must_be_objects():
 def test_non_string_entries_rejected():
     with pytest.raises(ModelError, match="non-string entry 5"):
         load_model(minimal(varieties={"V": {"vars": ["x"], "gens": [5]}}))
+    # a list entry is named by its type: it may nest too deeply to print
+    deep = json.loads("[" * 500 + "]" * 500)
+    with pytest.raises(ModelError, match="non-string entry list"):
+        load_model(minimal(varieties={"V": {"vars": ["x"], "gens": [deep]}}))
+
+
+def test_variable_named_t_rejected():
+    doc = minimal(varieties={"V": {"vars": ["t", "y"], "gens": ["t*y - 1"]}})
+    with pytest.raises(ModelError, match="uses 't'"):
+        load_model(doc.replace('"Q"', '"Qt"'))
+    with pytest.raises(ModelError, match="uses 't'"):
+        load_model(minimal(atlases={"M": {"dim": 1, "charts": 1, "coords": ["t"],
+                                          "transitions": {}}}))
+
