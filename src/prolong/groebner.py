@@ -9,6 +9,8 @@ monomial, so equal ideals yield identical bases for a fixed term order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add, ge, le, sub
 from typing import Sequence
 
 from .errors import ArityMismatch, DegreeCapExceeded
@@ -35,29 +37,44 @@ class TermOrder:
             if sorted(self.priority) != list(range(len(self.priority))):
                 raise ValueError("priority must be a permutation of the variable indices")
 
+    def _permuted(self, mono: Monomial) -> Monomial:
+        if len(self.priority) != len(mono):
+            raise ArityMismatch("priority permutation length differs from variable count")
+        return tuple(mono[i] for i in self.priority)
+
     def key(self, mono: Monomial):
         if self.priority is not None:
-            if len(self.priority) != len(mono):
-                raise ArityMismatch("priority permutation length differs from variable count")
-            mono = tuple(mono[i] for i in self.priority)
+            mono = self._permuted(mono)
         if self.kind == "lex":
             return mono
         return grevlex_key(mono)
+
+    def reverse_key(self, mono: Monomial):
+        """Ascending sort key for the descending order: the largest monomial first."""
+        if self.priority is not None:
+            mono = self._permuted(mono)
+        if self.kind == "lex":
+            return tuple([-e for e in mono])
+        return (-sum(mono),) + mono[::-1]
 
 
 DEFAULT_ORDER = TermOrder()
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(ea <= eb for ea, eb in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(ea, eb) for ea, eb in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _coprime(a: Monomial, b: Monomial) -> bool:
-    return all(min(ea, eb) == 0 for ea, eb in zip(a, b))
+def _check_ring(gens: Sequence[MultiPoly], nvars: int) -> None:
+    for g in gens:
+        if g.nvars != nvars:
+            raise ArityMismatch("generators live in different rings")
+        if g.field != gens[0].field:
+            raise ValueError(f"mixed fields {gens[0].field} and {g.field}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +91,7 @@ class IdealBasis:
             if not gens:
                 raise ValueError("cannot infer the ambient ring from an empty basis")
             nvars = gens[0].nvars
-        for g in gens:
-            if g.nvars != nvars:
-                raise ArityMismatch("generators live in different rings")
+        _check_ring(gens, nvars)
         return cls(nvars, gens)
 
 
@@ -95,27 +110,70 @@ def reduce_full(
     order: TermOrder = DEFAULT_ORDER,
     degree_cap: int | None = None,
 ) -> MultiPoly:
-    """Full remainder of p under multivariate division by gens."""
-    key = order.key
-    remainder = MultiPoly.zero(p.field, p.nvars)
-    h = p
-    leads = [(g.lead(key), g) for g in gens if not g.is_zero]
-    while not h.is_zero:
-        if degree_cap is not None and h.total_degree() > degree_cap:
-            raise DegreeCapExceeded(
-                f"intermediate degree {h.total_degree()} exceeds cap {degree_cap}"
-            )
-        hm, hc = h.lead(key)
-        for (gm, gc), g in leads:
-            if _divides(gm, hm):
-                mono = tuple(eh - eg for eh, eg in zip(hm, gm))
-                h = h - MultiPoly(h.field, h.nvars, {mono: hc / gc}) * g
+    """Full remainder of p under multivariate division by gens.
+
+    The remainder's terms come in descending order, so its first term is
+    the leading one.  Division runs in place on a term dict beside a heap
+    of reverse order keys: the leading term is the top entry still in the
+    dict (cancelled monomials stay in the heap and are skipped), and each
+    monomial's key is computed once, when it enters.  DegreeCapExceeded is
+    raised as soon as the working polynomial has total degree above
+    degree_cap: on input, or after the step that adds such a term.
+    """
+    rkey = order.reverse_key
+    field, nvars = p.field, p.nvars
+    _check_ring((p, *gens), nvars)
+    # (lead monomial, its degree, inverse lead coefficient, tail terms, top tail degree)
+    divisors = []
+    for g in gens:
+        if g.is_zero:
+            continue
+        gm = min(g.terms, key=rkey)
+        tail = [(m, c) for m, c in g.terms.items() if m != gm]
+        top = max((sum(m) for m, _ in tail), default=0)
+        divisors.append((gm, sum(gm), g.terms[gm].inverse(), tail, top))
+    h = dict(p.terms)
+    if degree_cap is not None and h and p.total_degree() > degree_cap:
+        raise DegreeCapExceeded(f"intermediate degree {p.total_degree()} exceeds cap {degree_cap}")
+    heap = [(rkey(m), m) for m in h]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        hm = heappop(heap)[1]
+        hc = h.pop(hm, None)
+        if hc is None:
+            continue
+        for gm, gdeg, ginv, tail, top in divisors:
+            if all(map(ge, hm, gm)):
                 break
         else:
-            term = MultiPoly(h.field, h.nvars, {hm: hc})
-            remainder = remainder + term
-            h = h - term
-    return remainder
+            remainder[hm] = hc
+            continue
+        shift = tuple(map(sub, hm, gm))
+        # Only a term new to h can exceed the cap: the others were within it.
+        lim = None if degree_cap is None else degree_cap - (sum(hm) - gdeg)
+        check = lim is not None and top > lim
+        nq = -hc if ginv.is_one else -(hc * ginv)
+        over = False
+        for tm, tc in tail:
+            mono = tuple(map(add, tm, shift))
+            d = nq * tc
+            old = h.get(mono)
+            if old is None:
+                h[mono] = d
+                heappush(heap, (rkey(mono), mono))
+                if check and sum(tm) > lim:
+                    over = True
+            else:
+                d = old + d
+                if d.is_zero:
+                    del h[mono]
+                else:
+                    h[mono] = d
+        if over:
+            degree = max(map(sum, h))
+            raise DegreeCapExceeded(f"intermediate degree {degree} exceeds cap {degree_cap}")
+    return MultiPoly._of(field, nvars, remainder)
 
 
 def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
@@ -129,6 +187,11 @@ def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
     return tf * f - tg * g
 
 
+def _monic(g: MultiPoly, lead: Monomial) -> MultiPoly:
+    lc = g.terms[lead]
+    return g if lc.is_one else g * lc.inverse()
+
+
 def buchberger(
     gens,
     order: TermOrder = DEFAULT_ORDER,
@@ -138,21 +201,17 @@ def buchberger(
     """Compute the reduced Groebner basis of the ideal generated by gens.
 
     strategy 'normal' picks the pair with the lowest lcm total degree
-    (ties by age); 'fifo' processes pairs in creation order.
+    (ties by age); 'fifo' processes pairs in creation order.  Pairs whose
+    leading monomials are coprime reduce to zero (Buchberger's first
+    criterion) and are never queued.
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if isinstance(gens, IdealBasis):
-        nvars = gens.nvars
-        polys = list(gens.gens)
-    else:
-        polys = [g for g in gens if not g.is_zero]
-        if not polys:
-            raise ValueError("cannot infer the ambient ring from an empty basis")
-        nvars = polys[0].nvars
-        for g in polys:
-            if g.nvars != nvars:
-                raise ArityMismatch("generators live in different rings")
+    if not isinstance(gens, IdealBasis):
+        gens = IdealBasis.make(gens)
+    nvars = gens.nvars
+    polys = [g for g in gens.gens if not g.is_zero]
+    _check_ring(polys, nvars)
     if not polys:
         return GroebnerBasis(order, nvars, ())
     for g in polys:
@@ -160,31 +219,33 @@ def buchberger(
             raise DegreeCapExceeded(
                 f"generator degree {g.total_degree()} exceeds cap {degree_cap}"
             )
-    key = order.key
-    basis = [g.monic(key) for g in polys]
-    pairs: list[tuple[int, int]] = []
+    rkey = order.reverse_key
+    fifo = strategy == "fifo"
+    leads = [min(g.terms, key=rkey) for g in polys]
+    basis = [_monic(g, gm) for g, gm in zip(polys, leads)]
+    degrees = [sum(gm) for gm in leads]
+    # normal: a heap of (lcm degree, i, j); fifo: (i, j) read from index head on
+    queue: list[tuple] = []
+    head = 0
+
+    def add_pair(i: int, j: int) -> None:
+        d = sum(_lcm(leads[i], leads[j]))
+        if d == degrees[i] + degrees[j]:
+            return
+        if fifo:
+            queue.append((i, j))
+        else:
+            heappush(queue, (d, i, j))
+
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            pairs.append((i, j))
-
-    def pick() -> tuple[int, int]:
-        if strategy == "fifo":
-            return pairs.pop(0)
-        best = min(
-            range(len(pairs)),
-            key=lambda k: (
-                sum(_lcm(basis[pairs[k][0]].lead(key)[0], basis[pairs[k][1]].lead(key)[0])),
-                pairs[k],
-            ),
-        )
-        return pairs.pop(best)
-
-    while pairs:
-        i, j = pick()
-        fm = basis[i].lead(key)[0]
-        gm = basis[j].lead(key)[0]
-        if _coprime(fm, gm):
-            continue
+            add_pair(i, j)
+    while head < len(queue):
+        if fifo:
+            i, j = queue[head]
+            head += 1
+        else:
+            _, i, j = heappop(queue)
         s = _s_polynomial(basis[i], basis[j], order)
         h = reduce_full(s, basis, order, degree_cap)
         if h.is_zero:
@@ -193,41 +254,38 @@ def buchberger(
             raise DegreeCapExceeded(
                 f"basis element degree {h.total_degree()} exceeds cap {degree_cap}"
             )
-        h = h.monic(key)
-        basis.append(h)
+        hm = next(iter(h.terms))
+        basis.append(_monic(h, hm))
+        leads.append(hm)
+        degrees.append(sum(hm))
         new_index = len(basis) - 1
         for k in range(new_index):
-            pairs.append((k, new_index))
+            add_pair(k, new_index)
 
     # Minimal basis: drop elements whose lead is divisible by another lead.
-    keep: list[MultiPoly] = []
-    for i, g in enumerate(basis):
-        gm = g.lead(key)[0]
-        redundant = False
-        for j, other in enumerate(basis):
-            if i == j:
-                continue
-            om = other.lead(key)[0]
-            if _divides(om, gm) and (om != gm or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-    # Reduced basis: each element fully reduced against the others.
-    reduced: list[MultiPoly] = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = reduce_full(g, others, order, degree_cap) if others else g
-        if not r.is_zero:
-            reduced.append(r.monic(key))
-    reduced.sort(key=lambda g: key(g.lead(key)[0]))
-    return GroebnerBasis(order, nvars, tuple(reduced))
+    keep: list[tuple[Monomial, MultiPoly]] = []
+    for i, gm in enumerate(leads):
+        if not any(
+            _divides(om, gm) and (om != gm or j < i)
+            for j, om in enumerate(leads)
+            if j != i
+        ):
+            keep.append((gm, basis[i]))
+    # Reduced basis: each element fully reduced against the others.  No other
+    # lead divides gm, so the monic lead term of g stays that of the remainder.
+    reduced: list[tuple[Monomial, MultiPoly]] = []
+    for i, (gm, g) in enumerate(keep):
+        others = [o for _, o in keep[:i] + keep[i + 1 :]]
+        reduced.append((gm, reduce_full(g, others, order, degree_cap) if others else g))
+    reduced.sort(key=lambda lg: order.key(lg[0]))
+    return GroebnerBasis(order, nvars, tuple(g for _, g in reduced))
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis, degree_cap: int | None = None) -> MultiPoly:
     if p.nvars != gb.nvars:
         raise ArityMismatch(f"polynomial in {p.nvars} variables, basis in {gb.nvars}")
     if not gb.gens:
+        gb.order.key((0,) * gb.nvars)  # a priority of the wrong length raises ArityMismatch
         return p
     return reduce_full(p, gb.gens, gb.order, degree_cap)
 

@@ -40,6 +40,16 @@ _TOP_KEYS = (
 )
 
 
+# Largest atlas dimension and chart count a model may declare.  Both are
+# checked before coordinate names or chart ids are built.  Work grows with
+# them: tau-atlas --samples 200 on a two-chart atlas with x1 -> 1/x1 takes
+# about 3 s at dimension 10 and 10 s at dimension 20; with all 380
+# transitions of 20 charts declared at dimension 20, check-cocycle takes
+# about 34 s and tau-atlas --samples 1 about 115 s.
+MAX_ATLAS_DIM = 20
+MAX_ATLAS_CHARTS = 20
+
+
 @dataclass(frozen=True)
 class ModelMap:
     """A named map together with the input coordinates it was written in."""
@@ -240,6 +250,12 @@ def _load_atlas(name, spec, field):
     _expect_keys(spec, f"atlas {name!r}", ("dim", "charts", "transitions"), ("coords",))
     dim = _expect_positive_int(spec["dim"], f"atlas {name!r} dim")
     count = _expect_positive_int(spec["charts"], f"atlas {name!r} charts")
+    if dim > MAX_ATLAS_DIM:
+        raise ModelError(f"atlas {name!r} dim must be at most {MAX_ATLAS_DIM}, got {dim}")
+    if count > MAX_ATLAS_CHARTS:
+        raise ModelError(
+            f"atlas {name!r} charts must be at most {MAX_ATLAS_CHARTS}, got {count}"
+        )
     if "coords" in spec:
         coords = _expect_names(spec["coords"], f"atlas {name!r} coords")
         if len(coords) != dim:

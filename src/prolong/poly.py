@@ -58,6 +58,20 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
+    def _of(cls, field: BaseField, nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap a clean term dict as is; for results of arithmetic.
+
+        The caller guarantees what the public constructor checks: each
+        monomial is a tuple of nvars nonnegative exponents and each
+        coefficient is a nonzero element of field.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "field", field)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, field: BaseField, nvars: int) -> "MultiPoly":
         return cls(field, nvars)
 
@@ -111,7 +125,7 @@ class MultiPoly:
                     out.pop(mono, None)
                 else:
                     out[mono] = s
-            return MultiPoly(self.field, self.nvars, out)
+            return MultiPoly._of(self.field, self.nvars, out)
         scal = self._coerce_scalar(other)
         if scal is None:
             return NotImplemented
@@ -120,7 +134,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
+        return MultiPoly._of(self.field, self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, MultiPoly):
@@ -150,13 +164,13 @@ class MultiPoly:
                         out.pop(mono, None)
                     else:
                         out[mono] = s
-            return MultiPoly(self.field, self.nvars, out)
+            return MultiPoly._of(self.field, self.nvars, out)
         scal = self._coerce_scalar(other)
         if scal is None:
             return NotImplemented
         if scal.is_zero:
             return MultiPoly.zero(self.field, self.nvars)
-        return MultiPoly(self.field, self.nvars, {m: c * scal for m, c in self.terms.items()})
+        return MultiPoly._of(self.field, self.nvars, {m: c * scal for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import prolong
 from prolong import cli, errors
 from prolong.cli import MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
 from prolong.expr import MAX_DEGREE
+from prolong.model import MAX_ATLAS_CHARTS, MAX_ATLAS_DIM
 
 DATA = Path(__file__).parent / "data"
 MODEL_Q = str(DATA / "model_q.json")
@@ -522,6 +524,25 @@ def test_boolean_atlas_sizes_are_model_errors(capsys, tmp_path, key):
     code, report, _ = run(capsys, "check-cocycle", "-i", str(path), "-a", "P1")
     assert code == 2
     assert "must be a positive integer" in report["details"]["message"]
+
+
+@pytest.mark.parametrize("command", ["check-cocycle", "tau-atlas"])
+@pytest.mark.parametrize("key, cap", [("dim", MAX_ATLAS_DIM), ("charts", MAX_ATLAS_CHARTS)])
+def test_atlas_sizes_are_capped(capsys, tmp_path, command, key, cap):
+    doc = {"basefield": "Q", "atlases": {"A": {"dim": 1, "charts": 2, "transitions": {}}}}
+    path = tmp_path / "model.json"
+    doc["atlases"]["A"][key] = cap
+    path.write_text(json.dumps(doc))
+    code, report, _ = run(capsys, command, "-i", str(path), "-a", "A")
+    assert code == 0 and report["status"] == "pass"
+    doc["atlases"]["A"][key] = 10**9
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, report, err = run(capsys, command, "-i", str(path), "-a", "A")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "Traceback" not in err
+    assert report["details"]["error"] == "ModelError"
+    assert f"{key} must be at most {cap}" in report["details"]["message"]
 
 
 def test_deeply_nested_model_is_model_error(capsys, tmp_path):

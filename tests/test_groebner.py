@@ -113,6 +113,20 @@ def test_mixed_rings_rejected():
         normal_form(poly("x", ("x",), Q), gb)
 
 
+def test_mixed_fields_rejected():
+    x_q = poly("x", XY, Q)
+    y_qt = poly("y", XY, QT)
+    with pytest.raises(ValueError, match="mixed fields"):
+        buchberger([x_q, y_qt])
+    with pytest.raises(ValueError, match="mixed fields"):
+        IdealBasis.make([x_q, y_qt])
+    with pytest.raises(ValueError, match="mixed fields"):
+        buchberger(IdealBasis(2, (x_q, y_qt)))
+    # no lead of the Q basis divides t*y, so no coefficient arithmetic runs
+    with pytest.raises(ValueError, match="mixed fields"):
+        normal_form(poly("t*y", XY, QT), buchberger([x_q]))
+
+
 def test_degree_cap_aborts():
     with pytest.raises(DegreeCapExceeded):
         buchberger([poly("x^5 - y", XY, Q)], degree_cap=4)

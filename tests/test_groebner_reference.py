@@ -1,0 +1,271 @@
+"""The Groebner kernel against the plain division loop it replaced.
+
+reference_reduce_full and reference_buchberger are the straightforward
+algorithms: the leading term found with max() at every step, each
+subtraction a new MultiPoly, the next pair found by scanning every pair.
+The heap-ordered in-place kernel must agree with them exactly: the same
+remainders, the same bases, and the same exceptions with the same messages.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from prolong import (
+    ArityMismatch,
+    DegreeCapExceeded,
+    GroebnerBasis,
+    IdealBasis,
+    MultiPoly,
+    Q,
+    QT,
+    TermOrder,
+    buchberger,
+    normal_form,
+)
+from prolong import groebner
+from prolong.groebner import reduce_full
+
+from helpers import random_element, random_nonzero_poly
+
+
+def _divides(a, b):
+    return all(ea <= eb for ea, eb in zip(a, b))
+
+
+def _lcm(a, b):
+    return tuple(max(ea, eb) for ea, eb in zip(a, b))
+
+
+def _coprime(a, b):
+    return all(min(ea, eb) == 0 for ea, eb in zip(a, b))
+
+
+def reference_reduce_full(p, gens, order, degree_cap=None):
+    key = order.key
+    remainder = MultiPoly.zero(p.field, p.nvars)
+    h = p
+    leads = [(g.lead(key), g) for g in gens if not g.is_zero]
+    while not h.is_zero:
+        if degree_cap is not None and h.total_degree() > degree_cap:
+            raise DegreeCapExceeded(
+                f"intermediate degree {h.total_degree()} exceeds cap {degree_cap}"
+            )
+        hm, hc = h.lead(key)
+        for (gm, gc), g in leads:
+            if _divides(gm, hm):
+                mono = tuple(eh - eg for eh, eg in zip(hm, gm))
+                h = h - MultiPoly(h.field, h.nvars, {mono: hc / gc}) * g
+                break
+        else:
+            term = MultiPoly(h.field, h.nvars, {hm: hc})
+            remainder = remainder + term
+            h = h - term
+    return remainder
+
+
+def reference_s_polynomial(f, g, order):
+    fm, fc = f.lead(order.key)
+    gm, gc = g.lead(order.key)
+    lcm = _lcm(fm, gm)
+    mf = tuple(l - e for l, e in zip(lcm, fm))
+    mg = tuple(l - e for l, e in zip(lcm, gm))
+    tf = MultiPoly(f.field, f.nvars, {mf: fc.inverse()})
+    tg = MultiPoly(g.field, g.nvars, {mg: gc.inverse()})
+    return tf * f - tg * g
+
+
+def reference_buchberger(gens, order, degree_cap, strategy, spolys):
+    polys = [g for g in gens if not g.is_zero]
+    nvars = polys[0].nvars
+    for g in polys:
+        if g.total_degree() > degree_cap:
+            raise DegreeCapExceeded(
+                f"generator degree {g.total_degree()} exceeds cap {degree_cap}"
+            )
+    key = order.key
+    basis = [g.monic(key) for g in polys]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+
+    def pick():
+        if strategy == "fifo":
+            return pairs.pop(0)
+        best = min(
+            range(len(pairs)),
+            key=lambda k: (
+                sum(_lcm(basis[pairs[k][0]].lead(key)[0], basis[pairs[k][1]].lead(key)[0])),
+                pairs[k],
+            ),
+        )
+        return pairs.pop(best)
+
+    while pairs:
+        i, j = pick()
+        fm = basis[i].lead(key)[0]
+        gm = basis[j].lead(key)[0]
+        if _coprime(fm, gm):
+            continue
+        s = reference_s_polynomial(basis[i], basis[j], order)
+        spolys.append(s)
+        h = reference_reduce_full(s, basis, order, degree_cap)
+        if h.is_zero:
+            continue
+        if h.total_degree() > degree_cap:
+            raise DegreeCapExceeded(
+                f"basis element degree {h.total_degree()} exceeds cap {degree_cap}"
+            )
+        basis.append(h.monic(key))
+        for k in range(len(basis) - 1):
+            pairs.append((k, len(basis) - 1))
+
+    keep = []
+    for i, g in enumerate(basis):
+        gm = g.lead(key)[0]
+        redundant = False
+        for j, other in enumerate(basis):
+            if i == j:
+                continue
+            om = other.lead(key)[0]
+            if _divides(om, gm) and (om != gm or j < i):
+                redundant = True
+                break
+        if not redundant:
+            keep.append(g)
+    reduced = []
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1 :]
+        r = reference_reduce_full(g, others, order, degree_cap) if others else g
+        if not r.is_zero:
+            reduced.append(r.monic(key))
+    reduced.sort(key=lambda g: key(g.lead(key)[0]))
+    return GroebnerBasis(order, nvars, tuple(reduced))
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of what it raises."""
+    try:
+        return "value", fn(*args)
+    except (DegreeCapExceeded, ArityMismatch, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_clean(p):
+    """p, built by the trusted constructor, is what the checking one builds."""
+    assert all(not c.is_zero for c in p.terms.values())
+    assert p == MultiPoly(p.field, p.nvars, dict(p.terms))
+
+
+ORDERS = (
+    TermOrder(),
+    TermOrder("lex"),
+    TermOrder("lex", priority=(2, 0, 1)),
+    TermOrder("grevlex", priority=(1, 2, 0)),
+)
+CAPS = (None, 2, 3, 4, 6, 30)
+
+
+def test_reduce_full_matches_reference_division():
+    rng = random.Random(5150)
+    fired = kept = 0
+    for field, order in itertools.product((Q, QT), ORDERS):
+        for _ in range(12):
+            gens = [
+                random_nonzero_poly(rng, field, 3, deg=3, terms=3, tdeg=1)
+                for _ in range(rng.randint(1, 3))
+            ]
+            if rng.random() < 0.3:
+                gens.append(MultiPoly.zero(field, 3))
+            p = random_nonzero_poly(rng, field, 3, deg=4, terms=5, tdeg=1)
+            cap = rng.choice(CAPS)
+            want = outcome(reference_reduce_full, p, gens, order, cap)
+            got = outcome(reduce_full, p, gens, order, cap)
+            assert got == want
+            if got[0] == "value":
+                kept += 1
+                assert_clean(got[1])
+            else:
+                fired += got[0] is DegreeCapExceeded
+        zero = MultiPoly.zero(field, 3)
+        assert reduce_full(zero, gens, order, 0) == zero
+    assert fired >= 5 and kept >= 30
+
+
+def test_buchberger_matches_reference(monkeypatch):
+    """Same bases and errors, and the same S-polynomials in the same order."""
+    spolys = []
+    s_polynomial = groebner._s_polynomial
+
+    def logged_s_polynomial(f, g, order):
+        s = s_polynomial(f, g, order)
+        spolys.append(s)
+        return s
+
+    monkeypatch.setattr(groebner, "_s_polynomial", logged_s_polynomial)
+    rng = random.Random(8128)
+    fired = kept = 0
+    for field, order in itertools.product((Q, QT), ORDERS):
+        for _ in range(6):
+            gens = [
+                random_nonzero_poly(rng, field, 3, deg=3, terms=3, tdeg=1)
+                for _ in range(rng.randint(2, 3))
+            ]
+            cap = rng.choice((2, 3, 4, 6))
+            for strategy in ("normal", "fifo"):
+                want_spolys = []
+                want = outcome(reference_buchberger, gens, order, cap, strategy, want_spolys)
+                spolys.clear()
+                got = outcome(buchberger, gens, order, cap, strategy)
+                assert got == want
+                assert spolys == want_spolys
+                if got[0] == "value":
+                    kept += 1
+                    for g in got[1].gens:
+                        assert_clean(g)
+                    p = random_nonzero_poly(rng, field, 3, deg=3, terms=4, tdeg=1)
+                    nf = normal_form(p, got[1])
+                    assert nf == reference_reduce_full(p, got[1].gens, order)
+                    assert_clean(nf)
+                else:
+                    fired += got[0] is DegreeCapExceeded
+    assert fired >= 6 and kept >= 30
+
+
+def test_arithmetic_results_are_clean():
+    rng = random.Random(2718)
+    for field in (Q, QT):
+        for _ in range(20):
+            a = random_nonzero_poly(rng, field, 2, deg=3, terms=4)
+            b = random_nonzero_poly(rng, field, 2, deg=3, terms=4)
+            c = random_element(rng, field)
+            for r in (a + b, a - b, a - a, -a, a * b, a * c, a * field.zero):
+                assert_clean(r)
+
+
+def test_reverse_key_reverses_key():
+    for nvars in range(1, 5):
+        monos = [
+            m for m in itertools.product(range(5), repeat=nvars) if sum(m) <= 4
+        ]
+        perms = list(itertools.permutations(range(nvars)))
+        orders = [TermOrder(), TermOrder("lex")]
+        orders += [TermOrder(kind, priority=perms[-1]) for kind in ("grevlex", "lex")]
+        orders += [TermOrder("lex", priority=perms[len(perms) // 2])]
+        for order in orders:
+            assert sorted(monos, key=order.reverse_key) == sorted(
+                monos, key=order.key, reverse=True
+            )
+
+
+def test_wrong_length_priority_raises_from_normal_form():
+    order = TermOrder("lex", priority=(1, 0))
+    with pytest.raises(ArityMismatch):
+        order.reverse_key((1, 2, 3))
+    x = MultiPoly.var(Q, 3, 0)
+    y = MultiPoly.var(Q, 3, 1)
+    with pytest.raises(ArityMismatch):
+        normal_form(x * y + 1, GroebnerBasis(order, 3, (x - y,)))
+    with pytest.raises(ArityMismatch):
+        normal_form(x * y + 1, GroebnerBasis(order, 3, ()))
+    with pytest.raises(ArityMismatch):
+        buchberger(IdealBasis(3, (x * y + 1,)), order)
