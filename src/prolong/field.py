@@ -226,7 +226,7 @@ class FieldElement:
         return self.num == (_ONE,) and self.den == (_ONE,)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.num)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -374,7 +374,11 @@ class FieldElement:
         return self.field == o.field and self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.tag, self.num, self.den))
+        # Equal values hash alike: a constant equals its Fraction (and the
+        # int it may be), so it hashes as that Fraction over Q and Q(t).
+        if len(self.den) == 1 and len(self.num) <= 1:
+            return hash(self.num[0] if self.num else _ZERO)
+        return hash((self.num, self.den))
 
     def __str__(self) -> str:
         return self.format()

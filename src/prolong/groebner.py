@@ -4,16 +4,22 @@ Buchberger's algorithm with the coprime-leading-term skip, a selectable
 pair strategy, and a hard total-degree cap that aborts runaway
 computations.  Resulting bases are reduced, monic, and sorted by leading
 monomial, so equal ideals yield identical bases for a fixed term order.
+Over Q the work runs fraction-free on primitive integer polynomials, and
+only the output is made monic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import add, ge, le, sub
 from typing import Sequence
 
 from .errors import ArityMismatch, DegreeCapExceeded
+from .field import BaseField
 from .poly import Monomial, MultiPoly, grevlex_key
 
 
@@ -103,6 +109,85 @@ class GroebnerBasis:
     nvars: int
     gens: tuple[MultiPoly, ...]
 
+    @cached_property
+    def _basis(self) -> "_Basis":
+        """gens, with division records that every normal form modulo them shares."""
+        return _Basis(self.order, self.gens)
+
+
+def _primitive(terms: dict) -> tuple[Fraction, dict]:
+    """Content and primitive part of a nonzero polynomial over Q.
+
+    terms maps monomials to elements of Q.  The part has integer
+    coefficients with gcd 1, the content is a positive rational, and terms
+    equals content * part term by term.
+    """
+    # An element of Q is num[0] / 1: its denominator tuple is always (1,).
+    vals = [c.num[0] for c in terms.values()]
+    den = lcm(*[v.denominator for v in vals])
+    if den == 1:
+        ints = [v.numerator for v in vals]
+    else:
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+    cont = gcd(*ints)
+    if cont != 1:
+        ints = [c // cont for c in ints]
+    return Fraction(cont, den), dict(zip(terms, ints))
+
+
+def _from_rationals(field: BaseField, nvars: int, terms: dict) -> MultiPoly:
+    """The polynomial over Q with these nonzero rational coefficients."""
+    elem = field.elem
+    return MultiPoly._of(field, nvars, {m: elem(c) for m, c in terms.items()})
+
+
+def _divisor(g: MultiPoly, rkey) -> tuple:
+    """What dividing by a nonzero g needs, in the order rkey sorts.
+
+    The record is (lead monomial, its degree, lead coefficient, tail terms,
+    top tail degree).  Over Q it describes g's primitive integer part, which
+    divides as g does; over Q(t) it describes g, with the inverse lead
+    coefficient in place of the lead coefficient.
+    """
+    integral = not g.field.has_t
+    terms = _primitive(g.terms)[1] if integral else g.terms
+    gm = min(terms, key=rkey)
+    tail = [(m, c) for m, c in terms.items() if m != gm]
+    top = max((sum(m) for m, _ in tail), default=0)
+    return gm, sum(gm), terms[gm] if integral else terms[gm].inverse(), tail, top
+
+
+class _Basis(list):
+    """Polynomials to divide by, with the division record of each nonzero
+    one made once, when reduce_full first reads it, instead of per call."""
+
+    def __init__(self, order: TermOrder, gens: Sequence[MultiPoly] = ()):
+        super().__init__(gens)
+        self.order = order
+        self._divisors: list[tuple] = []
+        self._done = 0
+
+    @property
+    def divisors(self) -> list[tuple]:
+        rkey = self.order.reverse_key
+        for g in self[self._done :]:
+            if not g.is_zero:
+                self._divisors.append(_divisor(g, rkey))
+        self._done = len(self)
+        return self._divisors
+
+    def select(self, indices: Sequence[int]) -> "_Basis":
+        """The elements at indices, in that order, sharing their records.
+
+        Only for a list with no zero element, where records and elements
+        correspond one to one.
+        """
+        divisors = self.divisors
+        out = _Basis(self.order, [self[j] for j in indices])
+        out._divisors = [divisors[j] for j in indices]
+        out._done = len(out)
+        return out
+
 
 def reduce_full(
     p: MultiPoly,
@@ -119,22 +204,29 @@ def reduce_full(
     monomial's key is computed once, when it enters.  DegreeCapExceeded is
     raised as soon as the working polynomial has total degree above
     degree_cap: on input, or after the step that adds such a term.
+
+    Over Q the division is fraction-free.  The working polynomial h and the
+    divisors are primitive integer polynomials, and p's remaining part is
+    unit * h.  A step by a divisor with lead c_g x^m on a term c_h x^(m+s)
+    of h computes h <- (c_g/g0) h - (c_h/g0) x^s g with g0 = gcd(c_g, c_h),
+    then takes the content out of h when the step scaled it.  It is a
+    nonzero multiple of the field step, so the same monomials cancel and
+    the cap fires alike.  Over Q(t) a step subtracts (c_h/c_g) x^s g.
     """
     rkey = order.reverse_key
     field, nvars = p.field, p.nvars
     _check_ring((p, *gens), nvars)
-    # (lead monomial, its degree, inverse lead coefficient, tail terms, top tail degree)
-    divisors = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        gm = min(g.terms, key=rkey)
-        tail = [(m, c) for m, c in g.terms.items() if m != gm]
-        top = max((sum(m) for m, _ in tail), default=0)
-        divisors.append((gm, sum(gm), g.terms[gm].inverse(), tail, top))
-    h = dict(p.terms)
-    if degree_cap is not None and h and p.total_degree() > degree_cap:
+    integral = not field.has_t
+    if isinstance(gens, _Basis) and gens.order == order:
+        divisors = gens.divisors
+    else:
+        divisors = [_divisor(g, rkey) for g in gens if not g.is_zero]
+    if degree_cap is not None and p.terms and p.total_degree() > degree_cap:
         raise DegreeCapExceeded(f"intermediate degree {p.total_degree()} exceeds cap {degree_cap}")
+    if integral and p.terms:
+        unit, h = _primitive(p.terms)
+    else:
+        h = dict(p.terms)
     heap = [(rkey(m), m) for m in h]
     heapify(heap)
     remainder = {}
@@ -143,17 +235,25 @@ def reduce_full(
         hc = h.pop(hm, None)
         if hc is None:
             continue
-        for gm, gdeg, ginv, tail, top in divisors:
+        for gm, gdeg, gc, tail, top in divisors:
             if all(map(ge, hm, gm)):
                 break
         else:
-            remainder[hm] = hc
+            remainder[hm] = hc if not integral or unit == 1 else hc * unit
             continue
         shift = tuple(map(sub, hm, gm))
         # Only a term new to h can exceed the cap: the others were within it.
         lim = None if degree_cap is None else degree_cap - (sum(hm) - gdeg)
         check = lim is not None and top > lim
-        nq = -hc if ginv.is_one else -(hc * ginv)
+        if integral:
+            g0 = gcd(gc, hc) if gc > 0 else -gcd(gc, hc)
+            scale, nq = gc // g0, -(hc // g0)
+            if scale != 1:
+                for m in h:
+                    h[m] *= scale
+                unit /= scale
+        else:
+            scale, nq = 1, (-hc if gc.is_one else -(hc * gc))
         over = False
         for tm, tc in tail:
             mono = tuple(map(add, tm, shift))
@@ -166,30 +266,67 @@ def reduce_full(
                     over = True
             else:
                 d = old + d
-                if d.is_zero:
-                    del h[mono]
-                else:
+                if d:
                     h[mono] = d
+                else:
+                    del h[mono]
         if over:
             degree = max(map(sum, h))
             raise DegreeCapExceeded(f"intermediate degree {degree} exceeds cap {degree_cap}")
+        if scale != 1 and h:
+            cont = gcd(*h.values())
+            if cont != 1:
+                for m in h:
+                    h[m] //= cont
+                unit *= cont
+    if integral:
+        return _from_rationals(field, nvars, remainder)
     return MultiPoly._of(field, nvars, remainder)
 
 
 def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
+    """S-polynomial of f and g, up to a nonzero constant factor.
+
+    Over Q it is fraction-free.  With F and G the primitive integer parts of
+    f and g, leads c_F x^a and c_G x^b, lcm x^l and g0 = gcd(c_F, c_G), it
+    is (c_G/g0) x^(l-a) F - (c_F/g0) x^(l-b) G, with integer coefficients.
+    Over Q(t) it is x^(l-a) f / c_f - x^(l-b) g / c_g.
+    """
     fm, fc = f.lead(order.key)
     gm, gc = g.lead(order.key)
-    lcm = _lcm(fm, gm)
-    mf = tuple(l - e for l, e in zip(lcm, fm))
-    mg = tuple(l - e for l, e in zip(lcm, gm))
-    tf = MultiPoly(f.field, f.nvars, {mf: fc.inverse()})
-    tg = MultiPoly(g.field, g.nvars, {mg: gc.inverse()})
-    return tf * f - tg * g
+    both = _lcm(fm, gm)
+    mf = tuple(map(sub, both, fm))
+    mg = tuple(map(sub, both, gm))
+    if f.field.has_t:
+        tf = MultiPoly(f.field, f.nvars, {mf: fc.inverse()})
+        tg = MultiPoly(g.field, g.nvars, {mg: gc.inverse()})
+        return tf * f - tg * g
+    fz = _primitive(f.terms)[1]
+    gz = _primitive(g.terms)[1]
+    g0 = gcd(fz[fm], gz[gm])
+    kf, kg = gz[gm] // g0, fz[fm] // g0
+    s = {tuple(map(add, m, mf)): kf * c for m, c in fz.items()}
+    for m, c in gz.items():
+        mono = tuple(map(add, m, mg))
+        d = s.get(mono, 0) - kg * c
+        if d:
+            s[mono] = d
+        else:
+            del s[mono]
+    return _from_rationals(f.field, f.nvars, s)
 
 
 def _monic(g: MultiPoly, lead: Monomial) -> MultiPoly:
     lc = g.terms[lead]
     return g if lc.is_one else g * lc.inverse()
+
+
+def _basis_element(g: MultiPoly, lead: Monomial) -> MultiPoly:
+    """g as buchberger keeps it: primitive over Z when over Q, monic over Q(t)."""
+    if g.field.has_t:
+        return _monic(g, lead)
+    content, part = _primitive(g.terms)
+    return g if content == 1 else _from_rationals(g.field, g.nvars, part)
 
 
 def buchberger(
@@ -222,7 +359,7 @@ def buchberger(
     rkey = order.reverse_key
     fifo = strategy == "fifo"
     leads = [min(g.terms, key=rkey) for g in polys]
-    basis = [_monic(g, gm) for g, gm in zip(polys, leads)]
+    basis = _Basis(order, [_basis_element(g, gm) for g, gm in zip(polys, leads)])
     degrees = [sum(gm) for gm in leads]
     # normal: a heap of (lcm degree, i, j); fifo: (i, j) read from index head on
     queue: list[tuple] = []
@@ -255,7 +392,7 @@ def buchberger(
                 f"basis element degree {h.total_degree()} exceeds cap {degree_cap}"
             )
         hm = next(iter(h.terms))
-        basis.append(_monic(h, hm))
+        basis.append(_basis_element(h, hm))
         leads.append(hm)
         degrees.append(sum(hm))
         new_index = len(basis) - 1
@@ -263,20 +400,24 @@ def buchberger(
             add_pair(k, new_index)
 
     # Minimal basis: drop elements whose lead is divisible by another lead.
-    keep: list[tuple[Monomial, MultiPoly]] = []
-    for i, gm in enumerate(leads):
+    keep = [
+        i
+        for i, gm in enumerate(leads)
         if not any(
             _divides(om, gm) and (om != gm or j < i)
             for j, om in enumerate(leads)
             if j != i
-        ):
-            keep.append((gm, basis[i]))
+        )
+    ]
     # Reduced basis: each element fully reduced against the others.  No other
-    # lead divides gm, so the monic lead term of g stays that of the remainder.
+    # lead divides gm, so the lead term of g stays that of the remainder, and
+    # the remainder is made monic here, on output, the only place it is.
     reduced: list[tuple[Monomial, MultiPoly]] = []
-    for i, (gm, g) in enumerate(keep):
-        others = [o for _, o in keep[:i] + keep[i + 1 :]]
-        reduced.append((gm, reduce_full(g, others, order, degree_cap) if others else g))
+    for i in keep:
+        gm, g = leads[i], basis[i]
+        others = basis.select([j for j in keep if j != i])
+        r = reduce_full(g, others, order, degree_cap) if others else g
+        reduced.append((gm, _monic(r, gm)))
     reduced.sort(key=lambda lg: order.key(lg[0]))
     return GroebnerBasis(order, nvars, tuple(g for _, g in reduced))
 
@@ -287,7 +428,7 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, degree_cap: int | None = None) 
     if not gb.gens:
         gb.order.key((0,) * gb.nvars)  # a priority of the wrong length raises ArityMismatch
         return p
-    return reduce_full(p, gb.gens, gb.order, degree_cap)
+    return reduce_full(p, gb._basis, gb.order, degree_cap)
 
 
 def equal_mod_ideal(p: MultiPoly, q: MultiPoly, gb: GroebnerBasis) -> bool:

@@ -127,6 +127,16 @@ def test_element_hash_consistency(rng):
         assert hash(e) == hash(same)
 
 
+def test_constant_hash_is_its_value():
+    for c in (0, 1, -3, 2**70, Fraction(-7, 3), Fraction(5, 2**65)):
+        for value in (c, Fraction(c)):
+            assert hash(Q.elem(value)) == hash(QT.elem(value)) == hash(value)
+            assert {Q.elem(value): "q"}.get(c) == "q"
+            assert {QT.elem(value): "qt"}.get(c) == "qt"
+            assert {value: "c"}.get(Q.elem(c)) == "c"
+    assert {Q.one: "a"}.get(1) == "a"
+
+
 def test_random_field_axioms(rng):
     for _ in range(40):
         a, b, c = random_point(rng, QT, 3)

@@ -5,10 +5,14 @@ algorithms: the leading term found with max() at every step, each
 subtraction a new MultiPoly, the next pair found by scanning every pair.
 The heap-ordered in-place kernel must agree with them exactly: the same
 remainders, the same bases, and the same exceptions with the same messages.
+Over Q the kernel is fraction-free, so its S-polynomials are nonzero
+constant multiples of the reference ones: they are compared once monic.
 """
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -23,6 +27,7 @@ from prolong import (
     TermOrder,
     buchberger,
     normal_form,
+    parse_poly,
 )
 from prolong import groebner
 from prolong.groebner import reduce_full
@@ -156,6 +161,33 @@ def assert_clean(p):
     assert p == MultiPoly(p.field, p.nvars, dict(p.terms))
 
 
+HARD_COEFFS = (
+    Fraction(-7, 3),
+    -5,
+    2**64 + 13,
+    -(2**70) - 1,
+    Fraction(2**65 + 1, 9),
+    Fraction(1, 6),
+    Fraction(5, 14),
+    Fraction(-3, 35),
+    1,
+)
+
+
+def hard_poly(rng, terms, deg=3):
+    """A nonzero polynomial over Q in 3 variables with HARD_COEFFS coefficients."""
+    while True:
+        out = {}
+        for _ in range(terms):
+            mono = [0, 0, 0]
+            for _ in range(rng.randint(0, deg)):
+                mono[rng.randrange(3)] += 1
+            out[tuple(mono)] = rng.choice(HARD_COEFFS)
+        p = MultiPoly(Q, 3, out)
+        if not p.is_zero:
+            return p
+
+
 ORDERS = (
     TermOrder(),
     TermOrder("lex"),
@@ -190,6 +222,28 @@ def test_reduce_full_matches_reference_division():
         assert reduce_full(zero, gens, order, 0) == zero
     assert fired >= 5 and kept >= 30
 
+    # Over Q, coefficients the integer kernel must scale exactly: negative,
+    # non-integer and above 2**64, p with mixed denominators, zero divisors.
+    fired = kept = 0
+    for order in ORDERS:
+        for _ in range(15):
+            gens = [hard_poly(rng, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                gens.insert(rng.randrange(len(gens) + 1), MultiPoly.zero(Q, 3))
+            p = hard_poly(rng, 5, deg=4)
+            cap = rng.choice(CAPS)
+            want = outcome(reference_reduce_full, p, gens, order, cap)
+            got = outcome(reduce_full, p, gens, order, cap)
+            assert got == want
+            basis = GroebnerBasis(order, 3, tuple(gens))
+            assert outcome(normal_form, p, basis, cap) == want
+            if got[0] == "value":
+                kept += 1
+                assert_clean(got[1])
+            else:
+                fired += got[0] is DegreeCapExceeded
+    assert fired >= 5 and kept >= 20
+
 
 def test_buchberger_matches_reference(monkeypatch):
     """Same bases and errors, and the same S-polynomials in the same order."""
@@ -217,7 +271,9 @@ def test_buchberger_matches_reference(monkeypatch):
                 spolys.clear()
                 got = outcome(buchberger, gens, order, cap, strategy)
                 assert got == want
-                assert spolys == want_spolys
+                assert [s.monic(order.key) for s in spolys] == [
+                    s.monic(order.key) for s in want_spolys
+                ]
                 if got[0] == "value":
                     kept += 1
                     for g in got[1].gens:
@@ -229,6 +285,54 @@ def test_buchberger_matches_reference(monkeypatch):
                 else:
                     fired += got[0] is DegreeCapExceeded
     assert fired >= 6 and kept >= 30
+
+
+KATSURA5_NAMES = ("u0", "u1", "u2", "u3", "u4")
+KATSURA5 = (
+    "u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1",
+    "2*u4^2 + 2*u3^2 + 2*u2^2 + 2*u1^2 + u0^2 - u0",
+    "2*u3*u4 + 2*u2*u3 + 2*u1*u2 + 2*u0*u1 - u1",
+    "2*u2*u4 + 2*u1*u3 + 2*u0*u2 + u1^2 - u2",
+    "2*u1*u4 + 2*u0*u3 + 2*u1*u2 - u3",
+)
+# The largest S-polynomial coefficient on katsura-5 (grevlex, "normal")
+# has 41 bits; the bound is twice that.
+SPOLY_BITS = 82
+
+
+def integer_coefficients(p):
+    """The coefficients of p over Q, each checked to be an integer."""
+    values = [c.as_fraction() for c in p.terms.values()]
+    assert all(v.denominator == 1 for v in values)
+    return [v.numerator for v in values]
+
+
+def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
+    spolys, divisor_lists = [], []
+    s_polynomial, reduce = groebner._s_polynomial, groebner.reduce_full
+
+    def logged_s_polynomial(f, g, order):
+        s = s_polynomial(f, g, order)
+        spolys.append(s)
+        return s
+
+    def logged_reduce_full(p, gens, *args):
+        divisor_lists.append(list(gens))
+        return reduce(p, gens, *args)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", logged_s_polynomial)
+    monkeypatch.setattr(groebner, "reduce_full", logged_reduce_full)
+    gens = [parse_poly(g, KATSURA5_NAMES, Q) for g in KATSURA5]
+    gb = buchberger(gens)
+    assert len(gb.gens) == 13 and len(spolys) == 49
+    bits = max(abs(c).bit_length() for s in spolys for c in integer_coefficients(s))
+    assert 0 < bits <= SPOLY_BITS
+    # Every element buchberger inserts is primitive over Z: the divisors it
+    # passes are the basis so far, and in the end each kept element.
+    assert divisor_lists
+    for divisors in divisor_lists:
+        for g in divisors:
+            assert gcd(*integer_coefficients(g)) == 1
 
 
 def test_arithmetic_results_are_clean():
