@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -413,6 +414,8 @@ def _load_series_file(path, variety):
         raise UsageError(f"series file {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise UsageError(f"series file {path} is not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer longer than int() reads
+        raise UsageError(f"series file {path} has a number too long: {exc}") from exc
     if isinstance(doc, dict) and "details" in doc and isinstance(doc["details"], dict):
         doc = doc["details"]
     if not isinstance(doc, dict) or "coefficients" not in doc:
@@ -439,10 +442,26 @@ def _load_series_file(path, variety):
     if length - 1 > MAX_SERIES_ORDER:
         raise UsageError(f"series order must be at most {MAX_SERIES_ORDER}, got {length - 1}")
     try:
-        components = tuple(TruncSeries([Fraction(str(c)) for c in a]) for a in arrays)
+        components = tuple(TruncSeries([_series_coefficient(c) for c in a]) for a in arrays)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational coefficient: {exc}") from exc
     return SeriesPoint(components)
+
+
+# What solve-series writes: an integer, or a quotient of integers.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _series_coefficient(c) -> Fraction:
+    """A coefficient of a series file: a JSON integer or a string as solve-series
+    writes it.  JSON reals and exponents are refused: a real is read through a
+    float, and Fraction expands an exponent to all its digits."""
+    if type(c) is int or (isinstance(c, str) and _RATIONAL.fullmatch(c)):
+        return Fraction(c)
+    shown = json.dumps(c)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    raise ValueError(f'{shown} is neither an integer nor a string such as "-3/4"')
 
 
 def _cmd_verify_series(args, model):

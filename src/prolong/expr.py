@@ -54,7 +54,7 @@ MAX_WORK = 500_000
 
 
 def _size(p: MultiPoly) -> int:
-    return sum(len(c.num) + len(c.den) for c in p.terms.values())
+    return sum(len(c.n) + len(c.d) for c in p.terms.values())
 
 
 def _is_one(p: MultiPoly) -> bool:

@@ -1,16 +1,24 @@
 """Exact arithmetic in the differential base fields Q and Q(t).
 
-Elements are rational functions of t with Fraction coefficients, stored
-in canonical form: numerator and denominator coprime, denominator monic.
-Over Q both parts are constant and the derivation is zero; over Q(t) the
-derivation is d/dt extended to quotients by the quotient rule.
-
-Univariate polynomials in t are plain tuples of Fractions, lowest degree
-first, with no trailing zeros; the empty tuple is the zero polynomial.
+An element is a quotient n/d of polynomials in Z[t].  A polynomial is a
+tuple of ints, lowest degree first, with no trailing zeros; the empty tuple
+is zero.  Elements are stored in canonical form: n and d are coprime in
+Z[t] (no common integer content and no common factor of positive degree),
+the leading coefficient of d is positive, and zero is ((), (1,)).  The form
+is unique, so equality is a tuple compare.  Over Q both parts are constant,
+(p,) and (q,) standing for the Fraction p/q, and the derivation is zero;
+over Q(t) the derivation is d/dt extended to quotients by the quotient rule.
 
 Arithmetic keeps that form by cancelling only what the operands can share
-(Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), so the elements of Q and the
-t-polynomials, whose denominators are 1, add and multiply with no gcd.
+(Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1), which holds in any unique
+factorization domain: the elements of Q and the polynomials over Q, whose
+denominators are integers, add and multiply with integer gcds alone.
+Polynomial gcds run by primitive pseudo-remainder sequences (TAOCP vol. 2,
+4.6.1).
+
+The displayed form divides n and d by the leading coefficient of d: Fraction
+coefficients over a monic denominator.  The num and den properties compute
+it, for format and for readers outside the arithmetic.
 """
 
 from __future__ import annotations
@@ -18,21 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import DivisionByZero
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_UNIT = (_ONE,)
+_UNIT = (1,)
 
 
-def _trim(cs: list) -> tuple[Fraction, ...]:
+def _trim(cs: list) -> tuple[int, ...]:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
 
-def _uadd(a, b):
+def _add(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -41,82 +48,113 @@ def _uadd(a, b):
     return _trim(out)
 
 
-def _uneg(a):
-    return tuple(-c for c in a)
+def _neg(a):
+    return tuple([-c for c in a])
 
 
-def _usub(a, b):
-    return _uadd(a, _uneg(b))
+def _sub(a, b):
+    return _add(a, _neg(b))
 
 
-def _umul(a, b):
+def _mul(a, b):
     if not a or not b:
         return ()
     if len(b) == 1:
         a, b = b, a
     if len(a) == 1:
         c = a[0]
-        return b if c == 1 else tuple(c * x for x in b)
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
+        return b if c == 1 else tuple([c * x for x in b])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    # Z has no zero divisors: the top coefficient is nonzero.
+    return tuple(out)
 
 
-def _udivmod(a, b):
-    """Quotient and remainder of a by a monic b."""
+def _exquo(a, b):
+    """a / b, where b divides a in Z[t].
+
+    Then each quotient coefficient is an integer: a/b = q lies in Z[t] by
+    Gauss's lemma, and long division recovers q top down.
+    """
     nb = len(b)
-    if len(a) < nb:
-        return (), a
+    if nb == 1:
+        c = b[0]
+        return a if c == 1 else tuple([x // c for x in a])
+    lb = b[-1]
     r = list(a)
-    q = [_ZERO] * (len(a) - nb + 1)
+    q = [0] * (len(a) - nb + 1)
     for k in range(len(q) - 1, -1, -1):
         c = r[k + nb - 1]
         if not c:
             continue
+        c //= lb
         q[k] = c
         for j in range(nb - 1):
             r[k + j] -= c * b[j]
-    return _trim(q), _trim(r[: nb - 1])
+    return tuple(q)
 
 
-def _umonic(a):
-    if not a:
-        return a
-    lc = a[-1]
-    if lc == 1:
-        return a
-    return tuple(c / lc for c in a)
+def _primitive(a):
+    """a divided by the gcd of its coefficients."""
+    c = gcd(*a)
+    return a if c == 1 else [x // c for x in a]
 
 
-def _ugcd(a, b):
-    """Monic gcd; a nonzero constant on either side makes it 1 at once."""
-    while b:
-        if len(b) == 1:
-            return _UNIT
-        b = _umonic(b)
-        a, b = b, _udivmod(a, b)[1]
-    return _umonic(a)
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b, deg b >= 1.
+
+    Each step scales the dividend by lc(b)/g and subtracts (c/g) t^k b,
+    with c its top coefficient and g = gcd(c, lc(b)): a sparse
+    pseudo-remainder, kept small.
+    """
+    nb = len(b)
+    lb = b[-1]
+    r = list(a)
+    while len(r) >= nb:
+        c = r.pop()
+        g = gcd(c, lb)
+        kb, kc = lb // g, c // g
+        if kb != 1:
+            r = [kb * x for x in r]
+        k = len(r) - nb + 1
+        for j in range(nb - 1):
+            r[k + j] -= kc * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
-def _uquo(a, b):
-    """Quotient of an exact division by a monic b."""
-    return _udivmod(a, b)[0]
+def _gcd(a, b):
+    """gcd of nonzero a and b in Z[t], with a positive leading coefficient."""
+    if len(a) == 1 or len(b) == 1:
+        return (gcd(*a, *b),)
+    ca, cb = gcd(*a), gcd(*b)
+    c = gcd(ca, cb)
+    if ca != 1:
+        a = [x // ca for x in a]
+    if cb != 1:
+        b = [x // cb for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    # Primitive PRS: the primitive parts of successive remainders share the
+    # gcd of a and b, and stay as small as the gcd's height allows.
+    while True:
+        r = _prem(a, b)
+        if not r:
+            break
+        if len(r) == 1:
+            return (c,)
+        a, b = b, _primitive(r)
+    if b[-1] < 0:
+        c = -c
+    return tuple([c * x for x in b]) if c != 1 else tuple(b)
 
 
-def _uderiv(a):
+def _deriv(a):
     return _trim([k * a[k] for k in range(1, len(a))])
-
-
-def _monic_den(num, den):
-    """Scale coprime num/den so that den is monic."""
-    lc = den[-1]
-    if lc == 1:
-        return num, den
-    return tuple(c / lc for c in num), tuple(c / lc for c in den)
 
 
 def _term_count(a) -> int:
@@ -165,10 +203,14 @@ class BaseField:
             if value.field is not self and value.field != self:
                 raise ValueError(f"element of {value.field} used over {self}")
             return value
+        if type(value) is int:
+            return FieldElement(self, (value,), _UNIT) if value else self.zero
         if not isinstance(value, (int, Fraction, str)):
             raise TypeError(f"field elements are exact rationals, not {type(value).__name__}")
         c = value if type(value) is Fraction else Fraction(value)
-        return FieldElement(self, (c,), _UNIT) if c else self.zero
+        if not c:
+            return self.zero
+        return FieldElement(self, (c.numerator,), (c.denominator,))
 
     @cached_property
     def zero(self) -> "FieldElement":
@@ -182,7 +224,7 @@ class BaseField:
     def t(self) -> "FieldElement":
         if not self.has_t:
             raise ValueError("Q has no element t")
-        return FieldElement(self, (_ZERO, _ONE), _UNIT)
+        return FieldElement(self, (0, 1), _UNIT)
 
     def __str__(self) -> str:
         return "Q(t)" if self.has_t else "Q"
@@ -193,20 +235,29 @@ QT = BaseField("Qt")
 
 
 class FieldElement:
-    """Canonical rational function of t (constant over Q).
+    """Canonical rational function n/d of t over Z (constant over Q)."""
 
-    A denominator of length one is 1, because denominators are monic.
-    """
+    __slots__ = ("field", "n", "d")
 
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: BaseField, num, den):
+    def __init__(self, field: BaseField, n, d):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
+
+    @property
+    def num(self) -> tuple[Fraction, ...]:
+        """Numerator over the monic denominator, as Fractions."""
+        lc = self.d[-1]
+        return tuple([Fraction(c, lc) for c in self.n])
+
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        """The monic denominator, as Fractions."""
+        lc = self.d[-1]
+        return tuple([Fraction(c, lc) for c in self.d])
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -219,50 +270,66 @@ class FieldElement:
 
     @property
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.n
 
     @property
     def is_one(self) -> bool:
-        return self.num == (_ONE,) and self.den == (_ONE,)
+        return self.n == _UNIT and self.d == _UNIT
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.n)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        n1, d1, n2, d2 = self.n, self.d, o.n, o.d
+        if not n2:
             return self
-        if not self.num:
+        if not n1:
             return o
         field = self.field
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
         if len(d1) == 1 and len(d2) == 1:
-            num = _uadd(n1, n2)
-            return FieldElement(field, num, _UNIT) if num else field.zero
+            # Integer denominators a and b, as for Fractions: with g =
+            # gcd(a, b) the sum is (n1*b/g + n2*a/g) / (a/g * b), and only
+            # content shared with g can cancel.
+            a, b = d1[0], d2[0]
+            g = gcd(a, b)
+            e1, e2 = a // g, b // g
+            if len(n1) == 1 and len(n2) == 1:
+                x = n1[0] * e2 + n2[0] * e1
+                if not x:
+                    return field.zero
+                h = gcd(x, g)
+                return FieldElement(field, (x // h,), (e1 * (b // h),))
+            num = _add(_mul((e2,), n1), _mul((e1,), n2))
+            if not num:
+                return field.zero
+            h = gcd(g, *num)
+            if h != 1:
+                num = tuple([c // h for c in num])
+            return FieldElement(field, num, (e1 * (b // h),))
         # Henrici: with g = gcd(d1, d2) and di = g*ei, the sum is
         # (n1*e2 + n2*e1) / (e1*e2*g), whose only common factor lies in g.
         # With g = 1 the sum is already canonical, and nonzero: canonical
-        # n1/d1 = -n2/d2 would force d1 = d2.
-        g = _ugcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else _UNIT
-        if len(g) == 1:
-            return FieldElement(field, _uadd(_umul(n1, d2), _umul(n2, d1)), _umul(d1, d2))
-        e1 = _uquo(d1, g)
-        num = _uadd(_umul(n1, _uquo(d2, g)), _umul(n2, e1))
+        # n1/d1 = -n2/d2 would force d1 = d2, which is not constant here.
+        g = _gcd(d1, d2)
+        if g == _UNIT:
+            return FieldElement(field, _add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))
+        e1 = _exquo(d1, g)
+        num = _add(_mul(n1, _exquo(d2, g)), _mul(n2, e1))
         if not num:
             return field.zero
-        den = _umul(e1, d2)
-        h = _ugcd(num, g)
-        if len(h) > 1:
-            num = _uquo(num, h)
-            den = _uquo(den, h)
+        den = _mul(e1, d2)
+        h = _gcd(num, g)
+        if h != _UNIT:
+            num, den = _exquo(num, h), _exquo(den, h)
         return FieldElement(field, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, _uneg(self.num), self.den)
+        return FieldElement(self.field, _neg(self.n), self.d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -280,31 +347,35 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        field = self.field
-        if not self.num or not o.num:
-            return field.zero
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
-        if len(d1) == 1 and len(d2) == 1:
-            return FieldElement(field, _umul(n1, n2), _UNIT)
-        # Cross-cancel: gcd(n1, d2) and gcd(n2, d1) are all that n1*n2
-        # and d1*d2 can share, and dividing monic by monic stays monic.
-        if len(n1) > 1 and len(d2) > 1:
-            g = _ugcd(n1, d2)
-            if len(g) > 1:
-                n1, d2 = _uquo(n1, g), _uquo(d2, g)
-        if len(n2) > 1 and len(d1) > 1:
-            g = _ugcd(n2, d1)
-            if len(g) > 1:
-                n2, d1 = _uquo(n2, g), _uquo(d1, g)
-        return FieldElement(field, _umul(n1, n2), _umul(d1, d2))
+        n1, d1, n2, d2 = self.n, self.d, o.n, o.d
+        if not n1 or not n2:
+            return self.field.zero
+        if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
+            x1, y1, x2, y2 = n1[0], d1[0], n2[0], d2[0]
+            g1, g2 = gcd(x1, y2), gcd(x2, y1)
+            return FieldElement(self.field, (x1 // g1 * (x2 // g2),), (y1 // g2 * (y2 // g1),))
+        # Cross-cancel: gcd(n1, d2) and gcd(n2, d1) are all that n1*n2 and
+        # d1*d2 can share.  Both gcds have positive leading coefficients, so
+        # the denominator keeps one.
+        if d2 != _UNIT:
+            g = _gcd(n1, d2)
+            if g != _UNIT:
+                n1, d2 = _exquo(n1, g), _exquo(d2, g)
+        if d1 != _UNIT:
+            g = _gcd(n2, d1)
+            if g != _UNIT:
+                n2, d1 = _exquo(n2, g), _exquo(d1, g)
+        return FieldElement(self.field, _mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
+        n, d = self.n, self.d
+        if not n:
             raise DivisionByZero("inverse of zero")
-        num, den = _monic_den(self.den, self.num)
-        return FieldElement(self.field, num, den)
+        if n[-1] < 0:
+            return FieldElement(self.field, _neg(d), _neg(n))
+        return FieldElement(self.field, d, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -344,60 +415,73 @@ class FieldElement:
         field = self.field
         if not field.has_t:
             return field.zero
-        n, d = self.num, self.den
+        n, d = self.n, self.d
+        dn = _deriv(n)
         if len(d) == 1:
-            dn = _uderiv(n)
-            return FieldElement(field, dn, _UNIT) if dn else field.zero
+            # n'/c: only the content of n' can cancel against the integer c.
+            if not dn:
+                return field.zero
+            c = d[0]
+            h = gcd(c, *dn)
+            if h != 1:
+                dn, c = tuple([x // h for x in dn]), c // h
+            return FieldElement(field, dn, (c,))
         # (n/d)' = (n'd - nd')/d^2.  The numerator is nonzero, since n/d is
-        # not a constant, and d^2 over the monic gcd stays monic.
-        dn = _usub(_umul(_uderiv(n), d), _umul(n, _uderiv(d)))
-        dd = _umul(d, d)
-        g = _ugcd(dn, dd)
-        if len(g) > 1:
-            dn, dd = _uquo(dn, g), _uquo(dd, g)
-        return FieldElement(field, dn, dd)
+        # not a constant, and d^2 over a gcd with positive lead keeps one.
+        num = _sub(_mul(dn, d), _mul(n, _deriv(d)))
+        den = _mul(d, d)
+        g = _gcd(num, den)
+        if g != _UNIT:
+            num, den = _exquo(num, g), _exquo(den, g)
+        return FieldElement(field, num, den)
 
     @property
     def is_negative_leading(self) -> bool:
         """Sign of the highest-degree numerator coefficient; display only."""
-        return bool(self.num) and self.num[-1] < 0
+        return bool(self.n) and self.n[-1] < 0
 
     def as_fraction(self) -> Fraction:
-        if len(self.num) > 1 or len(self.den) > 1:
+        n, d = self.n, self.d
+        if len(n) > 1 or len(d) > 1:
             raise ValueError("element is not a rational constant")
-        return (self.num[0] if self.num else _ZERO) / self.den[0]
+        return Fraction(n[0], d[0]) if n else Fraction(0)
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, FieldElement) else other
         if o is None or not isinstance(o, FieldElement):
             return NotImplemented
-        return self.field == o.field and self.num == o.num and self.den == o.den
+        return self.field == o.field and self.n == o.n and self.d == o.d
 
     def __hash__(self):
         # Equal values hash alike: a constant equals its Fraction (and the
         # int it may be), so it hashes as that Fraction over Q and Q(t).
-        if len(self.den) == 1 and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else _ZERO)
-        return hash((self.num, self.den))
+        n, d = self.n, self.d
+        if len(d) == 1 and len(n) <= 1:
+            if not n:
+                return 0
+            return hash(n[0]) if d[0] == 1 else hash(Fraction(n[0], d[0]))
+        return hash((n, d))
 
     def __str__(self) -> str:
         return self.format()
 
     def format(self, as_factor: bool = False) -> str:
-        """Render in expression syntax.
+        """Render in expression syntax, over the monic denominator.
 
         as_factor guards the string for use inside a product: multi-term
         numerators get parentheses so operator precedence is preserved.
         """
-        num_s = _fmt_upoly(self.num)
-        if self.den == (_ONE,):
-            if as_factor and _term_count(self.num) > 1:
+        num = self.num
+        num_s = _fmt_upoly(num)
+        if len(self.d) == 1:
+            if as_factor and _term_count(num) > 1:
                 return f"({num_s})"
             return num_s
-        if _term_count(self.num) > 1 or "/" in num_s:
+        if _term_count(num) > 1 or "/" in num_s:
             num_s = f"({num_s})"
-        den_s = _fmt_upoly(self.den)
-        if _term_count(self.den) > 1:
+        den = self.den
+        den_s = _fmt_upoly(den)
+        if _term_count(den) > 1:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 

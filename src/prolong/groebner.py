@@ -22,6 +22,8 @@ from .errors import ArityMismatch, DegreeCapExceeded
 from .field import BaseField
 from .poly import Monomial, MultiPoly, grevlex_key
 
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class TermOrder:
@@ -122,13 +124,13 @@ def _primitive(terms: dict) -> tuple[Fraction, dict]:
     coefficients with gcd 1, the content is a positive rational, and terms
     equals content * part term by term.
     """
-    # An element of Q is num[0] / 1: its denominator tuple is always (1,).
-    vals = [c.num[0] for c in terms.values()]
-    den = lcm(*[v.denominator for v in vals])
+    # A nonzero element of Q is the integer quotient n[0] / d[0].
+    vals = list(terms.values())
+    den = lcm(*[c.d[0] for c in vals])
     if den == 1:
-        ints = [v.numerator for v in vals]
+        ints = [c.n[0] for c in vals]
     else:
-        ints = [v.numerator * (den // v.denominator) for v in vals]
+        ints = [c.n[0] * (den // c.d[0]) for c in vals]
     cont = gcd(*ints)
     if cont != 1:
         ints = [c // cont for c in ints]
@@ -141,6 +143,32 @@ def _from_rationals(field: BaseField, nvars: int, terms: dict) -> MultiPoly:
     return MultiPoly._of(field, nvars, {m: elem(c) for m, c in terms.items()})
 
 
+class _PrimitivePoly(MultiPoly):
+    """A polynomial over Q with integer coefficients of gcd 1, kept beside
+    those integers (ints), so that they are read from its terms once."""
+
+    __slots__ = ("ints",)
+
+    @classmethod
+    def of(cls, field: BaseField, nvars: int, ints: dict, terms=None) -> "_PrimitivePoly":
+        """The polynomial with these integer terms; terms, if given, are
+        the same as field elements."""
+        p = cls._of(field, nvars, terms if terms is not None else
+                    {m: field.elem(c) for m, c in ints.items()})
+        object.__setattr__(p, "ints", ints)
+        return p
+
+
+def _integer_terms(p: MultiPoly) -> tuple[Fraction, dict]:
+    """_primitive(p.terms) for a nonzero p over Q, read off a _PrimitivePoly.
+
+    The integer dict is p's own when p is a _PrimitivePoly: copy it to change it.
+    """
+    if type(p) is _PrimitivePoly:
+        return _ONE, p.ints
+    return _primitive(p.terms)
+
+
 def _divisor(g: MultiPoly, rkey) -> tuple:
     """What dividing by a nonzero g needs, in the order rkey sorts.
 
@@ -150,7 +178,7 @@ def _divisor(g: MultiPoly, rkey) -> tuple:
     coefficient in place of the lead coefficient.
     """
     integral = not g.field.has_t
-    terms = _primitive(g.terms)[1] if integral else g.terms
+    terms = _integer_terms(g)[1] if integral else g.terms
     gm = min(terms, key=rkey)
     tail = [(m, c) for m, c in terms.items() if m != gm]
     top = max((sum(m) for m, _ in tail), default=0)
@@ -224,7 +252,9 @@ def reduce_full(
     if degree_cap is not None and p.terms and p.total_degree() > degree_cap:
         raise DegreeCapExceeded(f"intermediate degree {p.total_degree()} exceeds cap {degree_cap}")
     if integral and p.terms:
-        unit, h = _primitive(p.terms)
+        unit, h = _integer_terms(p)
+        if type(p) is _PrimitivePoly:
+            h = dict(h)  # p's own integers
     else:
         h = dict(p.terms)
     heap = [(rkey(m), m) for m in h]
@@ -289,7 +319,7 @@ def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
 
     Over Q it is fraction-free.  With F and G the primitive integer parts of
     f and g, leads c_F x^a and c_G x^b, lcm x^l and g0 = gcd(c_F, c_G), it
-    is (c_G/g0) x^(l-a) F - (c_F/g0) x^(l-b) G, with integer coefficients.
+    is the primitive part of (c_G/g0) x^(l-a) F - (c_F/g0) x^(l-b) G.
     Over Q(t) it is x^(l-a) f / c_f - x^(l-b) g / c_g.
     """
     fm, fc = f.lead(order.key)
@@ -301,8 +331,8 @@ def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
         tf = MultiPoly(f.field, f.nvars, {mf: fc.inverse()})
         tg = MultiPoly(g.field, g.nvars, {mg: gc.inverse()})
         return tf * f - tg * g
-    fz = _primitive(f.terms)[1]
-    gz = _primitive(g.terms)[1]
+    fz = _integer_terms(f)[1]
+    gz = _integer_terms(g)[1]
     g0 = gcd(fz[fm], gz[gm])
     kf, kg = gz[gm] // g0, fz[fm] // g0
     s = {tuple(map(add, m, mf)): kf * c for m, c in fz.items()}
@@ -313,20 +343,29 @@ def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
             s[mono] = d
         else:
             del s[mono]
-    return _from_rationals(f.field, f.nvars, s)
+    if not s:
+        return MultiPoly._of(f.field, f.nvars, {})
+    cont = gcd(*s.values())
+    if cont != 1:
+        s = {m: c // cont for m, c in s.items()}
+    return _PrimitivePoly.of(f.field, f.nvars, s)
 
 
 def _monic(g: MultiPoly, lead: Monomial) -> MultiPoly:
+    """g over its lead coefficient, as a plain MultiPoly: no _PrimitivePoly
+    leaves buchberger."""
     lc = g.terms[lead]
-    return g if lc.is_one else g * lc.inverse()
+    if not lc.is_one:
+        return g * lc.inverse()
+    return g if type(g) is MultiPoly else MultiPoly._of(g.field, g.nvars, g.terms)
 
 
 def _basis_element(g: MultiPoly, lead: Monomial) -> MultiPoly:
-    """g as buchberger keeps it: primitive over Z when over Q, monic over Q(t)."""
+    """g as buchberger keeps it: a _PrimitivePoly over Q, monic over Q(t)."""
     if g.field.has_t:
         return _monic(g, lead)
-    content, part = _primitive(g.terms)
-    return g if content == 1 else _from_rationals(g.field, g.nvars, part)
+    content, ints = _primitive(g.terms)
+    return _PrimitivePoly.of(g.field, g.nvars, ints, g.terms if content == 1 else None)
 
 
 def buchberger(

@@ -26,8 +26,9 @@ def _coerce_fraction(value):
         return Fraction(value)
     if isinstance(value, FieldElement):
         # only constant elements embed into the coefficient field
-        if len(value.den) == 1 and value.den[0] == 1 and len(value.num) <= 1:
-            return value.num[0] if value.num else _ZERO
+        n, d = value.n, value.d
+        if len(d) == 1 and len(n) <= 1:
+            return Fraction(n[0], d[0]) if n else _ZERO
         raise ValueError("initial data must be rational constants")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
@@ -260,15 +261,19 @@ def _fractions(f):
 
 def element_to_series(elem, order):
     """Expand a base-field element in Q[[t]]; the denominator must be a unit."""
-    num = elem.num[: order + 1] + (_ZERO,) * (order + 1 - len(elem.num))
-    if len(elem.den) == 1:
-        # denominators are monic, so a constant one is 1
-        return TruncSeries._of(num)
-    den = elem.den[: order + 1] + (_ZERO,) * (order + 1 - len(elem.den))
-    if den[0] == 0:
+    n, d = elem.n, elem.d
+    pad = (_ZERO,) * (order + 1 - len(n))
+    if len(d) == 1:
+        c = d[0]
+        if c == 1:
+            return TruncSeries._of(tuple([Fraction(x) for x in n[: order + 1]]) + pad)
+        return TruncSeries._of(tuple([Fraction(x, c) for x in n[: order + 1]]) + pad)
+    if d[0] == 0:
         raise DenominatorVanishesAtInitialPoint(
             "coefficient denominator vanishes at t = 0"
         )
+    num = tuple([Fraction(x) for x in n[: order + 1]]) + pad
+    den = tuple([Fraction(x) for x in d[: order + 1]]) + (_ZERO,) * (order + 1 - len(d))
     return TruncSeries._of(num) * TruncSeries._of(den).inverse()
 
 

@@ -451,6 +451,53 @@ def test_verify_series_validates_file(capsys, tmp_path):
     assert f"at most {MAX_SERIES_ORDER}" in report["details"]["message"]
 
 
+@pytest.mark.parametrize(
+    "coefficient",
+    [
+        "0.12345678901234567890123",  # a JSON real, read through a float
+        "8.100000000000000000001",  # a JSON real whose float is 81/10
+        '"1e10000000"',  # Fraction would expand it to ten million digits
+        '"1e200000"',
+        "1e5",
+        '"0.5"',
+        '" 1/2"',
+        '"1/0"',
+        '"-2/-1"',
+        "true",
+        "null",
+        "1" * 5000,  # a JSON integer longer than int() reads
+        '"' + "1" * 5000 + '"',
+    ],
+    ids=["long-real", "real-81/10", "exponent-string", "exponent-200000", "exponent-number",
+         "decimal-string", "space", "zero-denominator", "negative-denominator", "boolean", "null", "long-integer",
+         "long-integer-string"],
+)
+def test_series_coefficient_must_be_integer_or_rational_string(capsys, tmp_path, coefficient):
+    path = tmp_path / "series.json"
+    path.write_text(
+        '{"coefficients": {"x": ["2", %s], "y": ["0", "0"], "w": ["1/2", "0"]}}' % coefficient
+    )
+    start = time.perf_counter()
+    code, report, _ = run(
+        capsys, "verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(path)
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert report["details"]["error"] == "UsageError"
+
+
+def test_series_coefficients_read_integers_and_rational_strings(capsys, tmp_path):
+    # B's point (2, 0, 1/2) is fixed by b_s01; the same file written with
+    # JSON integers and with strings gives the same verdict.
+    path = tmp_path / "series.json"
+    for x in ("[2, 0]", '["2", "0"]', '["4/2", "-0"]'):
+        path.write_text('{"coefficients": {"x": %s, "y": [0, "-0"], "w": ["1/2", 0]}}' % x)
+        code, report, _ = run(
+            capsys, "verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(path)
+        )
+        assert code == 0 and report["details"]["residuals_zero"] is True
+
+
 def test_unknown_subcommand(capsys):
     code, report, err = run(capsys, "frobnicate")
     assert code == 2

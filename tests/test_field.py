@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -282,3 +284,148 @@ def test_fast_paths_match_reference_canonical_form(rng):
                         if name == "/" and b.is_zero:
                             continue
                         _assert_stored(op(a, b), _ref_binary(name, a, b))
+
+
+# The stored form: n and d in Z[t], coprime (no common integer content and
+# no common factor of positive degree), lc(d) > 0, zero as ((), (1,)).
+
+
+def _assert_canonical(e):
+    n, d = e.n, e.d
+    assert all(type(c) is int for c in n + d)
+    assert d and d[-1] > 0 and (not n or n[-1])
+    if not n:
+        assert d == (1,)
+        return
+    assert gcd(*n, *d) == 1
+    assert len(_pgcd([Fraction(c) for c in n], [Fraction(c) for c in d])) == 1
+
+
+def test_stored_form_is_canonical_in_z_t(rng):
+    for field in (Q, QT):
+        pool = _operands(rng, field)
+        for a in pool:
+            _assert_canonical(a)
+            _assert_canonical(a.derive())
+            if not a.is_zero:
+                _assert_canonical(a.inverse())
+            for b in pool:
+                for r in (a + b, a - b, a * b) + ((a / b,) if not b.is_zero else ()):
+                    _assert_canonical(r)
+
+
+def test_shared_integer_content_cancels():
+    e = qt("(2*t + 2) / (4*t + 6)")
+    assert e == qt("(t + 1) / (2*t + 3)")
+    assert (e.n, e.d) == ((1, 1), (3, 2))
+    assert e.num == (Fraction(1, 2), Fraction(1, 2))
+    assert e.den == (Fraction(3, 2), Fraction(1))
+    assert e.format() == "(1/2*t + 1/2)/(t + 3/2)"
+    h = qt("(6*t + 4) / 10")
+    assert (h.n, h.d) == ((2, 3), (5,))
+    assert (Q.elem(Fraction(-6, 4)).n, Q.elem(Fraction(-6, 4)).d) == ((-3,), (2,))
+    # Henrici's sums: the content left over g = gcd(d1, d2) cancels
+    s = Q.elem(Fraction(1, 6)) + Q.elem(Fraction(1, 3))
+    assert (s.n, s.d) == ((1,), (2,))
+    s = qt("t/6 + 1/6") + qt("t/3 + 1/3")
+    assert (s.n, s.d) == ((1, 1), (2,))
+    s = qt("1/(2*t + 2)") + qt("t/(2*t + 2)")
+    assert (s.n, s.d) == ((1,), (2,))
+    # and products cross-cancel
+    for x, y in ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(-2, 3), Fraction(1, 2))):
+        s = Q.elem(x) * Q.elem(y)
+        assert (s.n, s.d) == ((-1,), (3,))
+    s = qt("t/6 + 1/6") * qt("3/(t + 1)")
+    assert (s.n, s.d) == ((1,), (2,))
+
+
+def test_negative_leading_denominator_moves_its_sign_up():
+    e = qt("(t + 1) / (3 - 2*t)")
+    assert (e.n, e.d) == ((-1, -1), (-3, 2))
+    assert e.is_negative_leading
+    inv = e.inverse()
+    assert (inv.n, inv.d) == ((3, -2), (1, 1))
+    assert inv.inverse() == e and e * inv == QT.one
+    f = qt("(1 - t) / (t + 2)")
+    assert (f.inverse().n, f.inverse().d) == ((-2, -1), (-1, 1))
+    q = Q.elem(Fraction(-3, 4))
+    assert (q.inverse().n, q.inverse().d) == ((-4,), (3,))
+    assert qt("1 / (-t)") == -qt("1/t")
+    assert qt("1 / (-t)").d == (0, 1)
+
+
+def test_derive_cancels_content_against_an_integer_denominator():
+    e = qt("t^2 / 2")
+    assert (e.n, e.d) == ((0, 0, 1), (2,))
+    assert e.derive() == qt("t")
+    assert (e.derive().n, e.derive().d) == ((0, 1), (1,))
+    assert qt("(3*t^2 + 1) / 6").derive() == qt("t")
+    assert qt("t^3 / 6").derive() == qt("t^2 / 2")
+    assert qt("5 / 7").derive() == QT.zero
+
+
+def test_coefficients_above_two_to_the_64():
+    big, huge = 2**64 + 13, 2**70 + 1
+    a = QT.t + big
+    b = QT.t * 3 - huge
+    c = QT.t + 1
+    e = (a * c) / (a * b)
+    assert (e.n, e.d) == ((1, 1), (-huge, 3))
+    assert e == c / b
+    assert e + (-c / b) == QT.zero
+    g = (a * a) / (a * QT.elem(Fraction(huge, big)))
+    assert (g.n, g.d) == ((big * big, big), (huge,))
+    assert (e * b).derive() == QT.one
+    # randomized against the reference canonical form
+    rng = random.Random(2**64)
+    pool = []
+    for _ in range(4):
+        n = [Fraction(rng.randint(-(2**72), 2**72), rng.randint(1, 2**65)) for _ in range(3)]
+        d = [Fraction(rng.randint(-(2**72), 2**72), rng.randint(1, 2**65)) for _ in range(2)]
+        num = sum((QT.t**k * c for k, c in enumerate(n)), QT.zero)
+        den = sum((QT.t**k * c for k, c in enumerate(d)), QT.zero)
+        pool.append(num / den)
+        _assert_stored(pool[-1], _canon(n, d))
+    for x in pool:
+        for y in pool:
+            for name, op in (("+", x.__add__), ("*", x.__mul__), ("/", x.__truediv__)):
+                r = op(y)
+                _assert_stored(r, _ref_binary(name, x, y))
+                _assert_canonical(r)
+
+
+def test_same_value_by_different_routes_is_stored_alike():
+    routes = [
+        qt("t + 1"),
+        qt("(t^2 - 1) / (t - 1)"),
+        QT.t + 1,
+        (QT.t**2 + QT.t * 2 + 1) / (QT.t + 1),
+        (qt("2*t + 2") / 6) * 3,
+        qt("1/(t - 1)").inverse() + 2,
+        (qt("(t + 1)^2 / 2")).derive(),
+        qt("t^2/2 + t").derive(),
+    ]
+    for e in routes:
+        assert (e.n, e.d) == ((1, 1), (1,))
+        assert hash(e) == hash(routes[0])
+    quotients = [qt("t / (2*t + 1)"), qt("(3*t) / (6*t + 3)"), (qt("2 + 1/t")).inverse(),
+                 QT.one - qt("(t + 1) / (2*t + 1)")]
+    for e in quotients:
+        assert (e.n, e.d) == ((0, 1), (1, 2))
+        assert hash(e) == hash(quotients[0])
+
+
+def test_constant_hash_is_fraction_hash_by_any_route():
+    routes = {
+        Fraction(1, 2): [qt("(2*t + 2) / (4*t + 4)"), Q.elem(3) / 6, QT.elem(Fraction(2, 4))],
+        Fraction(-7, 3): [qt("(7*t^2 - 7) / (3 - 3*t^2)"), Q.elem(-14) / Q.elem(6)],
+        Fraction(2**70 + 1, 2**65): [QT.elem(Fraction(2**70 + 1, 2**65)) * qt("t / t"),
+                                     Q.elem(2**70 + 1) / 2**65],
+        Fraction(1): [qt("t / t"), Q.one * Q.one],
+        Fraction(0): [qt("t - t"), Q.elem(5) - 5],
+    }
+    for value, elems in routes.items():
+        for e in elems:
+            assert e == value and e.as_fraction() == value
+            assert hash(e) == hash(value)
+            assert {value: "v"}.get(e) == "v"

@@ -333,6 +333,12 @@ def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
     for divisors in divisor_lists:
         for g in divisors:
             assert gcd(*integer_coefficients(g)) == 1
+    # The integer terms kept beside each basis element stay inside buchberger.
+    assert all(type(g) is MultiPoly for g in gb.gens)
+    x = parse_poly("2*u0 + 4", KATSURA5_NAMES, Q)
+    for gens in ([x], [x, x * x]):
+        (g,) = buchberger(gens).gens
+        assert type(g) is MultiPoly and g == parse_poly("u0 + 2", KATSURA5_NAMES, Q)
 
 
 def test_arithmetic_results_are_clean():
