@@ -60,6 +60,11 @@ from .series import SeriesPoint, TruncSeries, solve_dpoint, variety_residuals
 # tests/data/model_q.json.
 MAX_SERIES_ORDER = 1000
 
+# Most digits of one integer in a series file, numerator and denominator
+# alike.  At order 1000 the denominators near 1000! have 2568 digits; int()
+# takes time quadratic in the digits, so a bound keeps reading a file fast.
+MAX_COEFFICIENT_DIGITS = 4300
+
 # Largest derivative order nabla accepts.  The derivatives of a point with a
 # true rational function of t grow like k!/t^(k+1): order 200 of (t^2, 1/t)
 # takes about 0.6 s, order 1000 about 16 s.
@@ -407,14 +412,14 @@ def _cmd_solve_series(args, model):
 def _load_series_file(path, variety):
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=_json_integer)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read series file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"series file {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise UsageError(f"series file {path} is not valid JSON: nested too deeply") from None
-    except ValueError as exc:  # an integer longer than int() reads
+    except ValueError as exc:  # an integer within the bound that int() still refuses
         raise UsageError(f"series file {path} has a number too long: {exc}") from exc
     if isinstance(doc, dict) and "details" in doc and isinstance(doc["details"], dict):
         doc = doc["details"]
@@ -449,7 +454,15 @@ def _load_series_file(path, variety):
 
 
 # What solve-series writes: an integer, or a quotient of integers.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_DIGITS = "[0-9]{1,%d}" % MAX_COEFFICIENT_DIGITS
+_RATIONAL = re.compile(f"-?{_DIGITS}(/{_DIGITS})?")
+
+
+def _json_integer(text: str) -> int:
+    """A JSON integer of a series file, refused past MAX_COEFFICIENT_DIGITS."""
+    if len(text) - text.startswith("-") > MAX_COEFFICIENT_DIGITS:
+        raise UsageError(f"series file has an integer of more than {MAX_COEFFICIENT_DIGITS} digits")
+    return int(text)
 
 
 def _series_coefficient(c) -> Fraction:

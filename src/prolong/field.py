@@ -289,30 +289,22 @@ class FieldElement:
         if not n1:
             return o
         field = self.field
-        if len(d1) == 1 and len(d2) == 1:
-            # Integer denominators a and b, as for Fractions: with g =
-            # gcd(a, b) the sum is (n1*b/g + n2*a/g) / (a/g * b), and only
+        if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
+            # Two constants, as for Fractions: with g = gcd(a, b) of the
+            # denominators the sum is (n1*b/g + n2*a/g) / (a/g * b), and only
             # content shared with g can cancel.
             a, b = d1[0], d2[0]
             g = gcd(a, b)
             e1, e2 = a // g, b // g
-            if len(n1) == 1 and len(n2) == 1:
-                x = n1[0] * e2 + n2[0] * e1
-                if not x:
-                    return field.zero
-                h = gcd(x, g)
-                return FieldElement(field, (x // h,), (e1 * (b // h),))
-            num = _add(_mul((e2,), n1), _mul((e1,), n2))
-            if not num:
+            x = n1[0] * e2 + n2[0] * e1
+            if not x:
                 return field.zero
-            h = gcd(g, *num)
-            if h != 1:
-                num = tuple([c // h for c in num])
-            return FieldElement(field, num, (e1 * (b // h),))
+            h = gcd(x, g)
+            return FieldElement(field, (x // h,), (e1 * (b // h),))
         # Henrici: with g = gcd(d1, d2) and di = g*ei, the sum is
         # (n1*e2 + n2*e1) / (e1*e2*g), whose only common factor lies in g.
-        # With g = 1 the sum is already canonical, and nonzero: canonical
-        # n1/d1 = -n2/d2 would force d1 = d2, which is not constant here.
+        # With g = 1 the sum is already canonical: canonical n1/d1 = -n2/d2
+        # would force d1 = d2 = 1, and then the zero sum is ((), (1,)).
         g = _gcd(d1, d2)
         if g == _UNIT:
             return FieldElement(field, _add(_mul(n1, d2), _mul(n2, d1)), _mul(d1, d2))

@@ -22,8 +22,6 @@ from .errors import ArityMismatch, DegreeCapExceeded
 from .field import BaseField
 from .poly import Monomial, MultiPoly, grevlex_key
 
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class TermOrder:
@@ -144,8 +142,9 @@ def _from_rationals(field: BaseField, nvars: int, terms: dict) -> MultiPoly:
 
 
 class _PrimitivePoly(MultiPoly):
-    """A polynomial over Q with integer coefficients of gcd 1, kept beside
-    those integers (ints), so that they are read from its terms once."""
+    """A basis element of buchberger over Q: integer coefficients of gcd 1,
+    kept beside it in ints, so that each S-polynomial reads them instead of
+    recomputing them."""
 
     __slots__ = ("ints",)
 
@@ -159,14 +158,10 @@ class _PrimitivePoly(MultiPoly):
         return p
 
 
-def _integer_terms(p: MultiPoly) -> tuple[Fraction, dict]:
-    """_primitive(p.terms) for a nonzero p over Q, read off a _PrimitivePoly.
-
-    The integer dict is p's own when p is a _PrimitivePoly: copy it to change it.
-    """
-    if type(p) is _PrimitivePoly:
-        return _ONE, p.ints
-    return _primitive(p.terms)
+def _integer_terms(p: MultiPoly) -> dict:
+    """The primitive integer terms of a nonzero p over Q; p's own when p is
+    a _PrimitivePoly, so not to be changed."""
+    return p.ints if type(p) is _PrimitivePoly else _primitive(p.terms)[1]
 
 
 def _divisor(g: MultiPoly, rkey) -> tuple:
@@ -178,7 +173,7 @@ def _divisor(g: MultiPoly, rkey) -> tuple:
     coefficient in place of the lead coefficient.
     """
     integral = not g.field.has_t
-    terms = _integer_terms(g)[1] if integral else g.terms
+    terms = _integer_terms(g) if integral else g.terms
     gm = min(terms, key=rkey)
     tail = [(m, c) for m, c in terms.items() if m != gm]
     top = max((sum(m) for m, _ in tail), default=0)
@@ -252,9 +247,7 @@ def reduce_full(
     if degree_cap is not None and p.terms and p.total_degree() > degree_cap:
         raise DegreeCapExceeded(f"intermediate degree {p.total_degree()} exceeds cap {degree_cap}")
     if integral and p.terms:
-        unit, h = _integer_terms(p)
-        if type(p) is _PrimitivePoly:
-            h = dict(h)  # p's own integers
+        unit, h = _primitive(p.terms)
     else:
         h = dict(p.terms)
     heap = [(rkey(m), m) for m in h]
@@ -319,7 +312,7 @@ def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
 
     Over Q it is fraction-free.  With F and G the primitive integer parts of
     f and g, leads c_F x^a and c_G x^b, lcm x^l and g0 = gcd(c_F, c_G), it
-    is the primitive part of (c_G/g0) x^(l-a) F - (c_F/g0) x^(l-b) G.
+    is (c_G/g0) x^(l-a) F - (c_F/g0) x^(l-b) G, with integer coefficients.
     Over Q(t) it is x^(l-a) f / c_f - x^(l-b) g / c_g.
     """
     fm, fc = f.lead(order.key)
@@ -331,8 +324,8 @@ def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
         tf = MultiPoly(f.field, f.nvars, {mf: fc.inverse()})
         tg = MultiPoly(g.field, g.nvars, {mg: gc.inverse()})
         return tf * f - tg * g
-    fz = _integer_terms(f)[1]
-    gz = _integer_terms(g)[1]
+    fz = _integer_terms(f)
+    gz = _integer_terms(g)
     g0 = gcd(fz[fm], gz[gm])
     kf, kg = gz[gm] // g0, fz[fm] // g0
     s = {tuple(map(add, m, mf)): kf * c for m, c in fz.items()}
@@ -343,21 +336,12 @@ def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
             s[mono] = d
         else:
             del s[mono]
-    if not s:
-        return MultiPoly._of(f.field, f.nvars, {})
-    cont = gcd(*s.values())
-    if cont != 1:
-        s = {m: c // cont for m, c in s.items()}
-    return _PrimitivePoly.of(f.field, f.nvars, s)
+    return _from_rationals(f.field, f.nvars, s)
 
 
 def _monic(g: MultiPoly, lead: Monomial) -> MultiPoly:
-    """g over its lead coefficient, as a plain MultiPoly: no _PrimitivePoly
-    leaves buchberger."""
     lc = g.terms[lead]
-    if not lc.is_one:
-        return g * lc.inverse()
-    return g if type(g) is MultiPoly else MultiPoly._of(g.field, g.nvars, g.terms)
+    return g if lc.is_one else g * lc.inverse()
 
 
 def _basis_element(g: MultiPoly, lead: Monomial) -> MultiPoly:
@@ -450,13 +434,13 @@ def buchberger(
     ]
     # Reduced basis: each element fully reduced against the others.  No other
     # lead divides gm, so the lead term of g stays that of the remainder, and
-    # the remainder is made monic here, on output, the only place it is.
+    # the remainder is made monic here, on output, the only place it is.  The
+    # remainder is a plain MultiPoly even with no others to divide by.
     reduced: list[tuple[Monomial, MultiPoly]] = []
     for i in keep:
         gm, g = leads[i], basis[i]
         others = basis.select([j for j in keep if j != i])
-        r = reduce_full(g, others, order, degree_cap) if others else g
-        reduced.append((gm, _monic(r, gm)))
+        reduced.append((gm, _monic(reduce_full(g, others, order, degree_cap), gm)))
     reduced.sort(key=lambda lg: order.key(lg[0]))
     return GroebnerBasis(order, nvars, tuple(g for _, g in reduced))
 

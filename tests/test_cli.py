@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 import prolong
 from prolong import cli, errors
-from prolong.cli import MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
+from prolong.cli import MAX_COEFFICIENT_DIGITS, MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
 from prolong.expr import MAX_DEGREE
 from prolong.model import MAX_ATLAS_CHARTS, MAX_ATLAS_DIM
 
@@ -484,6 +485,39 @@ def test_series_coefficient_must_be_integer_or_rational_string(capsys, tmp_path,
     assert time.perf_counter() - start < 2
     assert code == 2
     assert report["details"]["error"] == "UsageError"
+
+
+def test_series_coefficient_digit_bound_holds_without_interpreter_limit(capsys, tmp_path):
+    # The bound is the program's own: with Python's integer-string limit off,
+    # a longer integer is still refused at once, and one at the bound is read.
+    path = tmp_path / "series.json"
+    longest = "7" * MAX_COEFFICIENT_DIGITS
+    cases = [
+        ("1" * 10**6, 2),
+        ('"%s1"' % longest, 2),
+        ('"1/%s1"' % longest, 2),
+        (longest, 1),  # read, and then not a solution
+        ('"-1/%s"' % longest, 1),
+    ]
+    # Pythons before 3.10.7 have no limit to switch off.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for coefficient, want in cases:
+            path.write_text(
+                '{"coefficients": {"x": ["2", %s], "y": ["0", "0"], "w": ["1/2", "0"]}}'
+                % coefficient
+            )
+            start = time.perf_counter()
+            code, report, _ = run(
+                capsys, "verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(path)
+            )
+            assert time.perf_counter() - start < 2
+            assert code == want, report
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_series_coefficients_read_integers_and_rational_strings(capsys, tmp_path):
