@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .atlas import check_cocycle, check_sigma_compatibility, sample_point, tau_atlas
 from .dgroup import (
@@ -514,40 +515,40 @@ def build_parser():
     group = p.add_mutually_exclusive_group()
     group.add_argument("-v", "--variety", help="read variables from this variety")
     group.add_argument("--vars", metavar="NAMES", help="comma-separated variable names")
-    p.set_defaults(handler=_cmd_parse)
+    p.set_defaults(handler="_cmd_parse")
 
     p = sub.add_parser("gb", help="reduced Groebner basis of a variety ideal")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
     _add_order_flags(p)
-    p.set_defaults(handler=_cmd_gb)
+    p.set_defaults(handler="_cmd_gb")
 
     p = sub.add_parser("nf", help="normal form of a polynomial modulo a variety ideal")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
     p.add_argument("--expr", required=True, help="polynomial text")
     _add_order_flags(p)
-    p.set_defaults(handler=_cmd_nf)
+    p.set_defaults(handler="_cmd_nf")
 
     p = sub.add_parser("fdel", help="coefficientwise derivative correction of a map")
     _add_model_flag(p)
     p.add_argument("-m", "--map", required=True)
-    p.set_defaults(handler=_cmd_fdel)
+    p.set_defaults(handler="_cmd_fdel")
 
     p = sub.add_parser("tau-map", help="twisted prolongation of a map")
     _add_model_flag(p)
     p.add_argument("-m", "--map", required=True)
-    p.set_defaults(handler=_cmd_tau_map)
+    p.set_defaults(handler="_cmd_tau_map")
 
     p = sub.add_parser("t-variety", help="tangent prolongation of a variety")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
-    p.set_defaults(handler=_cmd_prolong_variety, kind="tangent")
+    p.set_defaults(handler="_cmd_prolong_variety", kind="tangent")
 
     p = sub.add_parser("tau-variety", help="twisted prolongation of a variety")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
-    p.set_defaults(handler=_cmd_prolong_variety, kind="tau")
+    p.set_defaults(handler="_cmd_prolong_variety", kind="tau")
 
     p = sub.add_parser("nabla", help="iterated derivative sequence of a point")
     _add_model_flag(p)
@@ -555,33 +556,33 @@ def build_parser():
     _add_init_flag(p, "comma-separated point coordinates")
     p.add_argument("--order", type=int, default=1, metavar="R",
                    help=f"number of derivative steps, at most {MAX_NABLA_ORDER}")
-    p.set_defaults(handler=_cmd_nabla)
+    p.set_defaults(handler="_cmd_nabla")
 
     p = sub.add_parser("check-nabla",
                        help="check that (a, da) lies on the twisted prolongation")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
     _add_init_flag(p, "comma-separated point coordinates")
-    p.set_defaults(handler=_cmd_check_nabla)
+    p.set_defaults(handler="_cmd_check_nabla")
 
     p = sub.add_parser("fiber", help="affine description of a prolongation fibre")
     _add_model_flag(p)
     p.add_argument("-v", "--variety", required=True)
     _add_init_flag(p, "comma-separated point coordinates")
     p.add_argument("--kind", choices=("tau", "tangent"), default="tau")
-    p.set_defaults(handler=_cmd_fiber)
+    p.set_defaults(handler="_cmd_fiber")
 
     p = sub.add_parser("transfer",
                        help="fibre transfer along a correspondence at a point pair")
     _add_model_flag(p)
     p.add_argument("-c", "--correspondence", required=True)
     _add_init_flag(p, "left point then right point, comma-separated")
-    p.set_defaults(handler=_cmd_transfer)
+    p.set_defaults(handler="_cmd_transfer")
 
     p = sub.add_parser("check-cocycle", help="verify atlas transition coherence")
     _add_model_flag(p)
     p.add_argument("-a", "--atlas", required=True)
-    p.set_defaults(handler=_cmd_check_cocycle)
+    p.set_defaults(handler="_cmd_check_cocycle")
 
     p = sub.add_parser("tau-atlas",
                        help="prolong an atlas and test sigma compatibility at samples")
@@ -590,19 +591,19 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="sample generator seed")
     p.add_argument("--samples", type=int, default=20, metavar="N",
                    help=f"sample points per transition, 1 to {MAX_SAMPLES}")
-    p.set_defaults(handler=_cmd_tau_atlas)
+    p.set_defaults(handler="_cmd_tau_atlas")
 
     p = sub.add_parser("check-group", help="verify the group axioms on the variety")
     _add_model_flag(p)
     p.add_argument("-g", "--group", required=True)
     _add_order_flags(p)
-    p.set_defaults(handler=_cmd_check_group)
+    p.set_defaults(handler="_cmd_check_group")
 
     p = sub.add_parser("tau-group", help="prolong a group law")
     _add_model_flag(p)
     p.add_argument("-g", "--group", required=True)
     _add_order_flags(p)
-    p.set_defaults(handler=_cmd_tau_group)
+    p.set_defaults(handler="_cmd_tau_group")
 
     p = sub.add_parser("check-dgroup",
                        help="verify a section as a D-group structure")
@@ -610,7 +611,7 @@ def build_parser():
     p.add_argument("-g", "--group", required=True)
     p.add_argument("-s", "--section", required=True)
     _add_order_flags(p)
-    p.set_defaults(handler=_cmd_check_dgroup)
+    p.set_defaults(handler="_cmd_check_dgroup")
 
     p = sub.add_parser("check-dpoint",
                        help="check the sharp-point condition sigma(a) = da")
@@ -618,7 +619,7 @@ def build_parser():
     p.add_argument("-g", "--group", required=True)
     p.add_argument("-s", "--section", required=True)
     _add_init_flag(p, "comma-separated point coordinates")
-    p.set_defaults(handler=_cmd_check_dpoint)
+    p.set_defaults(handler="_cmd_check_dpoint")
 
     p = sub.add_parser("solve-series",
                        help="integrate the section flow in truncated power series")
@@ -628,7 +629,7 @@ def build_parser():
     _add_init_flag(p, "comma-separated rational initial values")
     p.add_argument("--order", type=int, required=True, metavar="N",
                    help=f"truncation order, at most {MAX_SERIES_ORDER}")
-    p.set_defaults(handler=_cmd_solve_series)
+    p.set_defaults(handler="_cmd_solve_series")
 
     p = sub.add_parser("verify-series",
                        help="evaluate variety generators on a stored series point")
@@ -636,9 +637,13 @@ def build_parser():
     p.add_argument("-v", "--variety", required=True)
     p.add_argument("--series", required=True, metavar="FILE",
                    help="JSON file with a coefficients table")
-    p.set_defaults(handler=_cmd_verify_series)
+    p.set_defaults(handler="_cmd_verify_series")
 
     return parser
+
+
+# The parser main reads, built once per process: a parse leaves it unchanged.
+_parser = cache(build_parser)
 
 
 def main(argv=None) -> int:
@@ -647,8 +652,11 @@ def main(argv=None) -> int:
     command = "prolong " + " ".join(argv) if argv else "prolong"
     started = time.perf_counter()
     try:
-        args = build_parser().parse_args(argv)
-        status, details = args.handler(args, load_model_file(args.input))
+        args = _parser().parse_args(argv)
+        # The parser names the handler, so that the function bound now runs,
+        # not the one bound when the shared parser was built.
+        handler = globals()[args.handler]
+        status, details = handler(args, load_model_file(args.input))
     except (ProlongError, ValueError) as exc:
         status = exc.status if isinstance(exc, ProlongError) else "error"
         details = {"error": type(exc).__name__, "message": str(exc)}

@@ -1,7 +1,7 @@
 """Groebner bases over the exact base fields.
 
-Buchberger's algorithm with the coprime-leading-term skip, a selectable
-pair strategy, and a hard total-degree cap that aborts runaway
+Buchberger's algorithm with the Gebauer-Moller pair criteria, a
+selectable pair strategy, and a hard total-degree cap that aborts runaway
 computations.  Resulting bases are reduced, monic, and sorted by leading
 monomial, so equal ideals yield identical bases for a fixed term order.
 Over Q the work runs fraction-free on primitive integer polynomials, and
@@ -361,9 +361,23 @@ def buchberger(
     """Compute the reduced Groebner basis of the ideal generated by gens.
 
     strategy 'normal' picks the pair with the lowest lcm total degree
-    (ties by age); 'fifo' processes pairs in creation order.  Pairs whose
-    leading monomials are coprime reduce to zero (Buchberger's first
-    criterion) and are never queued.
+    (ties by age); 'fifo' processes pairs in creation order.  Pairs are
+    installed by the Gebauer-Moller update (Becker & Weispfenning, Groebner
+    Bases, 1993, section 5.5) as each generator and each new element r
+    enters:
+
+    - (B) a queued pair (i, j) is deleted when lead(r) divides lcm(i, j)
+      and lcm(i, r) and lcm(j, r) both differ from lcm(i, j);
+    - (M) a new pair (k, r) is dropped when another new pair's lcm
+      properly divides its lcm;
+    - (F) of the new pairs with equal lcm the oldest is kept, and none when
+      one of them has coprime leads (Buchberger's first criterion);
+    - every element whose lead lead(r) divides gets no new pairs.
+
+    Every element stays a divisor.  The reduced basis does not depend on
+    the strategy or on the pairs deleted; DegreeCapExceeded depends on the
+    polynomials formed: the generators, the S-polynomials of the pairs
+    kept, their intermediate remainders and the inserted elements.
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -381,31 +395,54 @@ def buchberger(
             )
     rkey = order.reverse_key
     fifo = strategy == "fifo"
-    leads = [min(g.terms, key=rkey) for g in polys]
-    basis = _Basis(order, [_basis_element(g, gm) for g, gm in zip(polys, leads)])
-    degrees = [sum(gm) for gm in leads]
-    # normal: a heap of (lcm degree, i, j); fifo: (i, j) read from index head on
+    basis = _Basis(order)
+    leads: list[Monomial] = []
+    # Indices of the elements that still get new pairs, ascending.
+    active: list[int] = []
+    # normal: a heap of (lcm degree, i, j); fifo: (i, j) read from index head
+    # on.  live maps each pair still to be reduced to its lcm: a queued pair
+    # missing from it was deleted and is skipped when popped.
     queue: list[tuple] = []
     head = 0
+    live: dict[tuple[int, int], Monomial] = {}
 
-    def add_pair(i: int, j: int) -> None:
-        d = sum(_lcm(leads[i], leads[j]))
-        if d == degrees[i] + degrees[j]:
-            return
-        if fifo:
-            queue.append((i, j))
-        else:
-            heappush(queue, (d, i, j))
+    def insert(g: MultiPoly, gm: Monomial) -> None:
+        r = len(basis)
+        basis.append(_basis_element(g, gm))
+        leads.append(gm)
+        for (i, j), m in list(live.items()):
+            if _divides(gm, m) and _lcm(leads[i], gm) != m and _lcm(leads[j], gm) != m:
+                del live[i, j]
+        # lcm -> the oldest k whose pair (k, r) has that lcm, or None when
+        # that pair's leads are coprime.  No older pair shares the lcm of a
+        # coprime pair (k', r): lcm(k, r) = lead(k') lead(r) makes lead(k')
+        # divide lead(k), so k' came first or k was retired.
+        new: dict[Monomial, int | None] = {}
+        rdeg = sum(gm)
+        for k in active:
+            m = _lcm(leads[k], gm)
+            new.setdefault(m, None if sum(m) == sum(leads[k]) + rdeg else k)
+        for m, k in new.items():
+            if k is None or any(o != m and _divides(o, m) for o in new):
+                continue
+            live[k, r] = m
+            if fifo:
+                queue.append((k, r))
+            else:
+                heappush(queue, (sum(m), k, r))
+        active[:] = [k for k in active if not _divides(gm, leads[k])]
+        active.append(r)
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            add_pair(i, j)
+    for g in polys:
+        insert(g, min(g.terms, key=rkey))
     while head < len(queue):
         if fifo:
             i, j = queue[head]
             head += 1
         else:
             _, i, j = heappop(queue)
+        if live.pop((i, j), None) is None:
+            continue
         s = _s_polynomial(basis[i], basis[j], order)
         h = reduce_full(s, basis, order, degree_cap)
         if h.is_zero:
@@ -414,13 +451,7 @@ def buchberger(
             raise DegreeCapExceeded(
                 f"basis element degree {h.total_degree()} exceeds cap {degree_cap}"
             )
-        hm = next(iter(h.terms))
-        basis.append(_basis_element(h, hm))
-        leads.append(hm)
-        degrees.append(sum(hm))
-        new_index = len(basis) - 1
-        for k in range(new_index):
-            add_pair(k, new_index)
+        insert(h, next(iter(h.terms)))
 
     # Minimal basis: drop elements whose lead is divisible by another lead.
     keep = [

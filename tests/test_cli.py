@@ -88,6 +88,33 @@ def test_parse_variety_and_vars_exclusive(capsys):
     assert "not allowed with" in err
 
 
+# Calls whose parses leave state behind if any does: a usage error, then a
+# valid call; a degree cap, then the default; a mutual-exclusion error, then
+# a success.
+PARSER_SEQUENCE = (
+    ("gb", "-i", MODEL_Q, "-v", "Twisted", "--no-such-flag"),
+    ("gb", "-i", MODEL_Q, "-v", "Twisted"),
+    ("gb", "-i", MODEL_Q, "-v", "Twisted", "--term-order", "lex", "--degree-cap", "2"),
+    ("gb", "-i", MODEL_Q, "-v", "Twisted", "--term-order", "lex"),
+    ("parse", "-i", MODEL_Q, "--expr", "x", "-v", "GmV", "--vars", "x"),
+    ("parse", "-i", MODEL_Q, "--expr", "x*w - 1", "-v", "GmV"),
+)
+
+
+def test_shared_parser_reports_as_a_fresh_one(capsys, monkeypatch):
+    def untimed(argv):
+        code, report, err = run(capsys, *argv)
+        report.pop("timing_ms")
+        return code, report, err
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = [untimed(argv) for argv in PARSER_SEQUENCE]
+    assert [code for code, _, _ in fresh] == [2, 0, 1, 0, 2, 0]
+    assert [untimed(argv) for argv in PARSER_SEQUENCE] == fresh
+    assert cli._parser() is cli._parser()
+
+
 def test_gb_twisted_cubic(capsys):
     code, report, _ = run(capsys, "gb", "-i", MODEL_Q, "-v", "Twisted")
     assert code == 0

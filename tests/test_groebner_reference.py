@@ -81,7 +81,42 @@ def reference_s_polynomial(f, g, order):
     return tf * f - tg * g
 
 
-def reference_buchberger(gens, order, degree_cap, strategy, spolys):
+def reference_update(leads, active, pairs, r):
+    """Gebauer and Moller's UPDATE (Becker & Weispfenning, Groebner Bases,
+    1993, section 5.5) for the element r, on plain lists.
+
+    The candidates (k, r) are taken newest first, so that of two with equal
+    lcm the older one is kept; the kept ones join pairs oldest first.
+    """
+    h = leads[r]
+
+    def lcm_of(p):
+        return _lcm(leads[p[0]], leads[p[1]])
+
+    def coprime(p):
+        return _coprime(leads[p[0]], leads[p[1]])
+
+    candidates = [(k, r) for k in active]
+    kept = []
+    while candidates:
+        p = candidates.pop()
+        m = lcm_of(p)
+        if coprime(p) or not any(_divides(lcm_of(q), m) for q in candidates + kept):
+            kept.append(p)
+    new = [p for p in reversed(kept) if not coprime(p)]
+    pairs[:] = [
+        p
+        for p in pairs
+        if not _divides(h, lcm_of(p))
+        or _lcm(leads[p[0]], h) == lcm_of(p)
+        or _lcm(leads[p[1]], h) == lcm_of(p)
+    ] + new
+    active[:] = [k for k in active if not _divides(h, leads[k])] + [r]
+
+
+def reference_buchberger(gens, order, degree_cap, strategy, spolys, criteria=True):
+    """Buchberger's algorithm with reference_update, or, without criteria,
+    with every pair of elements reduced."""
     polys = [g for g in gens if not g.is_zero]
     nvars = polys[0].nvars
     for g in polys:
@@ -90,27 +125,31 @@ def reference_buchberger(gens, order, degree_cap, strategy, spolys):
                 f"generator degree {g.total_degree()} exceeds cap {degree_cap}"
             )
     key = order.key
-    basis = [g.monic(key) for g in polys]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    basis, leads, active, pairs = [], [], [], []
+
+    def insert(g):
+        basis.append(g.monic(key))
+        leads.append(g.lead(key)[0])
+        r = len(basis) - 1
+        if criteria:
+            reference_update(leads, active, pairs, r)
+        else:
+            pairs.extend((k, r) for k in range(r))
+
+    for g in polys:
+        insert(g)
 
     def pick():
         if strategy == "fifo":
             return pairs.pop(0)
         best = min(
             range(len(pairs)),
-            key=lambda k: (
-                sum(_lcm(basis[pairs[k][0]].lead(key)[0], basis[pairs[k][1]].lead(key)[0])),
-                pairs[k],
-            ),
+            key=lambda k: (sum(_lcm(leads[pairs[k][0]], leads[pairs[k][1]])), pairs[k]),
         )
         return pairs.pop(best)
 
     while pairs:
         i, j = pick()
-        fm = basis[i].lead(key)[0]
-        gm = basis[j].lead(key)[0]
-        if _coprime(fm, gm):
-            continue
         s = reference_s_polynomial(basis[i], basis[j], order)
         spolys.append(s)
         h = reference_reduce_full(s, basis, order, degree_cap)
@@ -120,9 +159,7 @@ def reference_buchberger(gens, order, degree_cap, strategy, spolys):
             raise DegreeCapExceeded(
                 f"basis element degree {h.total_degree()} exceeds cap {degree_cap}"
             )
-        basis.append(h.monic(key))
-        for k in range(len(basis) - 1):
-            pairs.append((k, len(basis) - 1))
+        insert(h)
 
     keep = []
     for i, g in enumerate(basis):
@@ -245,8 +282,22 @@ def test_reduce_full_matches_reference_division():
     assert fired >= 5 and kept >= 20
 
 
+XYZ = ("x", "y", "z")
+# Ideals on which retiring an element changes the pairs formed (grevlex): the
+# third generator's lead divides the first's, and an inserted element's lead
+# divides an earlier element's.
+RETIRING = (
+    ("x*y + 2*x", "y*z", "5/3*x*y + 5*x*z"),
+    ("5*x^2*y + 2*z", "-y*z^2 + 5/3*y*z", "-2/3*x*z - 1/2"),
+)
+
+
 def test_buchberger_matches_reference(monkeypatch):
-    """Same bases and errors, and the same S-polynomials in the same order."""
+    """Same bases and errors, and the same S-polynomials in the same order.
+
+    Whenever buchberger returns, its basis is also the one that reducing
+    every pair, with no criterion, gives under the default cap.
+    """
     spolys = []
     s_polynomial = groebner._s_polynomial
 
@@ -258,33 +309,43 @@ def test_buchberger_matches_reference(monkeypatch):
     monkeypatch.setattr(groebner, "_s_polynomial", logged_s_polynomial)
     rng = random.Random(8128)
     fired = kept = 0
+
+    def compare(gens, order, cap):
+        nonlocal fired, kept
+        for strategy in ("normal", "fifo"):
+            want_spolys = []
+            want = outcome(reference_buchberger, gens, order, cap, strategy, want_spolys)
+            spolys.clear()
+            got = outcome(buchberger, gens, order, cap, strategy)
+            assert got == want
+            assert [s.monic(order.key) for s in spolys] == [
+                s.monic(order.key) for s in want_spolys
+            ]
+            if got[0] == "value":
+                kept += 1
+                assert got[1] == reference_buchberger(
+                    gens, order, 40, strategy, [], criteria=False
+                )
+                for g in got[1].gens:
+                    assert_clean(g)
+                p = random_nonzero_poly(rng, gens[0].field, 3, deg=3, terms=4, tdeg=1)
+                nf = normal_form(p, got[1])
+                assert nf == reference_reduce_full(p, got[1].gens, order)
+                assert_clean(nf)
+            else:
+                fired += got[0] is DegreeCapExceeded
+
     for field, order in itertools.product((Q, QT), ORDERS):
         for _ in range(6):
             gens = [
                 random_nonzero_poly(rng, field, 3, deg=3, terms=3, tdeg=1)
                 for _ in range(rng.randint(2, 3))
             ]
-            cap = rng.choice((2, 3, 4, 6))
-            for strategy in ("normal", "fifo"):
-                want_spolys = []
-                want = outcome(reference_buchberger, gens, order, cap, strategy, want_spolys)
-                spolys.clear()
-                got = outcome(buchberger, gens, order, cap, strategy)
-                assert got == want
-                assert [s.monic(order.key) for s in spolys] == [
-                    s.monic(order.key) for s in want_spolys
-                ]
-                if got[0] == "value":
-                    kept += 1
-                    for g in got[1].gens:
-                        assert_clean(g)
-                    p = random_nonzero_poly(rng, field, 3, deg=3, terms=4, tdeg=1)
-                    nf = normal_form(p, got[1])
-                    assert nf == reference_reduce_full(p, got[1].gens, order)
-                    assert_clean(nf)
-                else:
-                    fired += got[0] is DegreeCapExceeded
+            compare(gens, order, rng.choice((2, 3, 4, 6)))
     assert fired >= 6 and kept >= 30
+    for texts in RETIRING:
+        for order in ORDERS:
+            compare([parse_poly(t, XYZ, Q) for t in texts], order, 40)
 
 
 KATSURA5_NAMES = ("u0", "u1", "u2", "u3", "u4")
@@ -324,7 +385,7 @@ def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
     monkeypatch.setattr(groebner, "reduce_full", logged_reduce_full)
     gens = [parse_poly(g, KATSURA5_NAMES, Q) for g in KATSURA5]
     gb = buchberger(gens)
-    assert len(gb.gens) == 13 and len(spolys) == 49
+    assert len(gb.gens) == 13 and len(spolys) == 28
     bits = max(abs(c).bit_length() for s in spolys for c in integer_coefficients(s))
     assert 0 < bits <= SPOLY_BITS
     # Every element buchberger inserts is primitive over Z: the divisors it
@@ -339,6 +400,41 @@ def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
     for gens in ([x], [x, x * x]):
         (g,) = buchberger(gens).gens
         assert type(g) is MultiPoly and g == parse_poly("u0 + 2", KATSURA5_NAMES, Q)
+
+
+CYCLIC5_NAMES = ("u0", "u1", "u2", "u3", "u4")
+CYCLIC5 = tuple(
+    " + ".join("*".join(CYCLIC5_NAMES[(i + k) % 5] for k in range(d)) for i in range(5))
+    for d in range(1, 5)
+) + ("u0*u1*u2*u3*u4 - 1",)
+# Without the chain criterion and redundant-pair deletion, 827 of cyclic-5's
+# S-polynomials reduced to zero (grevlex, "normal"); the bound is a fifth.
+CYCLIC5_ZERO_REDUCTIONS = 165
+
+
+def test_cyclic5_pair_criteria_cut_zero_reductions(monkeypatch):
+    last, zeros = [None], [0]
+    s_polynomial, reduce = groebner._s_polynomial, groebner.reduce_full
+
+    def logged_s_polynomial(f, g, order):
+        last[0] = s_polynomial(f, g, order)
+        return last[0]
+
+    def logged_reduce_full(p, gens, *args):
+        r = reduce(p, gens, *args)
+        if p is last[0]:
+            zeros[0] += r.is_zero
+        return r
+
+    monkeypatch.setattr(groebner, "_s_polynomial", logged_s_polynomial)
+    monkeypatch.setattr(groebner, "reduce_full", logged_reduce_full)
+    gens = [parse_poly(g, CYCLIC5_NAMES, Q) for g in CYCLIC5]
+    bases = []
+    for strategy in ("normal", "fifo"):
+        zeros[0] = 0
+        bases.append(buchberger(gens, strategy=strategy))
+        assert 0 < zeros[0] <= CYCLIC5_ZERO_REDUCTIONS
+    assert bases[0] == bases[1] and len(bases[0].gens) == 20
 
 
 def test_arithmetic_results_are_clean():
