@@ -23,6 +23,7 @@ from functools import cache
 from .atlas import check_cocycle, check_sigma_compatibility, sample_point, tau_atlas
 from .dgroup import (
     DGroup,
+    GroupAxiomViolation,
     check_dgroup,
     check_group_axioms,
     dpoint_check,
@@ -333,12 +334,10 @@ def _cmd_check_group(args, model):
 
 def _cmd_tau_group(args, model):
     group = model.group(args.group)
-    order = _term_order(args)
-    axioms = check_group_axioms(group, args.degree_cap, order)
-    if not axioms.ok:
-        details = {"group": args.group, **axioms.as_dict()}
-        return "fail", details
-    prolonged = tau_group(group, args.degree_cap, order)
+    try:
+        prolonged = tau_group(group, args.degree_cap, _term_order(args))
+    except GroupAxiomViolation as exc:
+        return "fail", {"group": args.group, **exc.report.as_dict()}
     total = prolonged.variety
     mult_names = stacked_names(total.var_names, 2)
     details = {
@@ -356,12 +355,10 @@ def _cmd_tau_group(args, model):
 def _cmd_check_dgroup(args, model):
     group = model.group(args.group)
     section = _named_section(model, args)
-    order = _term_order(args)
-    axioms = check_group_axioms(group, args.degree_cap, order)
-    if not axioms.ok:
-        details = {"group": args.group, "section": args.section, **axioms.as_dict()}
-        return "fail", details
-    report = check_dgroup(group, section.section, args.degree_cap, order)
+    try:
+        report = check_dgroup(group, section.section, args.degree_cap, _term_order(args))
+    except GroupAxiomViolation as exc:
+        report = exc.report
     details = {"group": args.group, "section": args.section, **report.as_dict()}
     return ("pass" if report.ok else "fail"), details
 

@@ -9,7 +9,7 @@ vanishes identically on the variety raises IndeterminateOnVariety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -61,7 +61,6 @@ class AffineAlgGroup:
     mult: RationalMap
     inv: RationalMap
     identity: tuple[FieldElement, ...]
-    _axiom_reports: dict = dataclass_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.mult = RationalMap.coerce(self.mult)
@@ -124,13 +123,7 @@ def _compare_components(
 def check_group_axioms(
     g: AffineAlgGroup, degree_cap: int = 40, order: TermOrder = DEFAULT_ORDER
 ) -> CheckReport:
-    """Identity, inverse, and associativity modulo the stacked variety ideals.
-
-    The report is cached on the group per (degree_cap, order).
-    """
-    cached = g._axiom_reports.get((degree_cap, order))
-    if cached is not None:
-        return cached
+    """Identity, inverse, and associativity modulo the stacked variety ideals."""
     v = g.variety
     n = v.nvars
     report = CheckReport()
@@ -152,8 +145,22 @@ def check_group_axioms(
     _compare_components(
         report, "associativity", left_assoc, right_assoc, gb3, names3, degree_cap
     )
-    g._axiom_reports[(degree_cap, order)] = report
     return report
+
+
+class GroupAxiomViolation(ValueError):
+    """The group axioms fail on a group; ``report`` is their CheckReport."""
+
+    def __init__(self, g: AffineAlgGroup, report: CheckReport):
+        bad = [e.name for e in report.entries if not e.ok]
+        super().__init__(f"group axioms fail for {g.name}: {', '.join(bad)}")
+        self.report = report
+
+
+def _require_axioms(g: AffineAlgGroup, degree_cap: int, order: TermOrder) -> None:
+    report = check_group_axioms(g, degree_cap, order)
+    if not report.ok:
+        raise GroupAxiomViolation(g, report)
 
 
 def _graph_map_swap(v: AffineVariety, first: RationalMap) -> RationalMap:
@@ -199,11 +206,11 @@ def _interleave_permutation(n: int) -> list[int]:
 def tau_group(
     g: AffineAlgGroup, degree_cap: int = 40, order: TermOrder = DEFAULT_ORDER
 ) -> TauGroup:
-    """Prolong the group law; re-verifies the axioms on the output."""
-    axioms = check_group_axioms(g, degree_cap, order)
-    if not axioms.ok:
-        bad = [e.name for e in axioms.entries if not e.ok]
-        raise ValueError(f"group axioms fail for {g.name}: {', '.join(bad)}")
+    """Prolong the group law; re-verifies the axioms on the output.
+
+    Raises GroupAxiomViolation when the axioms fail on g.
+    """
+    _require_axioms(g, degree_cap, order)
     n = g.nvars
     total = tau_variety(g.variety).total
     tmult = tau_map(g.mult).permute_inputs(_interleave_permutation(n))
@@ -252,15 +259,12 @@ def check_dgroup(
 ) -> CheckReport:
     """Section condition into tau(V) and the homomorphism condition for sigma.
 
-    Requires the group axioms to hold; verify those first with
-    check_group_axioms.
+    Checks the group axioms first and raises GroupAxiomViolation when they
+    fail.
     """
     from .expr import format_poly
 
-    axioms = check_group_axioms(g, degree_cap, order)
-    if not axioms.ok:
-        bad = [e.name for e in axioms.entries if not e.ok]
-        raise ValueError(f"group axioms fail for {g.name}: {', '.join(bad)}")
+    _require_axioms(g, degree_cap, order)
     v = g.variety
     n = v.nvars
     sigma = RationalMap.coerce(s.sigma)

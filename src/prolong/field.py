@@ -183,6 +183,23 @@ def _fmt_upoly(a) -> str:
     return " ".join(parts)
 
 
+def power(x, k: int):
+    """x**k for an integer k >= 1, by square-and-multiply from the low bit.
+
+    There is no product by one and no square after the top bit, so the cost
+    is bit_length(k) - 1 squares and popcount(k) - 1 products: x**e costs
+    e - 1 for e <= 3.  x is a field element, a polynomial or a series.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
+
+
 @dataclass(frozen=True)
 class BaseField:
     """Tag object naming the base field: Q or Q(t)."""
@@ -388,19 +405,7 @@ class FieldElement:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        if k == 0:
-            return self.field.one
-        # Square-and-multiply from the low bit, with no product by one and
-        # no square after the top bit: self**e costs e - 1 products for e <= 3.
-        out = None
-        base = self
-        while True:
-            if k & 1:
-                out = base if out is None else out * base
-            k >>= 1
-            if not k:
-                return out
-            base = base * base
+        return power(self, k) if k else self.field.one
 
     def derive(self) -> "FieldElement":
         """Apply the field derivation: zero on Q, d/dt on Q(t)."""

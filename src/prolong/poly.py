@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     IdenticallyZeroDenominator,
     IndexOutOfRange,
 )
-from .field import BaseField, FieldElement
+from .field import BaseField, FieldElement, power
 
 Monomial = tuple[int, ...]
 
@@ -177,14 +178,7 @@ class MultiPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = MultiPoly.const(self.field, self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k) if k else MultiPoly.const(self.field, self.nvars, 1)
 
     def partial(self, i: int) -> "MultiPoly":
         """Partial derivative with respect to variable i."""
@@ -218,20 +212,7 @@ class MultiPoly:
     def evaluate(self, point: Sequence) -> FieldElement:
         if len(point) != self.nvars:
             raise ArityMismatch(f"point of length {len(point)} for {self.nvars} variables")
-        vals = [self.field.elem(v) for v in point]
-        # powers[i][e] is vals[i]**e, computed the first time e occurs
-        powers = [{} for _ in vals]
-        total = self.field.zero
-        for mono, c in self.terms.items():
-            term = c
-            for v, ps, e in zip(vals, powers, mono):
-                if e:
-                    p = ps.get(e)
-                    if p is None:
-                        p = ps[e] = v**e
-                    term = term * p
-            total = total + term
-        return total
+        return evaluate_at(self, [self.field.elem(v) for v in point], self.field.elem)
 
     def substitute(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute args[i] for variable i; args share a common ring."""
@@ -242,23 +223,7 @@ class MultiPoly:
         target = args[0]
         for a in args:
             target._check(a)
-        powers: dict[tuple[int, int], MultiPoly] = {}
-
-        def power(i: int, e: int) -> MultiPoly:
-            got = powers.get((i, e))
-            if got is None:
-                got = args[i] ** e
-                powers[(i, e)] = got
-            return got
-
-        total = MultiPoly.zero(target.field, target.nvars)
-        for mono, c in self.terms.items():
-            term = MultiPoly.const(target.field, target.nvars, c)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * power(i, e)
-            total = total + term
-        return total
+        return evaluate_at(self, args, partial(MultiPoly.const, target.field, target.nvars))
 
     def embed(self, new_nvars: int, index_map: Sequence[int]) -> "MultiPoly":
         """Rename variable i to index_map[i] inside a ring of new_nvars variables."""
@@ -307,6 +272,27 @@ class MultiPoly:
 
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"MultiPoly({self.field}, {format_poly(self, names)!r})"
+
+
+def evaluate_at(p: MultiPoly, values: Sequence, lift):
+    """p at a tuple of values in one ring: field elements, polynomials or series.
+
+    lift carries a coefficient of p into that ring; lift(zero) is the ring's
+    zero.  Each power of each value is computed once, the first time a term
+    needs it.
+    """
+    powers = [{1: v} for v in values]
+    total = None
+    for mono, c in p.terms.items():
+        term = lift(c)
+        for ps, e in zip(powers, mono):
+            if e:
+                x = ps.get(e)
+                if x is None:
+                    x = ps[e] = power(ps[1], e)
+                term = term * x
+        total = term if total is None else total + term
+    return lift(p.field.zero) if total is None else total
 
 
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
@@ -430,41 +416,27 @@ def _subst_rational(
 ) -> tuple[MultiPoly, MultiPoly]:
     """Evaluate p at the rational tuple nums/dens by clearing denominators.
 
-    Returns (N, D) with p(nums/dens) = N/D and D a product of the dens.
+    Returns (N, D) with p(nums/dens) = N/D and D = prod dens_i^deg_i, deg_i
+    the degree of p in variable i.  N is p made homogeneous of degree deg_i
+    in each pair (x_i, y_i), evaluated at nums + dens.
     """
     if len(nums) != p.nvars:
         raise ArityMismatch(f"{len(nums)} arguments for {p.nvars} variables")
     if p.nvars == 0:
         raise ArityMismatch("substitution into a ring with no variables")
     target = nums[0]
-    field, tn = target.field, target.nvars
-    degs = [p.degree_in(i) for i in range(p.nvars)]
-    degs = [max(d, 0) for d in degs]
-    one = MultiPoly.const(field, tn, 1)
-    D = one
+    degs = [max(p.degree_in(i), 0) for i in range(p.nvars)]
+    D = MultiPoly.const(target.field, target.nvars, 1)
     for d, dpoly in zip(degs, dens):
         if d:
             D = D * dpoly**d
-    powers: dict[tuple[str, int, int], MultiPoly] = {}
-
-    def power(tag: str, polys, i: int, e: int) -> MultiPoly:
-        got = powers.get((tag, i, e))
-        if got is None:
-            got = polys[i] ** e
-            powers[(tag, i, e)] = got
-        return got
-
-    N = MultiPoly.zero(field, tn)
-    for mono, c in p.terms.items():
-        term = MultiPoly.const(field, tn, c)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * power("n", nums, i, e)
-            rest = degs[i] - e
-            if rest:
-                term = term * power("d", dens, i, rest)
-        N = N + term
-    return N, D
+    homogeneous = MultiPoly._of(
+        p.field,
+        2 * p.nvars,
+        {mono + tuple(d - e for d, e in zip(degs, mono)): c for mono, c in p.terms.items()},
+    )
+    lift = partial(MultiPoly.const, target.field, target.nvars)
+    return evaluate_at(homogeneous, list(nums) + list(dens), lift), D
 
 
 @dataclass(frozen=True)
@@ -562,13 +534,10 @@ class RationalMap:
         return all(den.is_constant for _, den in self.components)
 
     def as_polymap(self) -> PolyMap:
+        """The numerators: a constant canonical denominator is 1."""
         if not self.is_polynomial():
             raise ValueError("map has nonconstant denominators")
-        comps = []
-        for num, den in self.components:
-            c = den.constant_value()
-            comps.append(num if c.is_one else num * c.inverse())
-        return PolyMap(self.field, self.in_arity, tuple(comps))
+        return PolyMap(self.field, self.in_arity, tuple(num for num, _ in self.components))
 
     def evaluate(self, point: Sequence) -> tuple[FieldElement, ...]:
         out = []

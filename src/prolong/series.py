@@ -11,8 +11,8 @@ from .errors import (
     NonUnitConstantTerm,
     PointNotOnVariety,
 )
-from .field import FieldElement
-from .poly import PolyMap, RationalMap
+from .field import FieldElement, power
+from .poly import PolyMap, RationalMap, evaluate_at
 from .reporting import CheckReport
 
 _ZERO = Fraction(0)
@@ -153,20 +153,7 @@ class TruncSeries:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if exponent == 0:
-            return TruncSeries.const(1, self.order)
-        # Square-and-multiply from the low bit, with no product by one and
-        # no square after the top bit.
-        result = None
-        base = self
-        e = exponent
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return power(self, exponent) if exponent else TruncSeries.const(1, self.order)
 
     def derive(self):
         if self.order == 0:
@@ -282,19 +269,7 @@ def poly_on_series(p, point):
     if p.nvars != len(point):
         raise ArityMismatch(f"expected {p.nvars} components, got {len(point)}")
     order = point.order
-    acc = TruncSeries.zero(order)
-    powers = [{1: c} for c in point]
-    for mono, coeff in p.terms.items():
-        term = element_to_series(coeff, order)
-        for i, e in enumerate(mono):
-            if e == 0:
-                continue
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = point[i] ** e
-            term = term * cache[e]
-        acc = acc + term
-    return acc
+    return evaluate_at(p, point.components, lambda c: element_to_series(c, order))
 
 
 def map_on_series(f, point):

@@ -9,6 +9,7 @@ from prolong import (
     DegreeCapExceeded,
     DGroup,
     DGroupSection,
+    GroupAxiomViolation,
     IndeterminateOnVariety,
     Q,
     QT,
@@ -73,20 +74,32 @@ def test_group_axioms_hold():
         assert any(n.startswith("associativity") for n in names)
 
 
-def test_axiom_report_is_cached():
-    g = multiplicative_group(Q)
-    assert check_group_axioms(g) is check_group_axioms(g)
+def test_axiom_check_follows_a_changed_law():
+    g = triangular_group(Q)
+    assert check_group_axioms(g).ok
+    # (1, 0, 1) is no longer a unit of the law
+    g.mult = rmap(Q, ("x1", "y1", "w1", "x2", "y2", "w2"), ["x1*x2", "y1 + y2 + 1", "w1*w2"])
+    fresh = AffineAlgGroup("B", g.variety, g.mult, g.inv, g.identity)
+    report = check_group_axioms(g)
+    assert not report.ok
+    assert report.as_dict() == check_group_axioms(fresh).as_dict()
+    sigma = section(g, ["0", "1 - x", "0"])
+    for check in (lambda: tau_group(g), lambda: check_dgroup(g, sigma)):
+        with pytest.raises(GroupAxiomViolation) as info:
+            check()
+        assert isinstance(info.value, ValueError)
+        assert info.value.report.as_dict() == report.as_dict()
 
 
-def test_axiom_report_cache_is_keyed_on_cap_and_order():
+def test_axiom_check_honours_cap_and_order():
     g = multiplicative_group(Q)
     assert check_group_axioms(g).ok
-    # x*w - 1 has degree 2, so a cap of 1 fails whether or not a report is cached
+    # x*w - 1 has degree 2, so a cap of 1 fails after a passing check too
     with pytest.raises(DegreeCapExceeded):
         check_group_axioms(g, degree_cap=1)
-    lex = TermOrder("lex")
-    assert check_group_axioms(g, order=lex) is not check_group_axioms(g)
-    assert check_group_axioms(g, order=lex) is check_group_axioms(g, order=lex)
+    lex = check_group_axioms(g, order=TermOrder("lex"))
+    assert lex.ok
+    assert lex.as_dict() == check_group_axioms(g).as_dict()
 
 
 def test_broken_group_law_detected():

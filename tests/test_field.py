@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from prolong import Q, QT, DivisionByZero, MultiPoly, format_element, parse_element
+from prolong.field import power
 
 from helpers import random_element, random_fraction, random_point, random_unit
 
@@ -57,6 +58,24 @@ def test_pow_including_negative():
     assert e ** 3 == qt("(1 + t)^3")
     assert e ** 0 == QT.one
     assert e ** -2 == QT.one / qt("(1 + t)^2")
+
+
+def test_power_squares_and_multiplies_without_waste():
+    class Counted:
+        products = 0
+
+        def __init__(self, e):
+            self.e = e
+
+        def __mul__(self, other):
+            Counted.products += 1
+            return Counted(self.e + other.e)
+
+    for k in range(1, 70):
+        Counted.products = 0
+        assert power(Counted(1), k).e == k
+        # bit_length - 1 squares, popcount - 1 products into the result
+        assert Counted.products == k.bit_length() + bin(k).count("1") - 2, k
 
 
 def test_derive_on_q_is_zero():

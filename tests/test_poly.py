@@ -18,7 +18,8 @@ from prolong import (
     parse_rational,
     poly_gcd,
 )
-from prolong.poly import reduce_fraction
+import prolong.poly as poly_module
+from prolong.poly import _subst_rational, reduce_fraction
 
 from helpers import pmap, poly, random_nonzero_poly, random_point, random_poly, rmap
 
@@ -54,6 +55,73 @@ def test_power():
     p = poly("x + y", XY, Q)
     assert p ** 2 == poly("x^2 + 2*x*y + y^2", XY, Q)
     assert p ** 0 == MultiPoly.const(Q, 2, 1)
+
+
+def test_power_products(monkeypatch):
+    p = poly("x + 2*y - 1", XY, Q)
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    powers = {}
+    for k, cost in ((1, 0), (2, 1), (5, 3)):
+        products.clear()
+        powers[k] = p**k
+        assert len(products) == cost, k
+    monkeypatch.undo()
+    assert powers[1] == p
+    assert powers[2] == p * p
+    assert powers[5] == p * p * p * p * p
+
+
+def test_evaluation_computes_each_power_once(monkeypatch):
+    p = poly("x^3 + x^3*y - 2*y^2 + x*y^2 + x + 5", XY, QT)
+    exponents = []
+    real = poly_module.power
+
+    def counted(x, k):
+        exponents.append(k)
+        return real(x, k)
+
+    monkeypatch.setattr(poly_module, "power", counted)
+    a = (QT.t, parse_element("1/(1 + t)", QT))
+    value = p.evaluate(a)
+    assert sorted(exponents) == [2, 3]
+    exponents.clear()
+    image = p.substitute((poly("x + y", XY, QT), poly("x*y", XY, QT)))
+    assert sorted(exponents) == [2, 3]
+    monkeypatch.undo()
+    x, y = a
+    assert value == x**3 + x**3 * y - 2 * y**2 + x * y**2 + x + 5
+    expected = "(x + y)^3 + (x + y)^3*x*y - 2*x^2*y^2 + (x + y)*x^2*y^2 + x + y + 5"
+    assert image == poly(expected, XY, QT)
+
+
+def test_zero_polynomial_evaluates_to_zero():
+    zero = MultiPoly.zero(QT, 2)
+    assert zero.evaluate((QT.t, QT.one)) == QT.zero
+    image = zero.substitute((poly("x", XYZ, QT), poly("y*z", XYZ, QT)))
+    assert image.is_zero and image.nvars == 3
+
+
+def test_subst_rational_clears_denominators(rng):
+    p = poly("x^2*y - 3*y^2 + t*x + 1", XY, QT)
+    nums = (poly("x + t", XY, QT), poly("y", XY, QT))
+    dens = (poly("y - 1", XY, QT), poly("x^2 + 1", XY, QT))
+    N, D = _subst_rational(p, nums, dens)
+    # degree 2 in x and in y
+    assert D == dens[0] ** 2 * dens[1] ** 2
+    for _ in range(10):
+        a = random_point(rng, QT, 2)
+        d = tuple(q.evaluate(a) for q in dens)
+        if any(v.is_zero for v in d):
+            continue
+        point = tuple(n.evaluate(a) / v for n, v in zip(nums, d))
+        assert N.evaluate(a) / D.evaluate(a) == p.evaluate(point)
 
 
 def test_partial_derivatives():
@@ -168,6 +236,25 @@ def test_map_product_blocks(rng):
     a = random_point(rng, Q, 2)
     out = p.evaluate(a)
     assert out == (a[0] ** 2, a[1] + 1, 2 * a[1])
+
+
+def test_map_product_of_polynomial_maps():
+    f = pmap(Q, ("x",), ("x^2",))
+    g = pmap(Q, ("y",), ("y + 1", "2*y"))
+    p = map_product(f, g)
+    assert isinstance(p, PolyMap)
+    assert p.components == (poly("x^2", XY, Q), poly("y + 1", XY, Q), poly("2*y", XY, Q))
+    assert isinstance(map_product(f, g.as_rational()), RationalMap)
+
+
+def test_rational_map_as_polymap():
+    f = rmap(Q, XY, ["(x^2 - y)/3", "2*x*y + 1"])
+    g = f.as_polymap()
+    assert isinstance(g, PolyMap)
+    assert g.components == (poly("x^2 - y", XY, Q) * Fraction(1, 3), poly("2*x*y + 1", XY, Q))
+    assert g.as_rational() == f
+    with pytest.raises(ValueError):
+        rmap(Q, XY, ["x/y", "x"]).as_polymap()
 
 
 def test_compose_chain_associativity(rng):

@@ -148,6 +148,11 @@ def test_poly_on_series():
     assert poly_on_series(p, pt) == series(0, 2, 2)
 
 
+def test_poly_on_series_of_zero_keeps_the_order():
+    pt = SeriesPoint((series(1, 2, 3), series(0, 1, 0)))
+    assert poly_on_series(MultiPoly.zero(Q, 2), pt) == series(0, 0, 0)
+
+
 def test_poly_on_series_with_t_coefficients():
     p = poly("x - t", ("x",), QT)
     pt = SeriesPoint((series(0, 1, 0),))
