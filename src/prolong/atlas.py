@@ -149,11 +149,18 @@ def check_sigma_compatibility(
     pu = tuple(m.field.elem(v) for v in u)
     if len(pa) != m.dim or len(pu) != m.dim:
         raise ArityMismatch(f"point and vector must have length {m.dim}")
+    return _sigma_compatible(phi, tangent_map(phi), tau_map(phi), pa, pu)
+
+
+def _sigma_compatible(
+    phi: RationalMap, tangent: RationalMap, tau: RationalMap, pa: tuple, pu: tuple
+) -> bool:
+    """check_sigma_compatibility with D(phi) and tau(phi) built by the caller,
+    once per transition; pa and pu are field elements of the right length."""
     image = phi.evaluate(pa)
-    tangent_image = tangent_map(phi).evaluate(pa + pu)
-    v = tangent_image[m.dim :]
+    v = tangent.evaluate(pa + pu)[len(pa) :]
     sheared = tuple(x + dx for x, dx in zip(pu, derive_point(pa)))
-    tau_image = tau_map(phi).evaluate(pa + sheared)
+    tau_image = tau.evaluate(pa + sheared)
     expected = image + tuple(x + dx for x, dx in zip(v, derive_point(image)))
     return tau_image == expected
 

@@ -74,18 +74,19 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, field: BaseField, nvars: int) -> "MultiPoly":
-        return cls(field, nvars)
+        return cls._of(field, nvars, {})
 
     @classmethod
     def const(cls, field: BaseField, nvars: int, value) -> "MultiPoly":
-        return cls(field, nvars, {(0,) * nvars: field.elem(value)})
+        c = field.elem(value)
+        return cls._of(field, nvars, {} if c.is_zero else {(0,) * nvars: c})
 
     @classmethod
     def var(cls, field: BaseField, nvars: int, i: int) -> "MultiPoly":
         if not 0 <= i < nvars:
             raise IndexOutOfRange(f"variable index {i} out of range for {nvars} variables")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(field, nvars, {mono: field.one})
+        return cls._of(field, nvars, {mono: field.one})
 
     @property
     def is_zero(self) -> bool:
@@ -256,16 +257,15 @@ class MultiPoly:
     def sorted_terms(self, key=grevlex_key, reverse=True):
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]), reverse=reverse)
 
-    def _key(self):
-        return (self.field.tag, self.nvars, frozenset(self.terms.items()))
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self._key() == other._key()
+        return (
+            self.field == other.field and self.nvars == other.nvars and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.field.tag, self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         from .expr import format_poly
@@ -279,18 +279,22 @@ def evaluate_at(p: MultiPoly, values: Sequence, lift):
 
     lift carries a coefficient of p into that ring; lift(zero) is the ring's
     zero.  Each power of each value is computed once, the first time a term
-    needs it.
+    needs it, and a coefficient 1 is not multiplied in.
     """
-    powers = [{1: v} for v in values]
+    powers = {}
     total = None
     for mono, c in p.terms.items():
-        term = lift(c)
-        for ps, e in zip(powers, mono):
+        term = None
+        for i, e in enumerate(mono):
             if e:
-                x = ps.get(e)
+                x = powers.get((i, e))
                 if x is None:
-                    x = ps[e] = power(ps[1], e)
-                term = term * x
+                    x = powers[i, e] = values[i] if e == 1 else power(values[i], e)
+                term = x if term is None else term * x
+        if term is None:
+            term = lift(c)
+        elif not c.is_one:
+            term = lift(c) * term
         total = term if total is None else total + term
     return lift(p.field.zero) if total is None else total
 
@@ -399,6 +403,11 @@ def reduce_fraction(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPol
         raise IdenticallyZeroDenominator("denominator is the zero polynomial")
     if num.is_zero:
         return num, MultiPoly.const(num.field, num.nvars, 1)
+    if den.is_constant:
+        c = den.constant_value()
+        if c.is_one:
+            return num, den
+        return num * c.inverse(), MultiPoly.const(num.field, num.nvars, 1)
     g = poly_gcd(num, den)
     if not (g.is_constant and g.constant_value().is_one):
         num = exact_div(num, g)
@@ -439,6 +448,12 @@ def _subst_rational(
     return evaluate_at(homogeneous, list(nums) + list(dens), lift), D
 
 
+def _substitute_into(p: MultiPoly, inner: "PolyMap") -> MultiPoly:
+    """p after inner: PolyMap checked the ring of inner's components once."""
+    lift = partial(MultiPoly.const, inner.field, inner.in_arity)
+    return evaluate_at(p, inner.components, lift)
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """Polynomial map K^in_arity -> K^out_arity, one MultiPoly per output."""
@@ -471,7 +486,7 @@ class PolyMap:
             raise ArityMismatch(
                 f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"
             )
-        comps = tuple(c.substitute(inner.components) for c in self.components)
+        comps = tuple(_substitute_into(c, inner) for c in self.components)
         return PolyMap(self.field, inner.in_arity, comps)
 
     def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
@@ -549,24 +564,31 @@ class RationalMap:
         return tuple(out)
 
     def compose(self, inner) -> "RationalMap":
-        """self after inner."""
+        """self after inner.
+
+        After a polynomial inner map this is plain substitution, since a
+        constant canonical denominator is 1; otherwise each component goes
+        through _subst_rational.
+        """
         inner = RationalMap.coerce(inner)
         if inner.out_arity != self.in_arity:
             raise ArityMismatch(
                 f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"
             )
-        nums = [n for n, _ in inner.components]
-        dens = [d for _, d in inner.components]
         comps = []
-        for pnum, pden in self.components:
-            n1, d1 = _subst_rational(pnum, nums, dens)
-            n2, d2 = _subst_rational(pden, nums, dens)
-            num, den = n1 * d2, d1 * n2
-            if den.is_zero:
-                raise IdenticallyZeroDenominator(
-                    "denominator vanishes identically after composition"
-                )
-            comps.append((num, den))
+        if inner.is_polynomial():
+            args = inner.as_polymap()
+            for pnum, pden in self.components:
+                comps.append((_substitute_into(pnum, args), _substitute_into(pden, args)))
+        else:
+            nums = [n for n, _ in inner.components]
+            dens = [d for _, d in inner.components]
+            for pnum, pden in self.components:
+                n1, d1 = _subst_rational(pnum, nums, dens)
+                n2, d2 = _subst_rational(pden, nums, dens)
+                comps.append((n1 * d2, d1 * n2))
+        if any(den.is_zero for _, den in comps):
+            raise IdenticallyZeroDenominator("denominator vanishes identically after composition")
         return RationalMap(self.field, inner.in_arity, tuple(comps))
 
     def permute_inputs(self, new_index_of_old: Sequence[int]) -> "RationalMap":
@@ -585,12 +607,13 @@ class RationalMap:
         return RationalMap(self.field, new_arity, comps)
 
     def equiv(self, other: "RationalMap") -> bool:
-        """Componentwise equality by cross multiplication."""
+        """Componentwise equality: of numerators over equal denominators,
+        else by cross multiplication."""
         other = RationalMap.coerce(other)
         if self.out_arity != other.out_arity or self.in_arity != other.in_arity:
             return False
         for (n1, d1), (n2, d2) in zip(self.components, other.components):
-            if not (n1 * d2 - n2 * d1).is_zero:
+            if not (n1 == n2 if d1 == d2 else (n1 * d2 - n2 * d1).is_zero):
                 return False
         return True
 

@@ -1,7 +1,12 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import prolong.atlas as atlas_module
+import prolong.cli as cli_module
+import prolong.prolongation as prolongation_module
 from prolong import (
     ArityMismatch,
     AtlasManifold,
@@ -153,6 +158,26 @@ def test_sigma_compatibility_on_samples():
         (u,) = sample_point(QT, rng, 1)
         assert check_sigma_compatibility(m, 1, 2, (a,), (u,))
         checked += 1
+
+
+def test_tau_atlas_prolongs_each_transition_once(monkeypatch, capsys):
+    calls = []
+    for name in ("tangent_map", "tau_map"):
+        real = getattr(prolongation_module, name)
+
+        def counted(f, _name=name, _real=real):
+            calls.append(_name)
+            return _real(f)
+
+        for module in (atlas_module, cli_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    model = str(Path(__file__).parent / "data" / "model_qt.json")
+    assert cli_module.main(["tau-atlas", "-i", model, "-a", "P1"]) == 0
+    entries = json.loads(capsys.readouterr().out)["details"]["sigma_compatibility"]
+    assert [e["samples"] for e in entries] == [20, 20]
+    assert calls.count("tangent_map") <= len(entries)
+    assert calls.count("tau_map") <= len(entries)
 
 
 def test_sigma_pointwise_shear():

@@ -21,7 +21,16 @@ from prolong import (
 import prolong.poly as poly_module
 from prolong.poly import _subst_rational, reduce_fraction
 
-from helpers import pmap, poly, random_nonzero_poly, random_point, random_poly, rmap
+from helpers import (
+    pmap,
+    poly,
+    random_nonzero_poly,
+    random_point,
+    random_poly,
+    random_polymap,
+    random_unit,
+    rmap,
+)
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -175,6 +184,101 @@ def test_reduce_fraction_cancels():
     rnum, rden = reduce_fraction(num, den)
     assert rnum == poly("x - y", XY, Q)
     assert rden == MultiPoly.const(Q, 2, 1)
+
+
+def test_reduce_fraction_constant_denominator(rng):
+    for field in (Q, QT):
+        for num in [MultiPoly.zero(field, 2)] + [random_poly(rng, field, 2) for _ in range(8)]:
+            c = random_unit(rng, field) * 3
+            one = MultiPoly.const(field, 2, 1)
+            expected = MultiPoly(field, 2, {m: a / c for m, a in num.terms.items()})
+            assert reduce_fraction(num, MultiPoly.const(field, 2, c)) == (expected, one)
+            assert reduce_fraction(num, one) == (num, one)
+
+
+def test_const_and_var_refuse_floats():
+    with pytest.raises(TypeError):
+        MultiPoly.const(Q, 2, 0.5)
+    assert MultiPoly.const(QT, 2, 0).is_zero
+    assert MultiPoly.var(Q, 2, 1) == poly("y", XY, Q)
+
+
+def count_gcd_calls(monkeypatch):
+    calls = []
+    real = poly_module.poly_gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counted)
+    return calls
+
+
+def test_polynomial_maps_make_no_gcd(monkeypatch, rng):
+    f = random_polymap(rng, QT, 2, 3)
+    g = random_polymap(rng, QT, 3, 2)
+    calls = count_gcd_calls(monkeypatch)
+    composed = g.as_rational().compose(f.as_rational())
+    assert composed.as_polymap() == g.compose(f)
+    halves = tuple((c, MultiPoly.const(QT, 2, 2)) for c in f.components)
+    assert RationalMap(QT, 2, halves).is_polynomial()
+    assert calls == []
+    rmap(QT, XY, ["x/(x + y)"])
+    assert calls
+
+
+def compose_by_subst_rational(outer, inner):
+    nums = [n for n, _ in inner.components]
+    dens = [d for _, d in inner.components]
+    comps = []
+    for pnum, pden in outer.components:
+        n1, d1 = _subst_rational(pnum, nums, dens)
+        n2, d2 = _subst_rational(pden, nums, dens)
+        comps.append((n1 * d2, d1 * n2))
+    return RationalMap(outer.field, inner.in_arity, tuple(comps))
+
+
+def test_compose_after_polynomial_map_matches_subst_rational(rng):
+    composed = 0
+    for field in (Q, QT):
+        for _ in range(6):
+            inner = random_polymap(rng, field, 2, 2, deg=2, tdeg=1).as_rational()
+            fractions = tuple(
+                (
+                    random_poly(rng, field, 2, deg=2, tdeg=1),
+                    random_nonzero_poly(rng, field, 2, deg=2, tdeg=1),
+                )
+                for _ in range(2)
+            )
+            outers = (
+                RationalMap(field, 2, fractions),
+                random_polymap(rng, field, 2, 2, deg=2, tdeg=1).as_rational(),
+            )
+            for outer in outers:
+                try:
+                    expected = compose_by_subst_rational(outer, inner)
+                except IdenticallyZeroDenominator:
+                    with pytest.raises(IdenticallyZeroDenominator):
+                        outer.compose(inner)
+                    continue
+                assert outer.compose(inner).components == expected.components
+                composed += 1
+    assert composed >= 20
+
+
+def test_compose_after_polynomial_map_zero_denominator():
+    f = rmap(Q, XY, ["1/(x - y)"])
+    with pytest.raises(IdenticallyZeroDenominator):
+        f.compose(pmap(Q, XY, ["x", "x"]))
+
+
+def test_equiv_over_equal_denominators():
+    f = rmap(QT, XY, ["x/(y + t)", "x*y"])
+    assert f.equiv(rmap(QT, XY, ["x/(y + t)", "y*x"]))
+    assert not f.equiv(rmap(QT, XY, ["(x + 1)/(y + t)", "x*y"]))
+    assert not f.equiv(rmap(QT, XY, ["x/(y + t)", "x*y + 1"]))
+    assert f.equiv(rmap(QT, XY, ["x*(x + 1)/((y + t)*(x + 1))", "x*y"]))
 
 
 def test_reduce_fraction_zero_denominator():
