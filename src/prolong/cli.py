@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -679,7 +680,14 @@ def main(argv=None) -> int:
         "status": status,
         "timing_ms": int((time.perf_counter() - started) * 1000),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout.  The verdict stands; stdout now points at
+        # the null device, so the flush at interpreter exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return {"pass": 0, "fail": 1, "error": 2}[status]
 
 

@@ -111,7 +111,12 @@ def _compare_components(
                 raise IndeterminateOnVariety(
                     f"{label}: a cleared denominator vanishes identically on the variety"
                 )
-        witness = normal_form(rn * ld - ln * rd, gb, degree_cap)
+        # a canonical constant denominator is 1: compare the numerators
+        if ld.is_constant and rd.is_constant:
+            diff = rn - ln
+        else:
+            diff = rn * ld - ln * rd
+        witness = normal_form(diff, gb, degree_cap)
         ok = witness.is_zero
         report.add(
             f"{label}: component {k}",

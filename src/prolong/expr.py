@@ -19,14 +19,16 @@ are at most MAX_DEGREE, no power or product is expanded when its total
 degree in the variables would exceed MAX_DEGREE, and the products one parse
 expands cost at most MAX_WORK coefficient products in all.  Each bound
 raises ExprSyntaxError before the work that would break it is done.
+
+check_poly and check_rational run the same descent and build nothing, for a
+caller that wants an expression's faults now and its polynomial later.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ExprSyntaxError,
@@ -40,6 +42,8 @@ from .poly import MultiPoly, reduce_fraction
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
 
 _INT, _NAME, _OP, _END = "int", "name", "op", "end"
+# token kind by the number of the _TOKEN_RE group that matched
+_KINDS = (None, _INT, _NAME, _OP)
 
 # Each level of parentheses costs four stack frames of the descent, so this
 # stays far below the interpreter's recursion limit.
@@ -61,8 +65,7 @@ def _is_one(p: MultiPoly) -> bool:
     return len(p.terms) == 1 and p.is_constant and p.constant_value().is_one
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int
@@ -81,12 +84,8 @@ def _tokenize(src: str) -> list[_Token]:
             if j >= n:
                 break
             raise ExprSyntaxError(f"unexpected character {src[j]!r}", j)
-        if m.group(1) is not None:
-            tokens.append(_Token(_INT, m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(_Token(_NAME, m.group(2), m.start(2)))
-        else:
-            tokens.append(_Token(_OP, m.group(3), m.start(3)))
+        g = m.lastindex
+        tokens.append(_Token(_KINDS[g], m.group(g), m.start(g)))
         i = m.end()
     tokens.append(_Token(_END, "", n))
     return tokens
@@ -124,6 +123,9 @@ class _Parser:
     def _one(self) -> MultiPoly:
         return self._const(1)
 
+    def _var(self, idx: int) -> MultiPoly:
+        return MultiPoly.var(self.field, self.nvars, idx)
+
     def _mul(self, a: MultiPoly, b: MultiPoly, pos: int) -> MultiPoly:
         # most products are by the denominator 1: they cost nothing
         if _is_one(b):
@@ -136,6 +138,11 @@ class _Parser:
         if self.work > MAX_WORK:
             raise ExprSyntaxError(f"expression expands beyond {MAX_WORK} coefficient products", pos)
         return a * b
+
+    def _power(self, num: MultiPoly, den: MultiPoly, e: int, pos: int):
+        if e * max(num.total_degree(), den.total_degree()) > MAX_DEGREE:
+            raise ExprSyntaxError(f"power of degree above {MAX_DEGREE}", pos)
+        return self._pow(num, e, pos), self._pow(den, e, pos)
 
     def _pow(self, base: MultiPoly, e: int, pos: int) -> MultiPoly:
         """base**e by square-and-multiply through _mul, so the budget sees it."""
@@ -205,9 +212,7 @@ class _Parser:
             e = int(etok.text)
             if e > MAX_DEGREE:
                 raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", etok.pos)
-            if e * max(num.total_degree(), den.total_degree()) > MAX_DEGREE:
-                raise ExprSyntaxError(f"power of degree above {MAX_DEGREE}", etok.pos)
-            num, den = self._pow(num, e, etok.pos), self._pow(den, e, etok.pos)
+            num, den = self._power(num, den, e, etok.pos)
         return num, den
 
     def atom(self) -> tuple[MultiPoly, MultiPoly]:
@@ -235,7 +240,7 @@ class _Parser:
             idx = self.vars.get(tok.text)
             if idx is None:
                 raise UnknownVariable(tok.text, tok.pos)
-            return MultiPoly.var(self.field, self.nvars, idx), self._one()
+            return self._var(idx), self._one()
         if tok.kind == _OP and tok.text == "(":
             if self.depth == MAX_NESTING:
                 raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
@@ -250,6 +255,53 @@ class _Parser:
             f"expected a value, found {tok.text!r}" if tok.kind != _END else "unexpected end of input",
             tok.pos,
         )
+
+
+class _Blank:
+    """What the recogniser builds in place of a polynomial: nothing."""
+
+    is_zero = False
+
+    def __neg__(self):
+        return self
+
+    def __add__(self, other):
+        return self
+
+
+_BLANK = _Blank()
+
+
+class _Recogniser(_Parser):
+    """The parser's descent with every value left unbuilt.
+
+    It raises each fault the parser raises, except the three that depend on
+    the expanded polynomials: a divisor that is identically zero, a product
+    or power of degree above MAX_DEGREE, and MAX_WORK.
+    """
+
+    def _const(self, value):
+        return _BLANK
+
+    def _var(self, idx):
+        return _BLANK
+
+    def _mul(self, a, b, pos):
+        return _BLANK
+
+    def _power(self, num, den, e, pos):
+        return _BLANK, _BLANK
+
+
+def check_poly(src: str, var_names: Sequence[str], field: BaseField) -> None:
+    """Raise what parse_poly would, except a fault of the expanded values
+    (see _Recogniser), and build nothing."""
+    _Recogniser(src, field, var_names, allow_div=False).parse()
+
+
+def check_rational(src: str, var_names: Sequence[str], field: BaseField) -> None:
+    """check_poly for parse_rational, and with no variables for parse_element."""
+    _Recogniser(src, field, var_names, allow_div=True).parse()
 
 
 def parse_poly(src: str, var_names: Sequence[str], field: BaseField) -> MultiPoly:

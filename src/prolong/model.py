@@ -14,17 +14,29 @@ Conventions fixed here:
     atlas object carries an explicit "coords" list;
   - correspondence generators live on the concatenated coordinates of the
     left then the right variety.
+
+load_model checks the whole document and builds no polynomial: its shape,
+keys and names, cross-references and caps, component and identity counts,
+atlas chart keys, and the grammar of every expression (expr.check_poly,
+expr.check_rational).  Each object is built the first time the Model is
+asked for it, and kept: a section builds its group, a group its variety.
+Only the faults that depend on an expanded polynomial wait for that build:
+a divisor that is identically zero, a product or power of degree above the
+cap, and the parse work budget.  They are ModelErrors located at where[k],
+as the load time faults are.  An expression with a fault of both kinds
+reports its syntax fault, at load time.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .atlas import AtlasManifold
+from .atlas import AtlasManifold, _check_chart_pair
 from .dgroup import AffineAlgGroup, DGroupSection, stacked_names
-from .errors import ExprSyntaxError, ModelError, ProlongError
-from .expr import parse_element, parse_poly, parse_rational
+from .errors import ExprSyntaxError, IdenticallyZeroDenominator, ModelError
+from .expr import check_poly, check_rational, parse_element, parse_poly, parse_rational
 from .field import Q, QT, BaseField
 from .poly import RationalMap
 from .prolongation import AffineVariety, Correspondence
@@ -43,9 +55,9 @@ _TOP_KEYS = (
 # Largest atlas dimension and chart count a model may declare.  Both are
 # checked before coordinate names or chart ids are built.  Work grows with
 # them: tau-atlas --samples 200 on a two-chart atlas with x1 -> 1/x1 takes
-# about 3 s at dimension 10 and 10 s at dimension 20; with all 380
-# transitions of 20 charts declared at dimension 20, check-cocycle takes
-# about 34 s and tau-atlas --samples 1 about 115 s.
+# about 0.6 s at dimension 20; with all 380 transitions of 20 charts
+# declared at dimension 20 (identity maps), check-cocycle takes about 1.3 s
+# and tau-atlas --samples 1 about 7 s (CLI runs, 2-core x86 VM, Python 3.11).
 MAX_ATLAS_DIM = 20
 MAX_ATLAS_CHARTS = 20
 
@@ -68,15 +80,47 @@ class ModelSection:
     section: DGroupSection
 
 
+class _Table(Mapping):
+    """One category of a loaded model: a read-only name -> object table.
+
+    load_model adds each checked entry with the coordinate names it is
+    written in and its builder; the object is built on its first lookup and
+    kept.
+    """
+
+    def __init__(self):
+        self.coords = {}
+        self._builders = {}
+        self._built = {}
+
+    def add(self, name, coords, build):
+        self.coords[name] = coords
+        self._builders[name] = build
+
+    def __getitem__(self, name):
+        if name not in self._built:
+            self._built[name] = self._builders[name]()
+        return self._built[name]
+
+    def __contains__(self, name):
+        return name in self._builders
+
+    def __iter__(self):
+        return iter(self._builders)
+
+    def __len__(self):
+        return len(self._builders)
+
+
 @dataclass(frozen=True)
 class Model:
     field: BaseField
-    varieties: dict
-    maps: dict
-    groups: dict
-    sections: dict
-    atlases: dict
-    correspondences: dict
+    varieties: Mapping
+    maps: Mapping
+    groups: Mapping
+    sections: Mapping
+    atlases: Mapping
+    correspondences: Mapping
 
     def variety(self, name):
         return _lookup(self.varieties, name, "variety")
@@ -166,78 +210,107 @@ def _expect_strings(value, where, allow_empty=False):
     return tuple(value)
 
 
-def _parse_polys(exprs, var_names, field, where):
+def _each(parse, texts, var_names, field, where):
+    """parse(text, var_names, field) for each text; a fault is a ModelError
+    at where[k]."""
     out = []
-    for k, text in enumerate(exprs):
+    for k, text in enumerate(texts):
         try:
-            out.append(parse_poly(text, var_names, field))
-        except ExprSyntaxError as exc:
+            out.append(parse(text, var_names, field))
+        except (ExprSyntaxError, IdenticallyZeroDenominator) as exc:
             raise ModelError(f"{where}[{k}]: {exc}") from exc
     return tuple(out)
 
 
-def _parse_map(exprs, var_names, field, where):
-    comps = []
-    for k, text in enumerate(exprs):
-        try:
-            comps.append(parse_rational(text, var_names, field))
-        except ExprSyntaxError as exc:
-            raise ModelError(f"{where}[{k}]: {exc}") from exc
-    return RationalMap(field, len(var_names), tuple(comps))
+def _parse_map(texts, var_names, field, where):
+    comps = _each(parse_rational, texts, var_names, field, where)
+    return RationalMap(field, len(var_names), comps)
 
 
-def _load_variety(name, spec, field):
+# Each _check_* checks one entry of a document and returns the coordinate
+# names the entry is written in and the function that builds it.
+
+
+def _check_variety(name, spec, field):
     _expect_keys(spec, f"variety {name!r}", ("vars",), ("gens",))
     var_names = _expect_names(spec["vars"], f"variety {name!r} vars")
-    gen_texts = _expect_strings(spec.get("gens", []), f"variety {name!r} gens", allow_empty=True)
-    gens = _parse_polys(gen_texts, var_names, field, f"variety {name!r} gens")
-    return AffineVariety(name, field, var_names, gens)
+    where = f"variety {name!r} gens"
+    gens = _expect_strings(spec.get("gens", []), where, allow_empty=True)
+    _each(check_poly, gens, var_names, field, where)
+
+    def build():
+        polys = _each(parse_poly, gens, var_names, field, where)
+        return AffineVariety(name, field, var_names, polys)
+
+    return var_names, build
 
 
-def _load_map(name, spec, field):
+def _check_map(name, spec, field):
     _expect_keys(spec, f"map {name!r}", ("vars", "components"))
     var_names = _expect_names(spec["vars"], f"map {name!r} vars")
-    comps = _expect_strings(spec["components"], f"map {name!r} components")
-    rmap = _parse_map(comps, var_names, field, f"map {name!r} components")
-    return ModelMap(name, var_names, rmap)
+    where = f"map {name!r} components"
+    comps = _expect_strings(spec["components"], where)
+    _each(check_rational, comps, var_names, field, where)
+
+    def build():
+        return ModelMap(name, var_names, _parse_map(comps, var_names, field, where))
+
+    return var_names, build
 
 
-def _load_group(name, spec, field, varieties):
+def _check_group(name, spec, field, varieties):
     _expect_keys(spec, f"group {name!r}", ("variety", "mult", "inv", "identity"))
-    variety = _lookup(varieties, spec["variety"], "variety")
-    names = variety.var_names
+    vname = spec["variety"]
+    names = _lookup(varieties.coords, vname, "variety")
     mult_vars = stacked_names(names, 2)
-    mult = _parse_map(
-        _expect_strings(spec["mult"], f"group {name!r} mult"),
-        mult_vars, field, f"group {name!r} mult",
-    )
-    inv = _parse_map(
-        _expect_strings(spec["inv"], f"group {name!r} inv"),
-        names, field, f"group {name!r} inv",
-    )
-    id_texts = _expect_strings(spec["identity"], f"group {name!r} identity")
+    mult_at, inv_at = f"group {name!r} mult", f"group {name!r} inv"
+    mult = _expect_strings(spec["mult"], mult_at)
+    _each(check_rational, mult, mult_vars, field, mult_at)
+    inv = _expect_strings(spec["inv"], inv_at)
+    _each(check_rational, inv, names, field, inv_at)
+    identity = _expect_strings(spec["identity"], f"group {name!r} identity")
     try:
-        identity = tuple(parse_element(text, field) for text in id_texts)
+        for text in identity:
+            check_rational(text, (), field)
     except ExprSyntaxError as exc:
         raise ModelError(f"group {name!r} identity: {exc}") from exc
-    try:
-        return AffineAlgGroup(name, variety, mult, inv, identity)
-    except ProlongError as exc:
-        raise ModelError(f"group {name!r}: {exc}") from exc
+    # the shape AffineAlgGroup requires, in its words
+    n = len(names)
+    if len(mult) != n:
+        raise ModelError(f"group {name!r}: mult must map 2*{n} variables to {n}")
+    if len(inv) != n:
+        raise ModelError(f"group {name!r}: inv must map {n} variables to {n}")
+    if len(identity) != n:
+        raise ModelError(f"group {name!r}: point of length {len(identity)}, expected {n}")
+
+    def build():
+        variety = varieties[vname]
+        mult_map = _parse_map(mult, mult_vars, field, mult_at)
+        inv_map = _parse_map(inv, names, field, inv_at)
+        try:
+            point = tuple(parse_element(text, field) for text in identity)
+        except (ExprSyntaxError, IdenticallyZeroDenominator) as exc:
+            raise ModelError(f"group {name!r} identity: {exc}") from exc
+        return AffineAlgGroup(name, variety, mult_map, inv_map, point)
+
+    return names, build
 
 
-def _load_section(name, spec, field, groups):
+def _check_section(name, spec, field, groups):
     _expect_keys(spec, f"section {name!r}", ("group", "sigma"))
-    group = _lookup(groups, spec["group"], "group")
-    sigma = _parse_map(
-        _expect_strings(spec["sigma"], f"section {name!r} sigma"),
-        group.variety.var_names, field, f"section {name!r} sigma",
-    )
-    if len(sigma.components) != len(group.variety.var_names):
-        raise ModelError(
-            f"section {name!r} needs {len(group.variety.var_names)} components"
-        )
-    return ModelSection(name, spec["group"], DGroupSection(sigma))
+    group = spec["group"]
+    names = _lookup(groups.coords, group, "group")
+    where = f"section {name!r} sigma"
+    sigma = _expect_strings(spec["sigma"], where)
+    _each(check_rational, sigma, names, field, where)
+    if len(sigma) != len(names):
+        raise ModelError(f"section {name!r} needs {len(names)} components")
+
+    def build():
+        var_names = groups[group].variety.var_names
+        return ModelSection(name, group, DGroupSection(_parse_map(sigma, var_names, field, where)))
+
+    return names, build
 
 
 def _default_coords(dim):
@@ -246,7 +319,7 @@ def _default_coords(dim):
     return tuple(f"x{k}" for k in range(1, dim + 1))
 
 
-def _load_atlas(name, spec, field):
+def _check_atlas(name, spec, field):
     _expect_keys(spec, f"atlas {name!r}", ("dim", "charts", "transitions"), ("coords",))
     dim = _expect_positive_int(spec["dim"], f"atlas {name!r} dim")
     count = _expect_positive_int(spec["charts"], f"atlas {name!r} charts")
@@ -263,7 +336,7 @@ def _load_atlas(name, spec, field):
     else:
         coords = _default_coords(dim)
     raw = _expect_object(spec["transitions"], f"atlas {name!r} transitions")
-    transitions = {}
+    transitions = []
     for key, exprs in raw.items():
         parts = key.split(",")
         try:
@@ -278,44 +351,49 @@ def _load_atlas(name, spec, field):
                     f"atlas {name!r} transition {key!r} references chart {c}, "
                     f"valid charts are 1..{count}"
                 )
-        comps = _expect_strings(exprs, f"atlas {name!r} transition {key!r}")
+        where = f"atlas {name!r} transition {key!r}"
+        comps = _expect_strings(exprs, where)
         if len(comps) != dim:
-            raise ModelError(
-                f"atlas {name!r} transition {key!r} needs {dim} components"
-            )
-        transitions[(i, j)] = _parse_map(
-            comps, coords, field, f"atlas {name!r} transition {key!r}"
-        )
-    try:
-        return AtlasManifold(
-            name, field, dim, tuple(range(1, count + 1)), coords, transitions
-        )
-    except ProlongError as exc:
-        raise ModelError(f"atlas {name!r}: {exc}") from exc
+            raise ModelError(f"{where} needs {dim} components")
+        _each(check_rational, comps, coords, field, where)
+        transitions.append(((i, j), comps, where))
+    charts = tuple(range(1, count + 1))
+    for (i, j), _, _ in transitions:
+        _check_chart_pair(i, j, charts)
+
+    def build():
+        maps = {ij: _parse_map(comps, coords, field, where) for ij, comps, where in transitions}
+        return AtlasManifold(name, field, dim, charts, coords, maps)
+
+    return coords, build
 
 
-def _load_correspondence(name, spec, field, varieties):
+def _check_correspondence(name, spec, field, varieties):
     _expect_keys(spec, f"correspondence {name!r}", ("left", "right", "gens"))
-    left = _lookup(varieties, spec["left"], "variety")
-    right = _lookup(varieties, spec["right"], "variety")
-    joint = left.var_names + right.var_names
+    left, right = spec["left"], spec["right"]
+    joint = _lookup(varieties.coords, left, "variety") + _lookup(
+        varieties.coords, right, "variety"
+    )
     if len(set(joint)) != len(joint):
         raise ModelError(
             f"correspondence {name!r}: left and right varieties share a "
             "coordinate name"
         )
-    gens = _parse_polys(
-        _expect_strings(spec["gens"], f"correspondence {name!r} gens"),
-        joint, field, f"correspondence {name!r} gens",
-    )
-    try:
-        return Correspondence.make(left, right, gens)
-    except ProlongError as exc:
-        raise ModelError(f"correspondence {name!r}: {exc}") from exc
+    where = f"correspondence {name!r} gens"
+    gens = _expect_strings(spec["gens"], where)
+    _each(check_poly, gens, joint, field, where)
+
+    def build():
+        return Correspondence.make(
+            varieties[left], varieties[right], _each(parse_poly, gens, joint, field, where)
+        )
+
+    return joint, build
 
 
 def load_model(text):
-    """Parse and validate a model document given as a JSON string."""
+    """Check a model document given as a JSON string; its objects are built
+    on first use (see the module docstring)."""
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
@@ -336,44 +414,26 @@ def load_model(text):
     else:
         raise ModelError(f'basefield must be "Q" or "Qt", got {_show(tag)}')
 
-    def category(key):
-        return _expect_object(doc.get(key, {}), f'"{key}"')
+    def category(key, what, check, *tables):
+        table = _Table()
+        for name, spec in _expect_object(doc.get(key, {}), f'"{key}"').items():
+            spec = _expect_object(spec, f"{what} {name!r}")
+            table.add(name, *check(name, spec, field, *tables))
+        return table
 
-    varieties = {}
-    for vname, spec in category("varieties").items():
-        varieties[vname] = _load_variety(
-            vname, _expect_object(spec, f"variety {vname!r}"), field
-        )
-    maps = {}
-    for mname, spec in category("maps").items():
-        maps[mname] = _load_map(
-            mname, _expect_object(spec, f"map {mname!r}"), field
-        )
-    groups = {}
-    for gname, spec in category("groups").items():
-        groups[gname] = _load_group(
-            gname, _expect_object(spec, f"group {gname!r}"), field, varieties
-        )
-    sections = {}
-    for sname, spec in category("sections").items():
-        sections[sname] = _load_section(
-            sname, _expect_object(spec, f"section {sname!r}"), field, groups
-        )
-    atlases = {}
-    for aname, spec in category("atlases").items():
-        atlases[aname] = _load_atlas(
-            aname, _expect_object(spec, f"atlas {aname!r}"), field
-        )
-    correspondences = {}
-    for cname, spec in category("correspondences").items():
-        correspondences[cname] = _load_correspondence(
-            cname, _expect_object(spec, f"correspondence {cname!r}"), field, varieties
-        )
+    varieties = category("varieties", "variety", _check_variety)
+    maps = category("maps", "map", _check_map)
+    groups = category("groups", "group", _check_group, varieties)
+    sections = category("sections", "section", _check_section, groups)
+    atlases = category("atlases", "atlas", _check_atlas)
+    correspondences = category(
+        "correspondences", "correspondence", _check_correspondence, varieties
+    )
     return Model(field, varieties, maps, groups, sections, atlases, correspondences)
 
 
 def load_model_file(path):
-    """Read and validate a model document from a file path."""
+    """Read and check a model document from a file path."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -731,3 +733,88 @@ def test_unexpected_exception_gets_last_resort_report(capsys, monkeypatch):
     assert report["details"] == {"error": "RuntimeError", "message": "handler bug"}
     assert "Traceback (most recent call last)" in err
     assert "RuntimeError: handler bug" in err
+
+
+def model_with(tmp_path, category, name, key, k, text):
+    doc = json.loads((DATA / "model_q.json").read_text())
+    doc[category][name][key][k] = text
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/(x - x)", "division by an identically zero expression (offset 1)"),
+        ("(x + 1)^40*(x + 1)", "product of degree above 40 (offset 10)"),
+        ("(x^2)^21", "power of degree above 40 (offset 6)"),
+    ],
+)
+def test_value_fault_fails_only_the_command_that_reads_it(capsys, tmp_path, text, message):
+    path = model_with(tmp_path, "sections", "ga_c1", "sigma", 0, text)
+    _, expected, _ = run(capsys, "gb", "-i", MODEL_Q, "-v", "Twisted")
+    code, report, err = run(capsys, "gb", "-i", path, "-v", "Twisted")
+    assert code == 0
+    assert report["details"] == expected["details"]
+    code, report, err = run(capsys, "check-dgroup", "-i", path, "-g", "Ga", "-s", "ga_c1")
+    assert code == 2
+    assert report["details"] == {
+        "error": "ModelError", "message": f"section 'ga_c1' sigma[0]: {message}",
+    }
+    assert "Traceback" not in err
+
+
+def test_zero_divisor_in_an_expression_flag_stays_a_failure(capsys):
+    code, report, _ = run(capsys, "parse", "-i", MODEL_Q, "--expr", "1/(x-x)", "--vars", "x")
+    assert code == 1
+    assert report["details"]["error"] == "IdenticallyZeroDenominator"
+
+
+def test_command_parses_only_what_it_reads(capsys, monkeypatch):
+    parsed = []
+    for fname in ("parse_poly", "parse_rational", "parse_element"):
+        def record(text, *args, real=getattr(prolong.model, fname)):
+            parsed.append(text)
+            return real(text, *args)
+
+        monkeypatch.setattr(prolong.model, fname, record)
+    code, _, _ = run(capsys, "gb", "-i", MODEL_Q, "-v", "Twisted")
+    assert code == 0
+    assert parsed == ["y - x^2", "z - x^3"]
+    parsed.clear()
+    code, _, _ = run(capsys, "check-dgroup", "-i", MODEL_Q, "-g", "B", "-s", "b_s01")
+    assert code == 0
+    # BV's generator, B's law and identity, and b_s01's sigma, each once
+    assert sorted(parsed) == sorted([
+        "x*w - 1",
+        "x1*x2", "x1*y2 + y1", "w1*w2", "w", "-w*y", "x", "1", "0", "1",
+        "0", "1 - x", "0",
+    ])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("gb", "-i", MODEL_Q, "-v", "Twisted"), 0),
+        (("check-dgroup", "-i", MODEL_Q, "-g", "Gm", "-s", "gm_twist1"), 1),
+        (("gb", "-i", str(DATA / "missing.json"), "-v", "V"), 2),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_status(argv, code):
+    """A reader that closes the pipe first: no traceback, and the exit status
+    the report carries."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(prolong.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "prolong.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert b"Traceback" not in done.stderr
+    assert b"BrokenPipeError" not in done.stderr

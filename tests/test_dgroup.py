@@ -113,6 +113,24 @@ def test_broken_group_law_detected():
     assert "left identity: component 0" in failing or "right identity: component 0" in failing
 
 
+def test_rational_law_compares_cross_multiplied_components():
+    """Components with a nonconstant denominator are compared as rn*ld - ln*rd;
+    the rational law (x1 + x2)/(1 + x1*x2) passes, and x1 + x2/(1 + x2) fails
+    with the cross-multiplied witnesses."""
+    v = AffineVariety("GaV", Q, ("x",), ())
+    inv = rmap(Q, ("x",), ["-x"])
+    good = rmap(Q, ("x1", "x2"), ["(x1 + x2)/(1 + x1*x2)"])
+    assert check_group_axioms(AffineAlgGroup("T", v, good, inv, parse_point("0", Q))).ok
+    bad = rmap(Q, ("x1", "x2"), ["x1 + x2/(1 + x2)"])
+    report = check_group_axioms(AffineAlgGroup("Bad", v, bad, inv, parse_point("0", Q)))
+    witnesses = {e.name: e.witness for e in report.entries if not e.ok}
+    assert witnesses == {
+        "left identity: component 0": "x^2",
+        "inverse: component 0": "-x^2",
+        "associativity: component 0": "-x2^2*x3^2 - x2^2*x3 - 3*x2*x3^2 - 2*x2*x3 - x3^2",
+    }
+
+
 def test_group_shape_validation():
     v = AffineVariety("GaV", Q, ("x",), ())
     inv = rmap(Q, ("x",), ["-x"])

@@ -5,6 +5,7 @@ import pytest
 from prolong import (
     ExprSyntaxError,
     IdenticallyZeroDenominator,
+    ProlongError,
     Q,
     QT,
     TInQField,
@@ -17,7 +18,7 @@ from prolong import (
     parse_rational,
 )
 
-from prolong.expr import MAX_DEGREE, MAX_NESTING
+from prolong.expr import MAX_DEGREE, MAX_NESTING, check_poly, check_rational
 
 from helpers import poly, random_poly
 
@@ -202,3 +203,70 @@ def test_parse_caps():
         parse_poly(f"(x + y + z + w)^{MAX_DEGREE}", ("x", "y", "z", "w"), Q)
     with pytest.raises(ValueError, match="duplicate variable names"):
         parse_poly("x", ("x", "x"), Q)
+
+
+def _fault(parse, *args):
+    """(class, message) of what a parse raises, or None."""
+    try:
+        parse(*args)
+    except (ProlongError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _depends_on_values(fault):
+    cls, message = fault
+    return cls is IdenticallyZeroDenominator or any(
+        words in message for words in ("degree above", "coefficient products")
+    )
+
+
+PARSES = (
+    (lambda s, f: parse_poly(s, XY, f), lambda s, f: check_poly(s, XY, f)),
+    (lambda s, f: parse_rational(s, XY, f), lambda s, f: check_rational(s, XY, f)),
+    (lambda s, f: parse_element(s, f), lambda s, f: check_rational(s, (), f)),
+)
+
+SEEDS = ("x^2*y - 3/4", "(x + 1)/(y - t)", "1/(x - x) + y", f"(x + 1)^{MAX_DEGREE}*x",
+         f"((x*y)^{MAX_DEGREE // 2})^3", "2/3*t^2 - (x)", f"(x*y + 1)^{MAX_DEGREE // 2 + 1} - 1/0",
+         "((x))^2/(1 - 1)")
+
+
+def test_check_raises_what_the_parser_raises(rng):
+    """The recogniser and the parser share one descent: on seeded mutations of
+    a few expressions, a check raises exactly the parser's fault unless
+    that fault depends on the expanded values, and then no fault or a syntax
+    fault the parser did not reach."""
+    seen = set()
+    for _ in range(600):
+        src = list(rng.choice(SEEDS))
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randrange(len(src) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                src.insert(k, rng.choice("xyt0123/^*+-() "))
+            elif src and k < len(src):
+                if op == 1:
+                    del src[k]
+                else:
+                    src[k] = rng.choice("xyt0/^*+-()")
+        src = "".join(src)
+        for field in (Q, QT):
+            for parse, check in PARSES:
+                parsed, checked = _fault(parse, src, field), _fault(check, src, field)
+                if parsed is None or not _depends_on_values(parsed):
+                    assert checked == parsed, src
+                else:
+                    assert checked is None or not _depends_on_values(checked), src
+                seen.add("none" if parsed is None else
+                         "value" if _depends_on_values(parsed) else "syntax")
+    assert seen == {"none", "value", "syntax"}
+
+
+def test_check_leaves_value_faults_to_the_parse():
+    for src in ("x/(y - y)", f"(x + 1)^{MAX_DEGREE}*x", f"(x*y)^{MAX_DEGREE // 2 + 1}"):
+        check_rational(src, XY, Q)
+    check_poly(f"(x + y + z + w)^{MAX_DEGREE}", ("x", "y", "z", "w"), Q)
+    # a syntax fault is found even after a value fault the parse would stop at
+    with pytest.raises(ExprSyntaxError, match="unexpected end of input"):
+        check_poly(f"(x + 1)^{MAX_DEGREE}*x +", XY, Q)

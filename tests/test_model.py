@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from prolong import model
 from prolong import (
     Q,
     QT,
@@ -233,3 +235,98 @@ def test_variable_named_t_rejected():
         load_model(minimal(atlases={"M": {"dim": 1, "charts": 1, "coords": ["t"],
                                           "transitions": {}}}))
 
+
+
+def with_entry(category, name, key, k, text, base="model_q.json"):
+    doc = json.loads((DATA / base).read_text())
+    doc[category][name][key][k] = text
+    return json.dumps(doc)
+
+
+# A fault that only the expanded polynomial shows waits for the first use of
+# its entry, and then reads as it did when the whole document was built at
+# load time; a divisor that is identically zero is now a located ModelError.
+VALUE_FAULTS = [
+    ("sections", "ga_c1", "sigma", 0, "1/(x - x)", "section",
+     "section 'ga_c1' sigma[0]: division by an identically zero expression (offset 1)"),
+    ("sections", "ga_c1", "sigma", 0, "(x + 1)^40*(x + 1)", "section",
+     "section 'ga_c1' sigma[0]: product of degree above 40 (offset 10)"),
+    ("maps", "mob", "components", 0, "(x^2)^21", "map",
+     "map 'mob' components[0]: power of degree above 40 (offset 6)"),
+    ("varieties", "Twisted", "gens", 1, "(x + y + z + 1)^40", "variety",
+     "variety 'Twisted' gens[1]: expression expands beyond 500000 coefficient products "
+     "(offset 16)"),
+    ("groups", "Gm", "mult", 1, "1/(w1 - w1)", "group",
+     "group 'Gm' mult[1]: division by an identically zero expression (offset 1)"),
+    ("groups", "Gm", "identity", 1, "1/(1 - 1)", "group",
+     "group 'Gm' identity: division by an identically zero expression (offset 1)"),
+    ("correspondences", "parab0", "gens", 0, "(x*y)^20*x", "correspondence",
+     "correspondence 'parab0' gens[0]: product of degree above 40 (offset 8)"),
+]
+
+
+@pytest.mark.parametrize("category, name, key, k, text, kind, message", VALUE_FAULTS)
+def test_value_faults_wait_for_first_use(category, name, key, k, text, kind, message):
+    m = load_model(with_entry(category, name, key, k, text))
+    assert check_group_axioms(m.group("B")).ok
+    with pytest.raises(ModelError) as info:
+        getattr(m, kind)(name)
+    assert str(info.value) == message
+    # not kept: asked again, the entry fails again
+    with pytest.raises(ModelError, match=re.escape(message)):
+        getattr(m, kind)(name)
+
+
+def test_section_reports_the_fault_of_its_group():
+    m = load_model(with_entry("groups", "Gm", "mult", 1, "1/(w1 - w1)"))
+    with pytest.raises(ModelError, match=r"group 'Gm' mult\[1\]"):
+        m.section("gm_twist1")
+
+
+def test_syntax_fault_is_reported_before_a_value_fault():
+    with pytest.raises(ModelError) as info:
+        load_model(with_entry("sections", "ga_c1", "sigma", 0, "(x + 1)^40*(x + 1) +"))
+    assert str(info.value) == "section 'ga_c1' sigma[0]: unexpected end of input (offset 20)"
+
+
+def test_shape_faults_are_found_at_load():
+    group = {"variety": "V", "mult": ["x1 + x2"], "inv": ["-x"], "identity": ["0"]}
+    for key, value, message in (
+        ("mult", ["x1 + x2", "x2"], "group 'G': mult must map 2*1 variables to 1"),
+        ("inv", ["-x", "x"], "group 'G': inv must map 1 variables to 1"),
+        ("identity", ["0", "0"], "group 'G': point of length 2, expected 1"),
+    ):
+        doc = minimal(varieties={"V": {"vars": ["x"]}}, groups={"G": {**group, key: value}})
+        with pytest.raises(ModelError) as info:
+            load_model(doc)
+        assert str(info.value) == message
+    atlas = {"dim": 1, "charts": 2, "transitions": {"1,1": ["x"], "1,2": ["1/x"]}}
+    with pytest.raises(ValueError, match=r"the identity transition \(i,i\) is implicit"):
+        load_model(minimal(atlases={"M": atlas}))
+
+
+def test_each_object_is_built_once_on_first_use(monkeypatch):
+    parsed = []
+    for fname in ("parse_poly", "parse_rational", "parse_element"):
+        def record(text, *args, real=getattr(model, fname)):
+            parsed.append(text)
+            return real(text, *args)
+
+        monkeypatch.setattr(model, fname, record)
+    m = load_model_file(DATA / "model_q.json")
+    assert set(m.sections) >= {"b_s01", "gm_twist1"} and "B" in m.groups
+    assert len(m.varieties) == 6 and "Nope" not in m.maps
+    assert parsed == []
+    section = m.section("b_s01")
+    # the section builds its group B, and B its variety BV, each once
+    assert sorted(parsed) == sorted([
+        "x*w - 1",
+        "x1*x2", "x1*y2 + y1", "w1*w2", "w", "-w*y", "x", "1", "0", "1",
+        "0", "1 - x", "0",
+    ])
+    parsed.clear()
+    assert m.section("b_s01") is section
+    assert m.group("B").variety is m.variety("BV") is m.varieties["BV"]
+    assert parsed == []
+    with pytest.raises(TypeError):
+        m.groups["B"] = None
