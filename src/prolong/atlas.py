@@ -118,18 +118,12 @@ class ProlongedAtlas:
 
 
 def _prolong_atlas(m: AtlasManifold, kind: str) -> ProlongedAtlas:
-    base_report = check_cocycle(m)
-    if not base_report.ok:
-        bad = [e.name for e in base_report.entries if not e.ok]
-        raise CocycleViolation(f"base atlas fails cocycle checks: {', '.join(bad)}")
+    check_cocycle(m).require(CocycleViolation, "base atlas fails cocycle checks")
     prolong = tangent_map if kind == "tangent" else tau_map
     transitions = {key: prolong(phi) for key, phi in m.transitions.items()}
     names = m.coord_names + fiber_names(m.coord_names)
     out = AtlasManifold(f"{kind}({m.name})", m.field, 2 * m.dim, m.charts, names, transitions)
-    out_report = check_cocycle(out)
-    if not out_report.ok:
-        bad = [e.name for e in out_report.entries if not e.ok]
-        raise CocycleViolation(f"prolonged atlas fails cocycle checks: {', '.join(bad)}")
+    check_cocycle(out).require(CocycleViolation, "prolonged atlas fails cocycle checks")
     return ProlongedAtlas(m, kind, out)
 
 
@@ -258,16 +252,10 @@ def prolong_map_between_atlases(f: ChartwiseMap, kind: str = "tau") -> Chartwise
     """Chartwise tangent/tau prolongation, certified well defined before and after."""
     if kind not in ("tau", "tangent"):
         raise ValueError(f"unknown prolongation kind {kind!r}")
-    pre = verify_chartwise_map(f)
-    if not pre.ok:
-        bad = [e.name for e in pre.entries if not e.ok]
-        raise ChartIncompatibility(f"chartwise map is not well defined: {', '.join(bad)}")
+    verify_chartwise_map(f).require(ChartIncompatibility, "chartwise map is not well defined")
     prolong = tangent_map if kind == "tangent" else tau_map
     src = _prolong_atlas(f.source, kind).atlas
     dst = _prolong_atlas(f.target, kind).atlas
     out = ChartwiseMap(src, dst, {key: prolong(piece) for key, piece in f.pieces.items()})
-    post = verify_chartwise_map(out)
-    if not post.ok:
-        bad = [e.name for e in post.entries if not e.ok]
-        raise ChartIncompatibility(f"prolonged map failed verification: {', '.join(bad)}")
+    verify_chartwise_map(out).require(ChartIncompatibility, "prolonged map failed verification")
     return out

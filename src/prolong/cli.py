@@ -492,11 +492,20 @@ def _add_model_flag(parser):
                         help="model document (JSON)")
 
 
+class _AtLeastOne(argparse.Action):
+    """Store an integer option, refusing a value below 1 as a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_order_flags(parser):
     parser.add_argument("--term-order", choices=("grevlex", "lex"),
                         default="grevlex", help="monomial order")
-    parser.add_argument("--degree-cap", type=int, default=40, metavar="N",
-                        help="abort basis computations above this total degree")
+    parser.add_argument("--degree-cap", type=int, default=40, metavar="N", action=_AtLeastOne,
+                        help="abort basis computations above this total degree, at least 1")
 
 
 def _add_init_flag(parser, help_text):

@@ -85,13 +85,10 @@ def _const_map(v: AffineVariety, values: Sequence[FieldElement]) -> RationalMap:
     )
 
 
-def _graph_map(v: AffineVariety, second: RationalMap) -> RationalMap:
-    """x -> (x, second(x)) as a rational map n -> 2n."""
-    n = v.nvars
-    one = MultiPoly.const(v.field, n, 1)
-    comps = [(MultiPoly.var(v.field, n, i), one) for i in range(n)]
-    comps += list(second.components)
-    return RationalMap(v.field, n, tuple(comps))
+def _fan_out(*maps: RationalMap) -> RationalMap:
+    """x -> (f1(x), f2(x), ...) for maps f1, f2, ... of the same inputs."""
+    comps = tuple(c for f in maps for c in f.components)
+    return RationalMap(maps[0].field, maps[0].in_arity, comps)
 
 
 def _compare_components(
@@ -136,17 +133,16 @@ def check_group_axioms(
     gb1 = _stacked_gb(v, 1, order, degree_cap)
     ident = RationalMap.identity(v.field, n)
     e_map = _const_map(v, g.identity)
-    left = g.mult.compose(_graph_map_swap(v, e_map))
+    left = g.mult.compose(_fan_out(e_map, ident))
     _compare_components(report, "left identity", left, ident, gb1, v.var_names, degree_cap)
-    right = g.mult.compose(_graph_map(v, e_map))
+    right = g.mult.compose(_fan_out(ident, e_map))
     _compare_components(report, "right identity", right, ident, gb1, v.var_names, degree_cap)
-    inverse = g.mult.compose(_graph_map(v, g.inv))
+    inverse = g.mult.compose(_fan_out(ident, g.inv))
     _compare_components(report, "inverse", inverse, e_map, gb1, v.var_names, degree_cap)
     gb3 = _stacked_gb(v, 3, order, degree_cap)
     names3 = stacked_names(v.var_names, 3)
-    idn = RationalMap.identity(v.field, n)
-    left_assoc = g.mult.compose(map_product(g.mult, idn))
-    right_assoc = g.mult.compose(map_product(idn, g.mult))
+    left_assoc = g.mult.compose(map_product(g.mult, ident))
+    right_assoc = g.mult.compose(map_product(ident, g.mult))
     _compare_components(
         report, "associativity", left_assoc, right_assoc, gb3, names3, degree_cap
     )
@@ -166,15 +162,6 @@ def _require_axioms(g: AffineAlgGroup, degree_cap: int, order: TermOrder) -> Non
     report = check_group_axioms(g, degree_cap, order)
     if not report.ok:
         raise GroupAxiomViolation(g, report)
-
-
-def _graph_map_swap(v: AffineVariety, first: RationalMap) -> RationalMap:
-    """x -> (first(x), x) as a rational map n -> 2n."""
-    n = v.nvars
-    one = MultiPoly.const(v.field, n, 1)
-    comps = list(first.components)
-    comps += [(MultiPoly.var(v.field, n, i), one) for i in range(n)]
-    return RationalMap(v.field, n, tuple(comps))
 
 
 @dataclass(eq=False)
@@ -226,10 +213,9 @@ def tau_group(
     base_on_xy = g.mult.embed_inputs(4 * n, list(range(n)) + list(range(2 * n, 3 * n)))
     if not head.equiv(base_on_xy):
         raise ProlongError("projection of the prolonged multiplication differs from the base law")
-    re_report = check_group_axioms(out, degree_cap, order)
-    if not re_report.ok:
-        bad = [e.name for e in re_report.entries if not e.ok]
-        raise ProlongError(f"prolonged group fails re-verification: {', '.join(bad)}")
+    check_group_axioms(out, degree_cap, order).require(
+        ProlongError, "prolonged group fails re-verification"
+    )
     return TauGroup(g, out)
 
 
@@ -250,10 +236,7 @@ class DGroup:
 
 def zero_section_T(g: AffineAlgGroup) -> DGroupSection:
     """sigma = 0: the canonical section of T(G) over a constant field."""
-    n = g.nvars
-    zero = MultiPoly.zero(g.variety.field, n)
-    one = MultiPoly.const(g.variety.field, n, 1)
-    return DGroupSection(RationalMap(g.variety.field, n, ((zero, one),) * n))
+    return DGroupSection(_const_map(g.variety, (g.variety.field.zero,) * g.nvars))
 
 
 def check_dgroup(
@@ -282,9 +265,11 @@ def check_dgroup(
     except DenominatorVanishes:
         report.add("sigma defined at identity", False, "denominator vanishes at e")
     gb1 = _stacked_gb(v, 1, order, degree_cap)
-    one = MultiPoly.const(v.field, n, 1)
-    nums = [MultiPoly.var(v.field, n, i) for i in range(n)] + [p for p, _ in sigma.components]
-    dens = [one] * n + [q for _, q in sigma.components]
+    # s = (x, sigma(x)) into tau(V), with its denominators cleared: reducing
+    # the fractions first could cancel one that vanishes on the variety.
+    graph = _fan_out(RationalMap.identity(v.field, n), sigma).components
+    nums = [p for p, _ in graph]
+    dens = [q for _, q in graph]
     tau_total = tau_variety(v).total
     for idx, gen in enumerate(tau_total.gens):
         num, den = _subst_rational(gen, nums, dens)
@@ -302,23 +287,12 @@ def check_dgroup(
     gb2 = _stacked_gb(v, 2, order, degree_cap)
     names2 = stacked_names(v.var_names, 2)
     lhs = sigma.compose(g.mult)
-    send = _sections_map(v, sigma)
+    # (x, y) -> (x, y, sigma(x), sigma(y)), the input layout of tau(m)
+    send = _fan_out(RationalMap.identity(v.field, 2 * n), map_product(sigma, sigma))
     full = tau_map(g.mult).compose(send)
     rhs = RationalMap(v.field, 2 * n, tuple(full.components[n:]))
     _compare_components(report, "homomorphism", lhs, rhs, gb2, names2, degree_cap)
     return report
-
-
-def _sections_map(v: AffineVariety, sigma: RationalMap) -> RationalMap:
-    """(x, y) -> (x, y, sigma(x), sigma(y)) into the tau(m) input layout."""
-    n = v.nvars
-    one = MultiPoly.const(v.field, 2 * n, 1)
-    comps = [(MultiPoly.var(v.field, 2 * n, i), one) for i in range(2 * n)]
-    x_block = list(range(n))
-    y_block = list(range(n, 2 * n))
-    comps += [(p.embed(2 * n, x_block), q.embed(2 * n, x_block)) for p, q in sigma.components]
-    comps += [(p.embed(2 * n, y_block), q.embed(2 * n, y_block)) for p, q in sigma.components]
-    return RationalMap(v.field, 2 * n, tuple(comps))
 
 
 def nabla_hom_check(g: AffineAlgGroup, a: Sequence, b: Sequence) -> bool:

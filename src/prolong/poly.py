@@ -426,26 +426,29 @@ def _subst_rational(
     """Evaluate p at the rational tuple nums/dens by clearing denominators.
 
     Returns (N, D) with p(nums/dens) = N/D and D = prod dens_i^deg_i, deg_i
-    the degree of p in variable i.  N is p made homogeneous of degree deg_i
-    in each pair (x_i, y_i), evaluated at nums + dens.
+    the degree of p in variable i, over the denominators other than 1.  N
+    is p made homogeneous of degree deg_i in each pair (x_i, y_i) with
+    dens_i other than 1, evaluated at nums and those dens_i.
     """
     if len(nums) != p.nvars:
         raise ArityMismatch(f"{len(nums)} arguments for {p.nvars} variables")
     if p.nvars == 0:
         raise ArityMismatch("substitution into a ring with no variables")
     target = nums[0]
-    degs = [max(p.degree_in(i), 0) for i in range(p.nvars)]
-    D = MultiPoly.const(target.field, target.nvars, 1)
-    for d, dpoly in zip(degs, dens):
-        if d:
-            D = D * dpoly**d
+    one = MultiPoly.const(target.field, target.nvars, 1)
+    cleared = [(i, p.degree_in(i)) for i, den in enumerate(dens) if den != one]
+    cleared = [(i, d) for i, d in cleared if d > 0]
+    D = one
+    for i, d in cleared:
+        D = dens[i] ** d if D is one else D * dens[i] ** d
     homogeneous = MultiPoly._of(
         p.field,
-        2 * p.nvars,
-        {mono + tuple(d - e for d, e in zip(degs, mono)): c for mono, c in p.terms.items()},
+        p.nvars + len(cleared),
+        {mono + tuple(d - mono[i] for i, d in cleared): c for mono, c in p.terms.items()},
     )
     lift = partial(MultiPoly.const, target.field, target.nvars)
-    return evaluate_at(homogeneous, list(nums) + list(dens), lift), D
+    values = list(nums) + [dens[i] for i, _ in cleared]
+    return evaluate_at(homogeneous, values, lift), D
 
 
 def _substitute_into(p: MultiPoly, inner: "PolyMap") -> MultiPoly:

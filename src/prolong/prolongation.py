@@ -177,6 +177,8 @@ def f_del(f):
     """Coefficientwise derivation of a map: for rational p/q, (p_del.q - p.q_del)/q^2."""
     if isinstance(f, PolyMap):
         return f.coeff_derive()
+    if f.is_polynomial():
+        return f.as_polymap().coeff_derive().as_rational()
     comps = []
     for p, q in f.components:
         num = p.coeff_derive() * q - p * q.coeff_derive()
@@ -185,25 +187,22 @@ def f_del(f):
 
 
 def _prolong_map(f, with_del: bool):
+    """(F(x), F'(x, u)) with F' = _fiber_generator of each component; for p/q
+    the fibre is the quotient rule (F'(p).q - p.F'(q))/q^2."""
     n = f.in_arity
     if isinstance(f, PolyMap):
         head = [_embed_base(c, 2 * n) for c in f.components]
         fiber = [_fiber_generator(c, with_del) for c in f.components]
         return PolyMap(f.field, 2 * n, tuple(head + fiber))
+    if f.is_polynomial():
+        return _prolong_map(f.as_polymap(), with_del).as_rational()
     head = []
     fiber = []
     for p, q in f.components:
         p2 = _embed_base(p, 2 * n)
         q2 = _embed_base(q, 2 * n)
         head.append((p2, q2))
-        num = MultiPoly.zero(f.field, 2 * n)
-        for i in range(n):
-            d = p.partial(i) * q - p * q.partial(i)
-            if d.is_zero:
-                continue
-            num = num + _embed_base(d, 2 * n) * MultiPoly.var(f.field, 2 * n, n + i)
-        if with_del:
-            num = num + _embed_base(p.coeff_derive() * q - p * q.coeff_derive(), 2 * n)
+        num = _fiber_generator(p, with_del) * q2 - p2 * _fiber_generator(q, with_del)
         fiber.append((num, q2 * q2))
     return RationalMap(f.field, 2 * n, tuple(head + fiber))
 

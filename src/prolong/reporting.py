@@ -33,5 +33,11 @@ class CheckReport:
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
 
+    def require(self, error: type[Exception], message: str) -> None:
+        """Raise error("message: <names of the failed checks>") unless all pass."""
+        if not self.ok:
+            bad = [e.name for e in self.entries if not e.ok]
+            raise error(f"{message}: {', '.join(bad)}")
+
     def as_dict(self) -> dict:
         return {"ok": self.ok, "checks": [e.as_dict() for e in self.entries]}

@@ -431,7 +431,7 @@ def solve_dpoint(variety, sigma, initial, order):
     for gen in variety.gens:
         if poly_on_series(gen, start).coefficient(0) != 0:
             raise PointNotOnVariety(
-                f"initial point {a0} does not lie on {variety.name} at t = 0"
+                f"initial point ({', '.join(map(str, a0))}) does not lie on {variety.name} at t = 0"
             )
     fractions = _fractions(sigma)
     for _, den in fractions:

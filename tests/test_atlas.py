@@ -12,25 +12,30 @@ from prolong import (
     AtlasManifold,
     ChartIncompatibility,
     ChartwiseMap,
+    CheckReport,
     CocycleViolation,
     DenominatorVanishes,
+    MultiPoly,
     Q,
     QT,
     RationalMap,
     check_cocycle,
     check_sigma_compatibility,
     format_rational,
+    load_model_file,
     parse_element,
     parse_point,
     prolong_map_between_atlases,
     sample_point,
     sigma_pointwise,
     tangent_atlas,
+    tangent_map,
     tau_atlas,
+    tau_map,
     verify_chartwise_map,
 )
 
-from helpers import rmap
+from helpers import random_nonzero_poly, random_poly, rmap
 
 
 def one_over_x(field):
@@ -277,3 +282,96 @@ def test_sample_point_determinism():
     assert len(a) == 3
     c = sample_point(Q, random.Random(11), 2)
     assert all(e.derive().is_zero for e in c)
+
+
+def test_failed_checks_are_named_in_the_rejection():
+    bad = AtlasManifold(
+        "M", Q, 1, (1, 2), ("x",), {(1, 2): one_over_x(Q), (2, 1): rmap(Q, ("x",), ["2/x"])}
+    )
+    with pytest.raises(CocycleViolation) as err:
+        tau_atlas(bad)
+    assert str(err.value) == "base atlas fails cocycle checks: inverse (1,2)"
+    m = projective_line(Q)
+    ill = ChartwiseMap(
+        m, m, {(1, 1): rmap(Q, ("x",), ["x^2"]), (2, 2): rmap(Q, ("x",), ["x^3"])}
+    )
+    with pytest.raises(ChartIncompatibility) as err:
+        prolong_map_between_atlases(ill)
+    assert str(err.value) == (
+        "chartwise map is not well defined: conjugation (1,1) vs (2,2), "
+        "conjugation (2,2) vs (1,1)"
+    )
+
+
+def test_report_require():
+    report = CheckReport()
+    report.add("a", True)
+    report.require(ValueError, "never raised")
+    report.add("b", False, "x")
+    report.add("c", True)
+    report.add("d", False)
+    with pytest.raises(KeyError) as err:
+        report.require(KeyError, "checks fail")
+    assert err.value.args == ("checks fail: b, d",)
+
+
+def reference_prolong(f, with_del):
+    """tau(F) (or T(F) without the del term) by the per-partial quotient rule:
+    fibre component sum_i (p_i.q - p.q_i) u_i + (p_del.q - p.q_del), over q^2."""
+    n = f.in_arity
+    ring = 2 * n
+    base = list(range(n))
+    head, fiber = [], []
+    for p, q in f.components:
+        head.append((p.embed(ring, base), q.embed(ring, base)))
+        num = MultiPoly.zero(f.field, ring)
+        for i in range(n):
+            d = p.partial(i) * q - p * q.partial(i)
+            num = num + d.embed(ring, base) * MultiPoly.var(f.field, ring, n + i)
+        if with_del:
+            num = num + (p.coeff_derive() * q - p * q.coeff_derive()).embed(ring, base)
+        fiber.append((num, (q * q).embed(ring, base)))
+    return RationalMap(f.field, ring, tuple(head + fiber))
+
+
+def projective_space(n):
+    return load_model_file(Path(__file__).parent / "data" / f"atlas_p{n}.json").atlas(f"P{n}")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_projective_space_atlas(n):
+    m = projective_space(n)
+    assert m.dim == n and len(m.charts) == n + 1
+    assert len(m.transitions) == (n + 1) * n
+    assert check_cocycle(m).ok
+    for kind, prolong in (("tau", tau_atlas), ("tangent", tangent_atlas)):
+        out = prolong(m).atlas
+        assert out.dim == 2 * n
+        for key, phi in m.transitions.items():
+            assert out.transitions[key] == reference_prolong(phi, kind == "tau")
+        assert check_cocycle(out).ok
+
+
+def test_projective_space_chart_coordinates():
+    # chart 1 has x1 = X1/X0, x2 = X2/X0; chart 3 has X0/X2, X1/X2
+    m = projective_space(2)
+    names = m.coord_names
+    assert names == ("x1", "x2")
+    assert [format_rational(*c, names) for c in m.transition(1, 3).components] == [
+        "1/x2", "x1/x2"
+    ]
+
+
+def test_prolongation_matches_reference_quotient_rule(rng):
+    names = ("x", "y")
+    for _ in range(8):
+        comps = []
+        for _ in range(2):
+            num = random_poly(rng, QT, 2, deg=2, terms=3, tdeg=1)
+            den = random_nonzero_poly(rng, QT, 2, deg=2, terms=2, tdeg=1)
+            comps.append((num, den))
+        f = RationalMap(QT, 2, tuple(comps))
+        for with_del, prolong in ((True, tau_map), (False, tangent_map)):
+            assert prolong(f) == reference_prolong(f, with_del)
+    f = rmap(QT, names, ["t*x/(x + y)", "1/(t*y + 1)"])
+    assert tau_map(f) == reference_prolong(f, True)

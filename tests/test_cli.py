@@ -818,3 +818,43 @@ def test_closed_stdout_keeps_the_exit_status(argv, code):
     assert done.returncode == code
     assert b"Traceback" not in done.stderr
     assert b"BrokenPipeError" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gb", "-i", MODEL_Q, "-v", "Twisted"),
+        ("nf", "-i", MODEL_Q, "-v", "Twisted", "--expr", "x"),
+        ("check-group", "-i", MODEL_Q, "-g", "Gm"),
+        ("tau-group", "-i", MODEL_Q, "-g", "Gm"),
+        ("check-dgroup", "-i", MODEL_Q, "-g", "Gm", "-s", "gm_twist0"),
+    ],
+)
+@pytest.mark.parametrize("cap", ["-3", "0"])
+def test_degree_cap_below_one_is_a_usage_error(capsys, argv, cap):
+    code, report, err = run(capsys, *argv, "--degree-cap", cap)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["details"] == {
+        "error": "UsageError",
+        "message": f"argument --degree-cap: must be at least 1, got {cap}",
+    }
+    assert "must be at least 1" in err
+    code, report, _ = run(capsys, *argv, "--degree-cap", "1")
+    assert code == 1
+    assert report["details"]["error"] == "DegreeCapExceeded"
+
+
+def test_solve_series_off_variety_names_the_point(capsys):
+    code, report, _ = run(
+        capsys, "solve-series", "-i", MODEL_Q, "-g", "Gm", "-s", "gm_twist1",
+        "--init", "0,0", "--order", "3",
+    )
+    assert code == 1
+    assert report["details"]["message"] == "initial point (0, 0) does not lie on GmV at t = 0"
+    code, report, _ = run(
+        capsys, "solve-series", "-i", MODEL_Q, "-g", "B", "-s", "b_s01",
+        "--init", "2,1/3,1", "--order", "0",
+    )
+    assert code == 1
+    assert report["details"]["message"] == "initial point (2, 1/3, 1) does not lie on BV at t = 0"

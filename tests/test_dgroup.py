@@ -264,3 +264,31 @@ def test_dpoint_check():
     gq = additive_group(Q)
     dq = DGroup(gq, zero_section_T(gq))
     assert dpoint_check(dq, parse_point("7", Q))
+
+
+def test_section_check_clears_denominators_before_reducing():
+    # sigma(x) = (x, -w)/(x*w - 1) has denominators that vanish on Gm.  Its
+    # reduced composite with tau(GmV) is (x*w - 1, 0) over 1, which would pass
+    # the section entries; the cleared denominator is what exposes it.
+    g = multiplicative_group(Q)
+    with pytest.raises(IndeterminateOnVariety) as err:
+        check_dgroup(g, section(g, ["x/(x*w - 1)", "-w/(x*w - 1)"]))
+    assert str(err.value) == (
+        "section check: a cleared denominator vanishes identically on the variety"
+    )
+
+
+def test_rational_section_keeps_its_witnesses():
+    g = multiplicative_group(Q)
+    report = check_dgroup(g, section(g, ["1/(x + 1)", "1/(x + 1)"]))
+    assert [(e.name, e.ok, e.witness) for e in report.entries] == [
+        ("sigma defined at identity", True, None),
+        ("section: generator 0", True, None),
+        ("section: generator 1", False, "x^2 + x + w + 1"),
+        (
+            "homomorphism: component 0",
+            False,
+            "x1^3*x2 + x1*x2^3 + x1^2*x2 + x1*x2^2 + x1^2 - x1*x2 + x2^2 - 1",
+        ),
+        ("homomorphism: component 1", False, "x1*x2 + w1 + w2 + 1"),
+    ]

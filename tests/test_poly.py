@@ -394,3 +394,44 @@ def test_substitute_rational_points_match_evaluate(rng):
         # evaluate equals substituting constants
         consts = tuple(MultiPoly.const(QT, 2, v) for v in a)
         assert p.substitute(consts).constant_value() == direct
+
+
+def subst_rational_clearing_all(p, nums, dens):
+    """_subst_rational's reference: every denominator cleared, 1 included."""
+    target = nums[0]
+    degs = [max(p.degree_in(i), 0) for i in range(p.nvars)]
+    D = MultiPoly.const(target.field, target.nvars, 1)
+    for d, dpoly in zip(degs, dens):
+        if d:
+            D = D * dpoly**d
+    N = MultiPoly.zero(target.field, target.nvars)
+    for mono, c in p.terms.items():
+        term = MultiPoly.const(target.field, target.nvars, c)
+        for e, d, n, q in zip(mono, degs, nums, dens):
+            term = term * n**e * q ** (d - e)
+        N = N + term
+    return N, D
+
+
+def test_subst_rational_with_mixed_denominators(rng):
+    checked = 0
+    for field in (Q, QT):
+        one = MultiPoly.const(field, 2, 1)
+        two = MultiPoly.const(field, 2, 2)
+        for _ in range(12):
+            p = random_poly(rng, field, 3, deg=3, terms=4, tdeg=1)
+            nums = [random_poly(rng, field, 2, deg=2, terms=2, tdeg=1) for _ in range(3)]
+            dens = [
+                rng.choice((one, two, random_nonzero_poly(rng, field, 2, deg=1, terms=2, tdeg=1)))
+                for _ in range(3)
+            ]
+            dens[rng.randrange(3)] = one
+            N, D = _subst_rational(p, nums, dens)
+            assert (N, D) == subst_rational_clearing_all(p, nums, dens)
+            checked += 1
+    assert checked == 24
+    # all denominators 1: the plain substitution over 1
+    p = poly("x^2*y + t*y^2 + 3", XY, QT)
+    nums = [poly("x + y", XY, QT), poly("t*x", XY, QT)]
+    ones = [MultiPoly.const(QT, 2, 1)] * 2
+    assert _subst_rational(p, nums, ones) == (p.substitute(nums), ones[0])

@@ -5,10 +5,12 @@ import pytest
 from prolong import (
     AffineVariety,
     ArityMismatch,
+    MultiPoly,
     Correspondence,
     PointNotOnVariety,
     Q,
     QT,
+    RationalMap,
     TransferNotFunctional,
     check_nabla_in_tau,
     correspondence_transfer,
@@ -287,3 +289,29 @@ def test_correspondence_rejects_mixed_fields():
     y_line = variety("Y", QT, ("y",), [])
     with pytest.raises(ValueError):
         Correspondence.make(x_line, y_line, ())
+
+
+def count_products(monkeypatch, run):
+    calls = []
+    real = MultiPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(MultiPoly, "__mul__", counted)
+        m.setattr(MultiPoly, "__rmul__", counted)
+        out = run()
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("prolong", [tau_map, tangent_map, f_del])
+def test_polynomial_rational_map_takes_the_polymap_path(monkeypatch, prolong):
+    r = rmap(QT, XY, ["t*x^2 + y", "x*y - t^2", "3*x + 1/2"])
+    assert isinstance(r, RationalMap) and r.is_polynomial()
+    out, rational_products = count_products(monkeypatch, lambda: prolong(r))
+    expected, poly_products = count_products(monkeypatch, lambda: prolong(r.as_polymap()))
+    assert rational_products == poly_products
+    assert isinstance(out, RationalMap)
+    assert out == expected.as_rational()
