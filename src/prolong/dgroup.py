@@ -86,9 +86,10 @@ def _const_map(v: AffineVariety, values: Sequence[FieldElement]) -> RationalMap:
 
 
 def _fan_out(*maps: RationalMap) -> RationalMap:
-    """x -> (f1(x), f2(x), ...) for maps f1, f2, ... of the same inputs."""
+    """x -> (f1(x), f2(x), ...) for maps f1, f2, ... of the same inputs; their
+    components are canonical already."""
     comps = tuple(c for f in maps for c in f.components)
-    return RationalMap(maps[0].field, maps[0].in_arity, comps)
+    return RationalMap._of(maps[0].field, maps[0].in_arity, comps)
 
 
 def _compare_components(

@@ -146,17 +146,12 @@ def affine_subspace_equal(
     basis2: Sequence[Sequence[FieldElement]],
     field: BaseField,
 ) -> bool:
-    """Equality of the affine subspaces p1 + span(basis1) and p2 + span(basis2)."""
+    """Equality of the affine subspaces p1 + span(basis1) and p2 + span(basis2):
+    basis1 and basis2 each have the rank of basis1, basis2 and p1 - p2 together."""
     b1 = [list(b) for b in basis1]
     b2 = [list(b) for b in basis2]
-    r1 = rank(b1, field)
-    r2 = rank(b2, field)
-    if r1 != r2:
-        return False
-    if r1 != rank(b1 + b2, field):
-        return False
     diff = [a - b for a, b in zip(p1, p2)]
-    return in_span(diff, b1, field) if any(not d.is_zero for d in diff) else True
+    return rank(b1, field) == rank(b2, field) == rank(b1 + b2 + [diff], field)
 
 
 @dataclass(frozen=True)

@@ -533,6 +533,16 @@ class RationalMap:
             canon.append(reduce_fraction(num, den))
         object.__setattr__(self, "components", tuple(canon))
 
+    @classmethod
+    def _of(cls, field: BaseField, in_arity: int, components: tuple) -> "RationalMap":
+        """Wrap components as is; the caller guarantees what __post_init__
+        establishes: canonical pairs over field in in_arity variables."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "in_arity", in_arity)
+        object.__setattr__(m, "components", components)
+        return m
+
     @property
     def out_arity(self) -> int:
         return len(self.components)
@@ -632,7 +642,8 @@ def map_product(f, g):
     right = list(range(fr.in_arity, n))
     comps = [(num.embed(n, left), den.embed(n, left)) for num, den in fr.components]
     comps += [(num.embed(n, right), den.embed(n, right)) for num, den in gr.components]
-    out = RationalMap(fr.field, n, tuple(comps))
+    # an order-preserving embedding keeps the gcd and the grevlex lead
+    out = RationalMap._of(fr.field, n, tuple(comps))
     if isinstance(f, PolyMap) and isinstance(g, PolyMap):
         return out.as_polymap()
     return out

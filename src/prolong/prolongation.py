@@ -27,6 +27,7 @@ from .linalg import (
     affine_subspace_equal,
     in_span,
     mat_vec,
+    rref,
     solve_affine,
 )
 from .poly import MultiPoly, PolyMap, RationalMap
@@ -132,17 +133,26 @@ def _embed_base(p: MultiPoly, total: int) -> MultiPoly:
 
 
 def _fiber_generator(p: MultiPoly, with_del: bool) -> MultiPoly:
-    """DP.u, optionally plus P_del, inside the doubled ring."""
+    """DP.u, optionally plus P_del, inside the doubled ring.
+
+    A term c.x^m gives c.m_i.x^(m - e_i).u_i for each m_i > 0, and c_del.x^m;
+    these monomials are all distinct, so the terms are written, not summed.
+    """
     n = p.nvars
-    total = MultiPoly.zero(p.field, 2 * n)
+    zeros = (0,) * n
+    terms = {}
     for i in range(n):
-        partial = p.partial(i)
-        if partial.is_zero:
-            continue
-        total = total + _embed_base(partial, 2 * n) * MultiPoly.var(p.field, 2 * n, n + i)
+        unit = zeros[:i] + (1,) + zeros[i + 1 :]
+        for mono, c in p.terms.items():
+            e = mono[i]
+            if e:
+                terms[mono[:i] + (e - 1,) + mono[i + 1 :] + unit] = c * e
     if with_del:
-        total = total + _embed_base(p.coeff_derive(), 2 * n)
-    return total
+        for mono, c in p.terms.items():
+            d = c.derive()
+            if not d.is_zero:
+                terms[mono + zeros] = d
+    return MultiPoly._of(p.field, 2 * n, terms)
 
 
 def _prolong_variety(v: AffineVariety, kind: str) -> ProlongedVariety:
@@ -308,35 +318,21 @@ class FiberTransfer:
     inverse: AffineMap | None
 
 
-def _matrix_through(
+def _linear_part(
     inputs: Sequence[Vector], outputs: Sequence[Vector], in_dim: int, out_dim: int, field: BaseField
 ):
-    """Matrix M with M.inputs[r] = outputs[r], free entries zero."""
-    rows = []
-    for j in range(out_dim):
-        system = [list(u) for u in inputs]
-        rhs = [outputs[r][j] for r in range(len(inputs))]
-        particular, _ = solve_affine(system, rhs, field, ncols=in_dim)
-        rows.append(particular)
-    return tuple(rows)
-
-
-def _combination_respects(
-    inputs: Sequence[Vector], outputs: Sequence[Vector], n_comb: int, field: BaseField
-) -> bool:
-    """Every vanishing combination of inputs also kills outputs."""
-    if not inputs:
-        return True
-    cols = [[inputs[r][i] for r in range(n_comb)] for i in range(len(inputs[0]))]
-    _, lam_basis = solve_affine(cols, [field.zero] * len(cols), field, ncols=n_comb)
-    for lam in lam_basis:
-        for j in range(len(outputs[0])):
-            s = field.zero
-            for r in range(n_comb):
-                s = s + lam[r] * outputs[r][j]
-            if not s.is_zero:
-                return False
-    return True
+    """Matrix M with M.inputs[r] = outputs[r] and free entries zero, from one
+    rref of the rows (inputs[r] | outputs[r]); None when a pivot falls in the
+    output block, i.e. a combination of the rows kills the inputs and not the
+    outputs."""
+    reduced, pivots = rref([tuple(a) + tuple(b) for a, b in zip(inputs, outputs)], field)
+    if pivots and pivots[-1] >= in_dim:
+        return None
+    matrix = [[field.zero] * in_dim for _ in range(out_dim)]
+    for row, col in zip(reduced, pivots):
+        for j in range(out_dim):
+            matrix[j][col] = row[in_dim + j]
+    return tuple(tuple(r) for r in matrix)
 
 
 def correspondence_transfer(
@@ -366,28 +362,19 @@ def correspondence_transfer(
     u0, v0 = s0[:n1], s0[n1:]
     ku = [k[:n1] for k in kernel]
     kv = [k[n1:] for k in kernel]
-    if kernel and not _combination_respects(ku, kv, len(kernel), field):
-        raise TransferNotFunctional("relation sends one source fibre point to several targets")
-    try:
-        matrix = _matrix_through(ku, kv, n1, n2, field) if kernel else tuple(
-            (field.zero,) * n1 for _ in range(n2)
-        )
-    except NoSolution:
+    matrix = _linear_part(ku, kv, n1, n2, field)
+    if matrix is None:
         raise TransferNotFunctional("relation sends one source fibre point to several targets")
     offset = tuple(x - y for x, y in zip(v0, mat_vec(matrix, u0, field)))
     forward = AffineMap(field, matrix, offset)
-    reverse_ok = _combination_respects(kv, ku, len(kernel), field) if kernel else True
-    onto_source = affine_subspace_equal(u0, ku, source.particular, source.basis, field)
-    onto_target = affine_subspace_equal(v0, kv, target.particular, target.basis, field)
-    invertible = reverse_ok and onto_source and onto_target
+    inv_matrix = _linear_part(kv, ku, n2, n1, field)
+    invertible = (
+        inv_matrix is not None
+        and affine_subspace_equal(u0, ku, source.particular, source.basis, field)
+        and affine_subspace_equal(v0, kv, target.particular, target.basis, field)
+    )
     inverse = None
     if invertible:
-        try:
-            inv_matrix = _matrix_through(kv, ku, n2, n1, field) if kernel else tuple(
-                (field.zero,) * n2 for _ in range(n1)
-            )
-        except NoSolution:
-            raise TransferNotFunctional("reverse relation is not a map")
         inv_offset = tuple(x - y for x, y in zip(u0, mat_vec(inv_matrix, v0, field)))
         inverse = AffineMap(field, inv_matrix, inv_offset)
     return FiberTransfer(field, source, target, forward, invertible, inverse)

@@ -292,3 +292,51 @@ def test_rational_section_keeps_its_witnesses():
         ),
         ("homomorphism: component 1", False, "x1*x2 + w1 + w2 + 1"),
     ]
+
+
+@pytest.mark.parametrize(
+    "sigma, witnesses, max_gcds",
+    [
+        (
+            ["1/(x + 1)", "1/(x + 1)"],
+            [
+                None,
+                None,
+                "x^2 + x + w + 1",
+                "x1^3*x2 + x1*x2^3 + x1^2*x2 + x1*x2^2 + x1^2 - x1*x2 + x2^2 - 1",
+                "x1*x2 + w1 + w2 + 1",
+            ],
+            40,
+        ),
+        (
+            ["x^2/(x + 2)", "w/(w + 3)"],
+            [
+                None,
+                None,
+                "4*x + 3",
+                "x1^3*x2^3 + 4*x1^2*x2 + 4*x1*x2^2",
+                "w1^3*w2^2 + w1^2*w2^3 + 5*w1^2*w2^2 + 9*w1*w2",
+            ],
+            65,
+        ),
+    ],
+)
+def test_canonical_components_are_not_reduced_again(monkeypatch, sigma, witnesses, max_gcds):
+    """The fan-outs and the product sigma x sigma reuse sigma's canonical
+    components; reducing them again made 50 and 108 gcds on these sections."""
+    import prolong.poly as poly_module
+
+    g = multiplicative_group(Q)
+    s = section(g, sigma)
+    calls = []
+    real = poly_module.poly_gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counted)
+    report = check_dgroup(g, s)
+    assert [e.witness for e in report.entries] == witnesses
+    assert [e.ok for e in report.entries] == [w is None for w in witnesses]
+    assert len(calls) <= max_gcds

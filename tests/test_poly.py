@@ -342,6 +342,35 @@ def test_map_product_blocks(rng):
     assert out == (a[0] ** 2, a[1] + 1, 2 * a[1])
 
 
+def random_rational_map(rng, field, n_in, n_out):
+    comps = tuple(
+        (
+            random_poly(rng, field, n_in, deg=2, tdeg=1),
+            random_nonzero_poly(rng, field, n_in, deg=2, tdeg=1),
+        )
+        for _ in range(n_out)
+    )
+    return RationalMap(field, n_in, comps)
+
+
+def test_map_product_keeps_canonical_components(monkeypatch, rng):
+    for field in (Q, QT):
+        for _ in range(10):
+            f = random_rational_map(rng, field, rng.randint(1, 3), 2)
+            g = random_rational_map(rng, field, rng.randint(1, 3), 2)
+            n = f.in_arity + g.in_arity
+            left = list(range(f.in_arity))
+            right = list(range(f.in_arity, n))
+            comps = [(p.embed(n, left), q.embed(n, left)) for p, q in f.components]
+            comps += [(p.embed(n, right), q.embed(n, right)) for p, q in g.components]
+            calls = count_gcd_calls(monkeypatch)
+            product = map_product(f, g)
+            assert calls == []
+            monkeypatch.undo()
+            # the embedded components are already what reduce_fraction makes
+            assert product.components == RationalMap(field, n, tuple(comps)).components
+
+
 def test_map_product_of_polynomial_maps():
     f = pmap(Q, ("x",), ("x^2",))
     g = pmap(Q, ("y",), ("y + 1", "2*y"))

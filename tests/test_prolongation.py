@@ -30,7 +30,9 @@ from prolong import (
     tau_variety,
 )
 
-from helpers import pmap, poly, random_point, random_polymap, rmap
+from prolong.prolongation import _fiber_generator
+
+from helpers import pmap, poly, random_point, random_poly, random_polymap, rmap
 
 XY = ("x", "y")
 
@@ -315,3 +317,30 @@ def test_polynomial_rational_map_takes_the_polymap_path(monkeypatch, prolong):
     assert rational_products == poly_products
     assert isinstance(out, RationalMap)
     assert out == expected.as_rational()
+
+
+def reference_fiber_generator(p, with_del):
+    """DP.u, optionally plus P_del, as the sum of the products partial_i * u_i."""
+    n = p.nvars
+    base = list(range(n))
+    total = MultiPoly.zero(p.field, 2 * n)
+    for i in range(n):
+        partial = p.partial(i)
+        if not partial.is_zero:
+            total = total + partial.embed(2 * n, base) * MultiPoly.var(p.field, 2 * n, n + i)
+    if with_del:
+        total = total + p.coeff_derive().embed(2 * n, base)
+    return total
+
+
+@pytest.mark.parametrize("field", [Q, QT])
+def test_fiber_generator_writes_its_terms(monkeypatch, rng, field):
+    for _ in range(40):
+        p = random_poly(rng, field, rng.randint(1, 4), deg=4, terms=6)
+        for with_del in (False, True):
+            want = reference_fiber_generator(p, with_del)
+            got, products = count_products(monkeypatch, lambda: _fiber_generator(p, with_del))
+            assert products == 0
+            assert got == want
+            # the same term order, so whatever iterates the terms runs alike
+            assert list(got.terms) == list(want.terms)
