@@ -79,27 +79,31 @@ def check_cocycle(m: AtlasManifold) -> CheckReport:
             continue
         if i > j:
             continue
-        try:
-            both = m.transition(j, i).compose(m.transition(i, j))
-            ok = both.equiv(ident)
-            witness = None if ok else _map_str(both, m.coord_names)
-        except IdenticallyZeroDenominator as err:
-            ok, witness = False, str(err)
-        report.add(f"inverse ({i},{j})", ok, witness)
+        pair = (m.transition(j, i), m.transition(i, j))
+        _check_composite(report, f"inverse ({i},{j})", pair, ident, m.coord_names)
     for (i, j) in sorted(m.transitions):
         for k in m.charts:
             if k == i or k == j:
                 continue
             if (j, k) not in m.transitions or (i, k) not in m.transitions:
                 continue
-            try:
-                lhs = m.transition(j, k).compose(m.transition(i, j))
-                ok = lhs.equiv(m.transition(i, k))
-                witness = None if ok else _map_str(lhs, m.coord_names)
-            except IdenticallyZeroDenominator as err:
-                ok, witness = False, str(err)
-            report.add(f"triple ({i},{j},{k})", ok, witness)
+            pair = (m.transition(j, k), m.transition(i, j))
+            _check_composite(report, f"triple ({i},{j},{k})", pair, m.transition(i, k), m.coord_names)
     return report
+
+
+def _check_composite(report: CheckReport, name: str, maps, want: RationalMap, names) -> None:
+    """Add the check maps[0] . maps[1] . ... = want; a composite whose
+    denominator vanishes identically fails with that message as witness."""
+    try:
+        got = maps[-1]
+        for outer in reversed(maps[:-1]):
+            got = outer.compose(got)
+        ok = got.equiv(want)
+        witness = None if ok else _map_str(got, names)
+    except IdenticallyZeroDenominator as err:
+        ok, witness = False, str(err)
+    report.add(name, ok, witness)
 
 
 def _map_str(m: RationalMap, names: Sequence[str]) -> str:
@@ -236,15 +240,9 @@ def verify_chartwise_map(f: ChartwiseMap) -> CheckReport:
             i2, j2 = dst_key
             if not f.source.has_transition(i2, i) or not f.target.has_transition(j, j2):
                 continue
-            phi = f.source.transition(i2, i)
-            psi = f.target.transition(j, j2)
-            try:
-                via = psi.compose(f.pieces[src_key].compose(phi))
-                ok = via.equiv(f.pieces[dst_key])
-                witness = None if ok else _map_str(via, f.source.coord_names)
-            except IdenticallyZeroDenominator as err:
-                ok, witness = False, str(err)
-            report.add(f"conjugation ({i},{j}) vs ({i2},{j2})", ok, witness)
+            chain = (f.target.transition(j, j2), f.pieces[src_key], f.source.transition(i2, i))
+            name = f"conjugation ({i},{j}) vs ({i2},{j2})"
+            _check_composite(report, name, chain, f.pieces[dst_key], f.source.coord_names)
     return report
 
 

@@ -102,6 +102,9 @@ class _Parser:
             raise ValueError(f"duplicate variable names in {list(var_names)}")
         if "t" in self.vars:
             raise ValueError("'t' names the base field element and cannot be a variable")
+        bad = [name for name in var_names if not name.isidentifier()]
+        if bad:
+            raise ValueError(f"variable names must be identifiers, not {bad}")
         self.nvars = len(var_names)
         self.allow_div = allow_div
         self.tokens = _tokenize(src)

@@ -14,19 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    ArityMismatch,
-    NoSolution,
-    PointNotOnVariety,
-    TransferNotFunctional,
-)
+from .errors import ArityMismatch, PointNotOnVariety, TransferNotFunctional
 from .field import BaseField, FieldElement
 from .linalg import (
     AffineMap,
     Vector,
-    affine_subspace_equal,
     in_span,
     mat_vec,
+    rank,
     rref,
     solve_affine,
 )
@@ -104,9 +99,6 @@ class FiberPoint:
     def __post_init__(self):
         if len(self.base) != len(self.fiber):
             raise ArityMismatch("base point and fibre vector lengths differ")
-
-    def flat(self) -> tuple[FieldElement, ...]:
-        return self.base + self.fiber
 
 
 def nabla(
@@ -346,32 +338,28 @@ def correspondence_transfer(
     the relation is a bijection between the two full fibres.
     """
     field = corr.left.field
-    pa = corr.left.require_point(a)
-    pb = corr.right.require_point(b)
-    pair = pa + pb
-    corr.graph.require_point(pair)
     n1 = corr.left.nvars
     n2 = corr.right.nvars
-    source = fiber_solve(corr.left, pa, "tau")
-    target = fiber_solve(corr.right, pb, "tau")
-    rows, rhs = _fiber_system(corr.graph.gens, pair, "tau")
-    try:
-        s0, kernel = solve_affine(rows, rhs, field, ncols=n1 + n2)
-    except NoSolution:
-        raise NoSolution("tau equations of the graph are inconsistent at the point")
-    u0, v0 = s0[:n1], s0[n1:]
-    ku = [k[:n1] for k in kernel]
-    kv = [k[n1:] for k in kernel]
+    source = fiber_solve(corr.left, a, "tau")
+    target = fiber_solve(corr.right, b, "tau")
+    joint = fiber_solve(corr.graph, tuple(a) + tuple(b), "tau")
+    u0, v0 = joint.particular[:n1], joint.particular[n1:]
+    ku = [k[:n1] for k in joint.basis]
+    kv = [k[n1:] for k in joint.basis]
     matrix = _linear_part(ku, kv, n1, n2, field)
     if matrix is None:
         raise TransferNotFunctional("relation sends one source fibre point to several targets")
     offset = tuple(x - y for x, y in zip(v0, mat_vec(matrix, u0, field)))
     forward = AffineMap(field, matrix, offset)
     inv_matrix = _linear_part(kv, ku, n2, n1, field)
+    # Both directions functional: the ku are independent, and so are the kv.
+    # da (db) lies in u0 + span(ku) and in the source (target) fibre, so one
+    # rank per side compares the spans (README "Fibres and transfer").
     invertible = (
         inv_matrix is not None
-        and affine_subspace_equal(u0, ku, source.particular, source.basis, field)
-        and affine_subspace_equal(v0, kv, target.particular, target.basis, field)
+        and joint.dim == source.dim == target.dim
+        and rank([*ku, *source.basis], field) == source.dim
+        and rank([*kv, *target.basis], field) == target.dim
     )
     inverse = None
     if invertible:

@@ -115,6 +115,26 @@ def test_cocycle_triple():
     assert not check_cocycle(bad).ok
 
 
+
+def test_cocycle_zero_denominator():
+    # 1/x after the zero map: the triple fails with the composition's message
+    m = AtlasManifold(
+        "M",
+        Q,
+        1,
+        (1, 2, 3),
+        ("x",),
+        {(1, 2): rmap(Q, ("x",), ["0"]), (2, 3): one_over_x(Q), (1, 3): rmap(Q, ("x",), ["x"])},
+    )
+    report = check_cocycle(m)
+    assert [e.as_dict() for e in report.entries] == [
+        {
+            "name": "triple (1,2,3)",
+            "ok": False,
+            "witness": "denominator vanishes identically after composition",
+        }
+    ]
+
 def test_tau_atlas_of_projective_line():
     pro = tau_atlas(projective_line(QT))
     atlas = pro.atlas
@@ -254,6 +274,24 @@ def test_verify_chartwise_map_zero_denominator():
         "denominator vanishes identically after composition"
     ] * 2
 
+
+
+def test_verify_chartwise_map_zero_denominator_inside():
+    # psi . (f . phi) with phi = 0, f = psi = 1/x: f . phi has a zero
+    # denominator.  Composed the other way round, (psi . f) . phi = x . 0
+    # would equal the piece 0 at (2,2) and pass.
+    zero = rmap(Q, ("x",), ["0"])
+    source = AtlasManifold("S", Q, 1, (1, 2), ("x",), {(2, 1): zero})
+    target = AtlasManifold("T", Q, 1, (1, 2), ("x",), {(1, 2): one_over_x(Q)})
+    f = ChartwiseMap(source, target, {(1, 1): one_over_x(Q), (2, 2): zero})
+    report = verify_chartwise_map(f)
+    assert [e.as_dict() for e in report.entries] == [
+        {
+            "name": "conjugation (1,1) vs (2,2)",
+            "ok": False,
+            "witness": "denominator vanishes identically after composition",
+        }
+    ]
 
 def test_prolong_map_between_atlases():
     out = prolong_map_between_atlases(square_map(QT), kind="tau")

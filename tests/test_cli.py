@@ -81,6 +81,15 @@ def test_parse_rejects_repeated_variables(capsys):
     assert "duplicate variable names" in report["details"]["message"]
 
 
+@pytest.mark.parametrize("names", ["x,", "1a,b c", "x,y-z"])
+def test_parse_rejects_names_that_are_not_identifiers(capsys, names):
+    # no expression could reference them, and a model's vars refuse them too
+    code, report, _ = run(capsys, "parse", "-i", MODEL_Q, "--expr", "x", "--vars", names)
+    assert code == 2
+    assert report["details"]["error"] == "ValueError"
+    assert "variable names must be identifiers" in report["details"]["message"]
+
+
 def test_parse_variety_and_vars_exclusive(capsys):
     code, report, err = run(
         capsys, "parse", "-i", MODEL_Q, "--expr", "x", "-v", "GmV", "--vars", "x"
