@@ -39,7 +39,10 @@ from .errors import (
 from .field import BaseField, FieldElement
 from .poly import MultiPoly, reduce_fraction
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()]))")
+# A variable name as the tokenizer reads it; is_name tests the same rule for
+# the names --vars and a model's vars declare.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME_RE.pattern})|([-+*/^()]))")
 
 _INT, _NAME, _OP, _END = "int", "name", "op", "end"
 # token kind by the number of the _TOKEN_RE group that matched
@@ -59,10 +62,6 @@ MAX_WORK = 500_000
 
 def _size(p: MultiPoly) -> int:
     return sum(len(c.n) + len(c.d) for c in p.terms.values())
-
-
-def _is_one(p: MultiPoly) -> bool:
-    return len(p.terms) == 1 and p.is_constant and p.constant_value().is_one
 
 
 class _Token(NamedTuple):
@@ -91,6 +90,15 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
+def is_name(text: str) -> bool:
+    """Whether text can name a variable: the tokenizer reads it as one name.
+
+    The ASCII identifiers are exactly the matches of _NAME_RE, and two
+    string methods test that faster than the pattern.
+    """
+    return text.isascii() and text.isidentifier()
+
+
 class _Parser:
     """Recursive descent over (numerator, denominator) polynomial pairs."""
 
@@ -102,9 +110,11 @@ class _Parser:
             raise ValueError(f"duplicate variable names in {list(var_names)}")
         if "t" in self.vars:
             raise ValueError("'t' names the base field element and cannot be a variable")
-        bad = [name for name in var_names if not name.isidentifier()]
+        bad = [name for name in var_names if not is_name(name)]
         if bad:
-            raise ValueError(f"variable names must be identifiers, not {bad}")
+            raise ValueError(
+                f"variable names must be identifiers of ASCII letters, digits and _, not {bad}"
+            )
         self.nvars = len(var_names)
         self.allow_div = allow_div
         self.tokens = _tokenize(src)
@@ -131,9 +141,9 @@ class _Parser:
 
     def _mul(self, a: MultiPoly, b: MultiPoly, pos: int) -> MultiPoly:
         # most products are by the denominator 1: they cost nothing
-        if _is_one(b):
+        if b.is_one:
             return a
-        if _is_one(a):
+        if a.is_one:
             return b
         if a.total_degree() + b.total_degree() > MAX_DEGREE:
             raise ExprSyntaxError(f"product of degree above {MAX_DEGREE}", pos)

@@ -23,6 +23,7 @@ it, for format and for readers outside the arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -183,21 +184,22 @@ def _fmt_upoly(a) -> str:
     return " ".join(parts)
 
 
-def power(x, k: int):
+def power(x, k: int, mul=operator.mul):
     """x**k for an integer k >= 1, by square-and-multiply from the low bit.
 
     There is no product by one and no square after the top bit, so the cost
     is bit_length(k) - 1 squares and popcount(k) - 1 products: x**e costs
-    e - 1 for e <= 3.  x is a field element, a polynomial or a series.
+    e - 1 for e <= 3.  x is a field element, a polynomial or a series, or,
+    with mul=_mul, a polynomial of Z[t] as a tuple.
     """
     out = None
     while True:
         if k & 1:
-            out = x if out is None else out * x
+            out = x if out is None else mul(out, x)
         k >>= 1
         if not k:
             return out
-        x = x * x
+        x = mul(x, x)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,14 @@ from dataclasses import dataclass
 from .atlas import AtlasManifold, _check_chart_pair
 from .dgroup import AffineAlgGroup, DGroupSection, stacked_names
 from .errors import ExprSyntaxError, IdenticallyZeroDenominator, ModelError
-from .expr import check_poly, check_rational, parse_element, parse_poly, parse_rational
+from .expr import (
+    check_poly,
+    check_rational,
+    is_name,
+    parse_element,
+    parse_poly,
+    parse_rational,
+)
 from .field import Q, QT, BaseField
 from .poly import RationalMap
 from .prolongation import AffineVariety, Correspondence
@@ -191,7 +198,7 @@ def _expect_names(value, where):
         raise ModelError(f"{where} must be a nonempty list of names")
     names = []
     for item in value:
-        if not isinstance(item, str) or not item.isidentifier():
+        if not isinstance(item, str) or not is_name(item):
             raise ModelError(f"{where} contains a bad variable name {_show(item)}")
         if item == "t":
             raise ModelError(f"{where} uses 't', which names the base field element")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     IdenticallyZeroDenominator,
     IndexOutOfRange,
 )
-from .field import BaseField, FieldElement, power
+from .field import _UNIT, BaseField, FieldElement, _exquo, _gcd, _mul, _trim, power
 
 Monomial = tuple[int, ...]
 
@@ -91,6 +92,11 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    @property
+    def is_one(self) -> bool:
+        c = self.terms.get((0,) * self.nvars)
+        return c is not None and len(self.terms) == 1 and c.is_one
 
     @property
     def is_constant(self) -> bool:
@@ -211,9 +217,7 @@ class MultiPoly:
         return max(m[i] for m in self.terms)
 
     def evaluate(self, point: Sequence) -> FieldElement:
-        if len(point) != self.nvars:
-            raise ArityMismatch(f"point of length {len(point)} for {self.nvars} variables")
-        return evaluate_at(self, [self.field.elem(v) for v in point], self.field.elem)
+        return _at_point((self,), point)[0]
 
     def substitute(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute args[i] for variable i; args share a common ring."""
@@ -297,6 +301,99 @@ def evaluate_at(p: MultiPoly, values: Sequence, lift):
             term = lift(c) * term
         total = term if total is None else total + term
     return lift(p.field.zero) if total is None else total
+
+
+def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]:
+    """Each of polys, all over one ring, at one point of its field.
+
+    Where every value has a constant denominator this is evaluate_at over
+    field elements.  Where some value has a denominator of positive degree
+    in t, each field product and sum of that loop would run a gcd in Z[t];
+    a polynomial in such a value is instead evaluated over one common
+    denominator, with the powers of the point shared by all of polys.
+    """
+    if not polys:
+        return []
+    p = polys[0]
+    if len(point) != p.nvars:
+        raise ArityMismatch(f"point of length {len(point)} for {p.nvars} variables")
+    field = p.field
+    values = [field.elem(v) for v in point]
+    if all(len(v.d) == 1 for v in values):
+        return [evaluate_at(q, values, field.elem) for q in polys]
+    powers = {}
+    return [_over_common_denominator(q, values, powers) for q in polys]
+
+
+def _over_common_denominator(p: MultiPoly, values, powers: dict) -> FieldElement:
+    """p at values x_i = n_i/d_i, as N/D in Z[t] with one cancellation.
+
+    With L the lcm of the coefficient denominators and deg_i the degree of
+    p in x_i, D = L * prod d_i^deg_i over the d_i other than 1, and N is
+    L*p made homogeneous as _subst_rational does, evaluated on tuples: a
+    term c*x^m contributes c*L * prod n_i^m_i * d_i^(deg_i - m_i), where
+    powers[i, e] holds n_i^e and powers[~i, e] holds d_i^e.  An
+    irreducible factor of positive degree shared by N and D divides L or
+    some d_i, so unless one of those shares one with N only integer content
+    can cancel, and gcd(N, D) does not run.
+    """
+    field = p.field
+    terms = p.terms
+    # (i, deg_i) for each variable of p, deg_i taken as 0 where d_i = 1
+    live = []
+    bases = set()
+    for i, e in enumerate(map(max, zip(*terms))):
+        if e:
+            d = values[i].d
+            if d == _UNIT:
+                e = 0
+            elif len(d) > 1:
+                bases.add(d)
+            live.append((i, e))
+    if not bases:
+        return evaluate_at(p, values, field.elem)
+
+    def raised(i, e):
+        x = powers.get((i, e))
+        if x is None:
+            base = values[i].n if i >= 0 else values[~i].d
+            x = powers[i, e] = base if e == 1 or base == _UNIT else power(base, e, _mul)
+        return x
+
+    lcm = _UNIT
+    for c in terms.values():
+        d = c.d
+        if d != _UNIT and d != lcm:
+            lcm = _mul(lcm, _exquo(d, _gcd(lcm, d)))
+    acc = []
+    for mono, c in terms.items():
+        x = c.n if c.d == lcm else _mul(c.n, _exquo(lcm, c.d))
+        for i, top in live:
+            m = mono[i]
+            if m:
+                x = _mul(x, raised(i, m))
+            if top > m:
+                x = _mul(x, raised(~i, top - m))
+        if len(x) > len(acc):
+            acc.extend([0] * (len(x) - len(acc)))
+        for k, a in enumerate(x):
+            acc[k] += a
+    num = _trim(acc)
+    if not num:
+        return field.zero
+    den = lcm
+    for i, top in live:
+        if top:
+            den = _mul(den, raised(~i, top))
+    if len(lcm) > 1:
+        bases.add(lcm)
+    if any(len(_gcd(num, b)) > 1 for b in bases):
+        g = _gcd(num, den)
+    else:
+        g = (gcd(*num, *den),)
+    if g != _UNIT:
+        num, den = _exquo(num, g), _exquo(den, g)
+    return FieldElement(field, num, den)
 
 
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:
@@ -409,7 +506,7 @@ def reduce_fraction(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPol
             return num, den
         return num * c.inverse(), MultiPoly.const(num.field, num.nvars, 1)
     g = poly_gcd(num, den)
-    if not (g.is_constant and g.constant_value().is_one):
+    if not g.is_one:
         num = exact_div(num, g)
         den = exact_div(den, g)
     _, lc = den.lead()
@@ -451,8 +548,27 @@ def _subst_rational(
     return evaluate_at(homogeneous, values, lift), D
 
 
-def _substitute_into(p: MultiPoly, inner: "PolyMap") -> MultiPoly:
-    """p after inner: PolyMap checked the ring of inner's components once."""
+def _product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """a * b, with no product made when a or b is 1."""
+    return b if a.is_one else a if b.is_one else a * b
+
+
+def _units(inner: "PolyMap") -> frozenset:
+    """The coordinates where inner is the constant 1."""
+    return frozenset(i for i, c in enumerate(inner.components) if c.is_one)
+
+
+def _substitute_into(p: MultiPoly, inner: "PolyMap", units: frozenset) -> MultiPoly:
+    """p after inner: PolyMap checked the ring of inner's components once.
+
+    A variable in units is dropped from p first (1^e = 1), so that no
+    product by 1 is made.
+    """
+    if units:
+        p = MultiPoly(p.field, p.nvars, [
+            (tuple(0 if i in units else e for i, e in enumerate(mono)), c)
+            for mono, c in p.terms.items()
+        ])
     lift = partial(MultiPoly.const, inner.field, inner.in_arity)
     return evaluate_at(p, inner.components, lift)
 
@@ -481,7 +597,7 @@ class PolyMap:
         return cls(field, n, tuple(MultiPoly.var(field, n, i) for i in range(n)))
 
     def evaluate(self, point: Sequence) -> tuple[FieldElement, ...]:
-        return tuple(c.evaluate(point) for c in self.components)
+        return tuple(_at_point(self.components, point))
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self after inner."""
@@ -489,7 +605,8 @@ class PolyMap:
             raise ArityMismatch(
                 f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"
             )
-        comps = tuple(_substitute_into(c, inner) for c in self.components)
+        units = _units(inner)
+        comps = tuple(_substitute_into(c, inner, units) for c in self.components)
         return PolyMap(self.field, inner.in_arity, comps)
 
     def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
@@ -568,12 +685,12 @@ class RationalMap:
         return PolyMap(self.field, self.in_arity, tuple(num for num, _ in self.components))
 
     def evaluate(self, point: Sequence) -> tuple[FieldElement, ...]:
+        values = _at_point([q for pair in self.components for q in pair], point)
         out = []
-        for num, den in self.components:
-            dv = den.evaluate(point)
+        for nv, dv in zip(values[::2], values[1::2]):
             if dv.is_zero:
                 raise DenominatorVanishes("denominator vanishes at the point")
-            out.append(num.evaluate(point) / dv)
+            out.append(nv if dv.is_one else nv / dv)
         return tuple(out)
 
     def compose(self, inner) -> "RationalMap":
@@ -591,15 +708,18 @@ class RationalMap:
         comps = []
         if inner.is_polynomial():
             args = inner.as_polymap()
+            units = _units(args)
             for pnum, pden in self.components:
-                comps.append((_substitute_into(pnum, args), _substitute_into(pden, args)))
+                comps.append(
+                    (_substitute_into(pnum, args, units), _substitute_into(pden, args, units))
+                )
         else:
             nums = [n for n, _ in inner.components]
             dens = [d for _, d in inner.components]
             for pnum, pden in self.components:
                 n1, d1 = _subst_rational(pnum, nums, dens)
                 n2, d2 = _subst_rational(pden, nums, dens)
-                comps.append((n1 * d2, d1 * n2))
+                comps.append((_product(n1, d2), _product(d1, n2)))
         if any(den.is_zero for _, den in comps):
             raise IdenticallyZeroDenominator("denominator vanishes identically after composition")
         return RationalMap(self.field, inner.in_arity, tuple(comps))

@@ -62,13 +62,12 @@ class AffineVariety:
 
     def contains(self, point: Sequence) -> bool:
         pt = self.coerce_point(point)
-        return all(g.evaluate(pt).is_zero for g in self.gens)
+        return not any(PolyMap(self.field, self.nvars, self.gens).evaluate(pt))
 
     def require_point(self, point: Sequence) -> tuple[FieldElement, ...]:
         pt = self.coerce_point(point)
-        for g in self.gens:
-            if not g.evaluate(pt).is_zero:
-                raise PointNotOnVariety(f"point fails a defining equation of {self.name}")
+        if any(PolyMap(self.field, self.nvars, self.gens).evaluate(pt)):
+            raise PointNotOnVariety(f"point fails a defining equation of {self.name}")
         return pt
 
 
@@ -253,15 +252,19 @@ class AffineFiberDescription:
 def _fiber_system(
     gens: Sequence[MultiPoly], point: Sequence[FieldElement], kind: str
 ) -> tuple[list, list]:
-    rows = []
-    rhs = []
-    for g in gens:
-        rows.append([g.partial(i).evaluate(point) for i in range(g.nvars)])
-        if kind == "tau":
-            rhs.append(-g.coeff_derive().evaluate(point))
-        else:
-            rhs.append(g.field.zero)
-    return rows, rhs
+    """Rows DP(a) and right-hand sides -P_del(a) (0 for T) of the fibre
+    equations, from one evaluation of all partials at the point."""
+    if not gens:
+        return [], []
+    field, n = gens[0].field, gens[0].nvars
+    polys = [g.partial(i) for g in gens for i in range(n)]
+    if kind == "tau":
+        polys += [g.coeff_derive() for g in gens]
+    values = PolyMap(field, n, tuple(polys)).evaluate(point)
+    rows = [list(values[k * n : (k + 1) * n]) for k in range(len(gens))]
+    if kind == "tau":
+        return rows, [-v for v in values[len(gens) * n :]]
+    return rows, [field.zero] * len(gens)
 
 
 def fiber_solve(v: AffineVariety, point: Sequence, kind: str = "tau") -> AffineFiberDescription:

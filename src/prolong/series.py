@@ -241,7 +241,7 @@ def _fractions(f):
     if isinstance(f, PolyMap):
         return [(c, None) for c in f.components]
     return [
-        (num, None if den.is_constant and den.constant_value().is_one else den)
+        (num, None if den.is_one else den)
         for num, den in f.components
     ]
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import prolong
-from prolong import cli, errors
+from prolong import MultiPoly, cli, errors
 from prolong.cli import MAX_COEFFICIENT_DIGITS, MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
 from prolong.expr import MAX_DEGREE
 from prolong.model import MAX_ATLAS_CHARTS, MAX_ATLAS_DIM
@@ -81,13 +81,41 @@ def test_parse_rejects_repeated_variables(capsys):
     assert "duplicate variable names" in report["details"]["message"]
 
 
-@pytest.mark.parametrize("names", ["x,", "1a,b c", "x,y-z"])
+@pytest.mark.parametrize("names", ["x,", "1a,b c", "x,y-z", "é", "x,yé"])
 def test_parse_rejects_names_that_are_not_identifiers(capsys, names):
     # no expression could reference them, and a model's vars refuse them too
     code, report, _ = run(capsys, "parse", "-i", MODEL_Q, "--expr", "x", "--vars", names)
     assert code == 2
     assert report["details"]["error"] == "ValueError"
     assert "variable names must be identifiers" in report["details"]["message"]
+
+
+SIX_COMMANDS = (
+    ("check-group", "-i", MODEL_Q, "-g", "B"),
+    ("tau-group", "-i", MODEL_Q, "-g", "B"),
+    ("check-dgroup", "-i", MODEL_Q, "-g", "B", "-s", "b_s01"),
+    ("check-dgroup", "-i", MODEL_Q, "-g", "Gm", "-s", "gm_twist1"),
+    ("tau-group", "-i", MODEL_QT, "-g", "Ga"),
+    ("check-cocycle", "-i", MODEL_QT, "-a", "P1"),
+)
+
+
+def test_no_product_by_one(capsys, monkeypatch):
+    # the commands that once made 314 of their 608 polynomial products by 1
+    products, by_one = [], []
+    real = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        if a.is_one or (b.is_one if isinstance(b, MultiPoly) else b == 1):
+            by_one.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    for argv in SIX_COMMANDS:
+        run(capsys, *argv)
+    assert products and not by_one
 
 
 def test_parse_variety_and_vars_exclusive(capsys):

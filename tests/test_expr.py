@@ -18,7 +18,7 @@ from prolong import (
     parse_rational,
 )
 
-from prolong.expr import MAX_DEGREE, MAX_NESTING, check_poly, check_rational
+from prolong.expr import _TOKEN_RE, MAX_DEGREE, MAX_NESTING, check_poly, check_rational, is_name
 
 from helpers import poly, random_poly
 
@@ -270,3 +270,12 @@ def test_check_leaves_value_faults_to_the_parse():
     # a syntax fault is found even after a value fault the parse would stop at
     with pytest.raises(ExprSyntaxError, match="unexpected end of input"):
         check_poly(f"(x + 1)^{MAX_DEGREE}*x +", XY, Q)
+
+
+def test_names_are_what_the_tokenizer_reads():
+    chars = [chr(c) for c in range(32, 127)] + ["é", "ß", "ｘ", "١", "\u00b2", "\u212a"]
+    texts = chars + [a + b for a in chars for b in chars]
+    for text in texts:
+        m = _TOKEN_RE.match(text)
+        whole_name = m is not None and m.group(2) == text
+        assert is_name(text) == whole_name, text

@@ -129,6 +129,16 @@ def test_variety_key_validation():
         load_model(minimal(varieties={"V": {"vars": ["2x"]}}))
 
 
+@pytest.mark.parametrize("name", ["é", "xé", "ｘ", "x١"])
+def test_vars_are_names_the_tokenizer_reads(name):
+    # str.isidentifier accepts each of these, but no expression could use it
+    assert name.isidentifier()
+    with pytest.raises(ModelError, match="bad variable name"):
+        load_model(minimal(varieties={"V": {"vars": ["x", name]}}))
+    with pytest.raises(ModelError, match="bad variable name"):
+        load_model(minimal(maps={"F": {"vars": [name], "components": ["1"]}}))
+
+
 def test_expression_errors_carry_location():
     text = minimal(varieties={"V": {"vars": ["x"], "gens": ["x +"]}})
     with pytest.raises(ModelError, match=r"variety 'V' gens\[0\]"):

@@ -89,23 +89,35 @@ def test_power_products(monkeypatch):
 
 def test_evaluation_computes_each_power_once(monkeypatch):
     p = poly("x^3 + x^3*y - 2*y^2 + x*y^2 + x + 5", XY, QT)
-    exponents = []
+    q = poly("x^3*y^2 - y", XY, QT)
+    calls = []
     real = poly_module.power
 
-    def counted(x, k):
-        exponents.append(k)
-        return real(x, k)
+    def counted(x, k, *mul):
+        calls.append((x, k))
+        return real(x, k, *mul)
 
     monkeypatch.setattr(poly_module, "power", counted)
     a = (QT.t, parse_element("1/(1 + t)", QT))
     value = p.evaluate(a)
-    assert sorted(exponents) == [2, 3]
-    exponents.clear()
+    # over the common denominator (1 + t)^2: t^3 and (1 + t)^2, and no power
+    # of y's numerator 1
+    assert sorted(calls) == [((0, 1), 3), ((1, 1), 2)]
+    calls.clear()
+    values = PolyMap(QT, 2, (p, q)).evaluate(a)
+    # q's powers are the ones p made: the map shares them
+    assert sorted(calls) == [((0, 1), 3), ((1, 1), 2)]
+    calls.clear()
+    at_q_point = p.evaluate((Fraction(1, 2), 3))
+    assert sorted(k for _, k in calls) == [2, 3]
+    calls.clear()
     image = p.substitute((poly("x + y", XY, QT), poly("x*y", XY, QT)))
-    assert sorted(exponents) == [2, 3]
+    assert sorted(k for _, k in calls) == [2, 3]
     monkeypatch.undo()
     x, y = a
     assert value == x**3 + x**3 * y - 2 * y**2 + x * y**2 + x + 5
+    assert values == (value, x**3 * y**2 - y)
+    assert at_q_point == QT.elem(Fraction(1, 8) * 4 - 18 + Fraction(9, 2) + Fraction(1, 2) + 5)
     expected = "(x + y)^3 + (x + y)^3*x*y - 2*x^2*y^2 + (x + y)*x^2*y^2 + x + y + 5"
     assert image == poly(expected, XY, QT)
 
