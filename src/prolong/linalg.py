@@ -46,11 +46,17 @@ def mat_mul(a: Matrix, b: Matrix, field: BaseField) -> Matrix:
 
 
 def rref(rows: Sequence[Sequence[FieldElement]], field: BaseField) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
+    """Reduced row echelon form and the pivot column indices.
+
+    Left of its pivot the pivot row is zero, so an elimination touches only
+    the pivot column and the nonzero entries right of it; a pivot 1 is not
+    divided out, and no product has a factor 1.
+    """
     m = [list(r) for r in rows]
     if not m:
         return (), ()
     ncols = len(m[0])
+    one, zero = field.one, field.zero
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -62,12 +68,23 @@ def rref(rows: Sequence[Sequence[FieldElement]], field: BaseField) -> tuple[Matr
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col].inverse()
-        m[r] = [x * inv for x in m[r]]
+        row = m[r]
+        live = [j for j in range(col + 1, ncols) if not row[j].is_zero]
+        if not row[col].is_one:
+            inv = row[col].inverse()
+            row[col] = one
+            for j in live:
+                row[j] = inv if row[j].is_one else row[j] * inv
         for i in range(len(m)):
-            if i != r and not m[i][col].is_zero:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            other = m[i]
+            factor = other[col]
+            if i == r or factor.is_zero:
+                continue
+            other[col] = zero
+            unit = factor.is_one
+            for j in live:
+                x = row[j]
+                other[j] = other[j] - (x if unit else factor if x.is_one else factor * x)
         pivots.append(col)
         r += 1
         if r == len(m):

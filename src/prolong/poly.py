@@ -310,7 +310,9 @@ def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]
     field elements.  Where some value has a denominator of positive degree
     in t, each field product and sum of that loop would run a gcd in Z[t];
     a polynomial in such a value is instead evaluated over one common
-    denominator, with the powers of the point shared by all of polys.
+    denominator, with the powers of the point shared by all of polys.  A
+    polynomial of at most two terms and degree at most 1 makes at most one
+    product and one sum, too few to repay that set-up, and keeps the loop.
     """
     if not polys:
         return []
@@ -322,7 +324,12 @@ def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]
     if all(len(v.d) == 1 for v in values):
         return [evaluate_at(q, values, field.elem) for q in polys]
     powers = {}
-    return [_over_common_denominator(q, values, powers) for q in polys]
+    return [
+        evaluate_at(q, values, field.elem)
+        if len(q.terms) <= 2 and q.total_degree() <= 1
+        else _over_common_denominator(q, values, powers)
+        for q in polys
+    ]
 
 
 def _over_common_denominator(p: MultiPoly, values, powers: dict) -> FieldElement:

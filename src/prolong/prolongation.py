@@ -345,27 +345,34 @@ def correspondence_transfer(
     n2 = corr.right.nvars
     source = fiber_solve(corr.left, a, "tau")
     target = fiber_solve(corr.right, b, "tau")
-    joint = fiber_solve(corr.graph, tuple(a) + tuple(b), "tau")
-    u0, v0 = joint.particular[:n1], joint.particular[n1:]
-    ku = [k[:n1] for k in joint.basis]
-    kv = [k[n1:] for k in joint.basis]
+    pair = corr.graph.require_point(tuple(a) + tuple(b))
+    # The graph's fibre with the v columns first: on a graph y - F(x) the
+    # pivots are the unit entries of v, and (ku | kv) comes out reduced.
+    rows, rhs = _fiber_system(corr.graph.gens, pair, "tau")
+    solution, kernel = solve_affine(
+        [row[n1:] + row[:n1] for row in rows], rhs, field, ncols=n1 + n2
+    )
+    v0, u0 = solution[:n2], solution[n2:]
+    kv = [k[:n2] for k in kernel]
+    ku = [k[n2:] for k in kernel]
     matrix = _linear_part(ku, kv, n1, n2, field)
     if matrix is None:
         raise TransferNotFunctional("relation sends one source fibre point to several targets")
     offset = tuple(x - y for x, y in zip(v0, mat_vec(matrix, u0, field)))
     forward = AffineMap(field, matrix, offset)
-    inv_matrix = _linear_part(kv, ku, n2, n1, field)
-    # Both directions functional: the ku are independent, and so are the kv.
-    # da (db) lies in u0 + span(ku) and in the source (target) fibre, so one
-    # rank per side compares the spans (README "Fibres and transfer").
-    invertible = (
-        inv_matrix is not None
-        and joint.dim == source.dim == target.dim
-        and rank([*ku, *source.basis], field) == source.dim
-        and rank([*kv, *target.basis], field) == target.dim
-    )
     inverse = None
-    if invertible:
-        inv_offset = tuple(x - y for x, y in zip(u0, mat_vec(inv_matrix, v0, field)))
-        inverse = AffineMap(field, inv_matrix, inv_offset)
-    return FiberTransfer(field, source, target, forward, invertible, inverse)
+    # A bijection of the full fibres needs equal dimensions; only then does
+    # the reverse elimination run.  Both directions functional: the ku are
+    # independent, and so are the kv.  da (db) lies in u0 + span(ku) and in
+    # the source (target) fibre, so one rank per side compares the spans
+    # (README "Fibres and transfer").
+    if len(ku) == source.dim == target.dim:
+        inv_matrix = _linear_part(kv, ku, n2, n1, field)
+        if (
+            inv_matrix is not None
+            and rank([*ku, *source.basis], field) == source.dim
+            and rank([*kv, *target.basis], field) == target.dim
+        ):
+            inv_offset = tuple(x - y for x, y in zip(u0, mat_vec(inv_matrix, v0, field)))
+            inverse = AffineMap(field, inv_matrix, inv_offset)
+    return FiberTransfer(field, source, target, forward, inverse is not None, inverse)

@@ -16,6 +16,8 @@ from prolong import (
     solve_affine,
 )
 
+from helpers import random_element
+
 
 def vec(field, *vals):
     return tuple(field.elem(Fraction(v)) for v in vals)
@@ -43,6 +45,84 @@ def test_rref_dependent_rows():
 
 def test_rref_empty():
     assert rref((), Q) == ((), ())
+
+
+def reference_rref(rows, field):
+    """Plain Gauss-Jordan: scale every pivot row, eliminate every column."""
+    m = [list(r) for r in rows]
+    if not m:
+        return (), ()
+    pivots = []
+    r = 0
+    for col in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if not m[i][col].is_zero), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][col].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not m[i][col].is_zero:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m), tuple(pivots)
+
+
+def _random_matrix(rng, field):
+    """Entries zero, one, or random; now and then a zero row or column, a
+    row repeating a combination of others, or more rows than columns."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 4)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return field.zero
+        if kind < 0.45:
+            return field.one
+        return random_element(rng, field, tdeg=1)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [field.zero] * ncols
+    if rng.random() < 0.3:
+        col = rng.randrange(ncols)
+        for row in rows:
+            row[col] = field.zero
+    if nrows > 1 and rng.random() < 0.4:
+        c = random_element(rng, field, tdeg=1)
+        rows[-1] = [x * c + y for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
+    return [tuple(row) for row in rows]
+
+
+@pytest.mark.parametrize("field", [Q, QT])
+def test_rref_matches_plain_gauss_jordan(monkeypatch, rng, field):
+    from prolong.field import FieldElement
+
+    real_mul = FieldElement.__mul__
+    unit_products = []
+
+    def mul(x, y):
+        if x.is_one or (isinstance(y, FieldElement) and y.is_one):
+            unit_products.append((x, y))
+        return real_mul(x, y)
+
+    shapes = set()
+    for _ in range(300):
+        m = _random_matrix(rng, field)
+        want = reference_rref(m, field)
+        monkeypatch.setattr(FieldElement, "__mul__", mul)
+        got = rref(m, field)
+        monkeypatch.setattr(FieldElement, "__mul__", real_mul)
+        assert got == want
+        # the pivot 1 is not divided out, and no product has a factor 1
+        assert unit_products == []
+        shapes.add((len(want[1]) < min(len(m), len(m[0])), len(m) > len(m[0])))
+    # rank-deficient and full, taller and not
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_solve_unique():

@@ -10,6 +10,7 @@ and dimensions, and the same exceptions with the same messages.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,18 +19,20 @@ from prolong import (
     Correspondence,
     MultiPoly,
     NoSolution,
+    PolyMap,
     Q,
     QT,
     TransferNotFunctional,
     affine_subspace_equal,
     correspondence_transfer,
     derive_point,
+    f_del,
     fiber_solve,
     in_span,
     rank,
     solve_affine,
 )
-from prolong.linalg import AffineMap, mat_vec
+from prolong.linalg import AffineMap, mat_mul, mat_vec
 from prolong.prolongation import FiberTransfer, _fiber_system
 
 from helpers import random_element, random_point, random_poly
@@ -288,3 +291,94 @@ def test_transfer_makes_one_elimination_per_direction(monkeypatch, field):
     # the lines' fibres need no elimination; the graph y = x^2 needs one,
     # each direction one, and each of the two onto checks one rank
     assert len(calls) == 1 + 2 + 2 * 1
+
+
+def _quotient_point(rng, field, n):
+    """A point (a + b t)/(c + t) over Q(t), a/c over Q, a, b, c small integers."""
+    out = []
+    for _ in range(n):
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        if field.has_t:
+            out.append((field.elem(a) + field.elem(b) * field.t) / (field.elem(c) + field.t))
+        else:
+            out.append(field.elem(Fraction(a, c)))
+    return tuple(out)
+
+
+def _graph_case(rng, field, n, m):
+    """(F, correspondence graph(F) inside A^n x A^m, a, F(a)); with n == m,
+    now and then a last component that repeats the first up to a constant,
+    so that J(a) is singular."""
+    comps = [random_poly(rng, field, n, deg=2, terms=3, tdeg=1) for _ in range(m)]
+    if n == m > 1 and rng.random() < 0.3:
+        comps[-1] = comps[0] * rng.choice((1, -2, 3)) + random_element(rng, field, tdeg=1)
+    fmap = PolyMap(field, n, tuple(comps))
+    ys = [MultiPoly.var(field, n + m, n + j) for j in range(m)]
+    graph = [y - f.embed(n + m, list(range(n))) for y, f in zip(ys, comps)]
+    left = AffineVariety("L", field, tuple(f"x{i}" for i in range(n)), ())
+    right = AffineVariety("R", field, tuple(f"y{j}" for j in range(m)), ())
+    a = _quotient_point(rng, field, n)
+    return fmap, Correspondence.make(left, right, graph), a, fmap.evaluate(a)
+
+
+@pytest.mark.parametrize("field", [Q, QT])
+def test_transfer_along_a_map_is_its_jacobian(field):
+    # On graph(F) the tau fibres are all of K^n and K^m, and the transfer is
+    # u -> J(a).u + f_del(F)(a); it is invertible iff n == m and J(a) is.
+    rng = random.Random(5150)
+    verdicts = set()
+    for _ in range(120):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        if rng.random() < 0.4:
+            m = n
+        fmap, corr, a, b = _graph_case(rng, field, n, m)
+        tr = correspondence_transfer(corr, a, b)
+        jac = tuple(tuple(p.evaluate(a) for p in row) for row in fmap.jacobian())
+        assert tr.forward.matrix == jac
+        assert tr.forward.offset == f_del(fmap).evaluate(a)
+        regular = n == m and rank(jac, field) == n
+        assert tr.invertible == regular
+        if regular:
+            identity = tuple(
+                tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
+            )
+            assert mat_mul(tr.inverse.matrix, jac, field) == identity
+        else:
+            assert tr.inverse is None
+        assert outcome(correspondence_transfer, corr, a, b) == outcome(
+            reference_transfer, corr, a, b
+        )
+        verdicts.add((n == m, tr.invertible))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("field", [Q, QT])
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 2)])
+def test_transfer_between_dimensions_makes_two_eliminations(monkeypatch, field, n, m):
+    from prolong import linalg
+    from prolong.field import FieldElement
+
+    rng = random.Random(20261019)
+    _, corr, a, b = _graph_case(rng, field, n, m)
+    calls, inverses = [], []
+    real_rref, real_inverse = linalg.rref, FieldElement.inverse
+
+    def counted(rows, f):
+        calls.append(len(rows))
+        return real_rref(rows, f)
+
+    def counted_inverse(x):
+        inverses.append(x)
+        return real_inverse(x)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    monkeypatch.setattr("prolong.prolongation.rref", counted)
+    monkeypatch.setattr(FieldElement, "inverse", counted_inverse)
+    tr = correspondence_transfer(corr, a, b)
+    assert not tr.invertible
+    # one elimination of the graph's fibre, whose pivots are the unit
+    # entries of the target coordinates, and one forward; the reverse and
+    # the ranks do not run between fibres of different dimensions
+    assert len(calls) == 2
+    assert inverses == []
