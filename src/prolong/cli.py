@@ -33,6 +33,7 @@ from .dgroup import (
 )
 from .errors import DenominatorVanishes, ProlongError, UsageError
 from .expr import (
+    MAX_LITERAL_DIGITS,
     format_element,
     format_poly,
     format_rational,
@@ -65,9 +66,9 @@ from .series import SeriesPoint, TruncSeries, solve_dpoint, variety_residuals
 MAX_SERIES_ORDER = 1000
 
 # Most digits of one integer in a series file, numerator and denominator
-# alike.  At order 1000 the denominators near 1000! have 2568 digits; int()
-# takes time quadratic in the digits, so a bound keeps reading a file fast.
-MAX_COEFFICIENT_DIGITS = 4300
+# alike: the bound of an integer literal in an expression.  At order 1000 the
+# denominators near 1000! have 2568 digits.
+MAX_COEFFICIENT_DIGITS = MAX_LITERAL_DIGITS
 
 # Largest derivative order nabla accepts.  The derivatives of a point with a
 # true rational function of t grow like k!/t^(k+1): order 200 of (t^2, 1/t)

@@ -12,23 +12,28 @@ A '/' directly between two integer literals is always consumed as one
 rational literal, so the literal is the atom and '^' binds to it as a
 whole.  In rational mode '/' is additionally an operator at term level,
 which admits map components such as 1/x.  Element mode is rational mode
-with no variables (only t is allowed, and only over Q(t)).
+with no variables (only t is allowed, and only over Q(t)).  An int or
+uint is a run of the ASCII digits 0-9.
 
-Parsing is bounded: parentheses nest at most MAX_NESTING deep, exponents
+Parsing is bounded: an integer literal has at most MAX_LITERAL_DIGITS
+digits, parentheses nest at most MAX_NESTING deep, exponents
 are at most MAX_DEGREE, no power or product is expanded when its total
 degree in the variables would exceed MAX_DEGREE, and the products one parse
 expands cost at most MAX_WORK coefficient products in all.  Each bound
 raises ExprSyntaxError before the work that would break it is done.
 
-check_poly and check_rational run the same descent and build nothing, for a
-caller that wants an expression's faults now and its polynomial later.
+check_poly and check_rational build nothing, for a caller that wants an
+expression's faults now and its polynomial later.  They read the tokens
+once, in a loop that keeps its place in the grammar and the number of open
+parentheses, and raise the fault the parser would raise first, except a
+fault of the expanded values.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import (
     ExprSyntaxError,
@@ -40,9 +45,10 @@ from .field import BaseField, FieldElement
 from .poly import MultiPoly, reduce_fraction
 
 # A variable name as the tokenizer reads it; is_name tests the same rule for
-# the names --vars and a model's vars declare.
+# the names --vars and a model's vars declare.  Integer literals are ASCII
+# digits only: any other digit is an unexpected character.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME_RE.pattern})|([-+*/^()]))")
+_TOKEN_RE = re.compile(rf"\s*(?:([0-9]+)|({_NAME_RE.pattern})|([-+*/^()]))")
 
 _INT, _NAME, _OP, _END = "int", "name", "op", "end"
 # token kind by the number of the _TOKEN_RE group that matched
@@ -58,35 +64,42 @@ MAX_DEGREE = 40
 # 12341), so one parse may expand products of at most this many coefficient
 # products, counting one per pair of t-coefficients: about a second of work.
 MAX_WORK = 500_000
+# Most digits of one integer literal: int() takes time quadratic in the
+# digits, and this is Python's default limit on reading one.  The series
+# files of the CLI share it (cli.MAX_COEFFICIENT_DIGITS).
+MAX_LITERAL_DIGITS = 4300
 
 
 def _size(p: MultiPoly) -> int:
     return sum(len(c.n) + len(c.d) for c in p.terms.values())
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token of src, then one _END token.
 
-
-def _tokenize(src: str) -> list[_Token]:
+    The lexical faults come in the order of the text: an unexpected
+    character, or an integer literal of more than MAX_LITERAL_DIGITS.
+    """
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        m = _TOKEN_RE.match(src, i)
-        if m is None or m.end() == m.start():
-            j = i
-            while j < n and src[j].isspace():
-                j += 1
-            if j >= n:
-                break
-            raise ExprSyntaxError(f"unexpected character {src[j]!r}", j)
+    end = 0
+    for m in _TOKEN_RE.finditer(src):
+        if m.start() != end:
+            break
         g = m.lastindex
-        tokens.append(_Token(_KINDS[g], m.group(g), m.start(g)))
-        i = m.end()
-    tokens.append(_Token(_END, "", n))
+        tokens.append((_KINDS[g], m.group(g), m.start(g)))
+        end = m.end()
+    # only a text this long can hold a literal this long
+    if end > MAX_LITERAL_DIGITS:
+        for kind, text, pos in tokens:
+            if kind is _INT and len(text) > MAX_LITERAL_DIGITS:
+                raise ExprSyntaxError(
+                    f"integer literal of more than {MAX_LITERAL_DIGITS} digits", pos
+                )
+    rest = src[end:]
+    if rest and not rest.isspace():
+        j = len(src) - len(rest.lstrip())
+        raise ExprSyntaxError(f"unexpected character {src[j]!r}", j)
+    tokens.append((_END, "", len(src)))
     return tokens
 
 
@@ -99,45 +112,45 @@ def is_name(text: str) -> bool:
     return text.isascii() and text.isidentifier()
 
 
+def _var_index(var_names: Sequence[str]) -> dict[str, int]:
+    """Each variable name's index; a ValueError if the names cannot be read."""
+    index = {name: i for i, name in enumerate(var_names)}
+    if len(index) != len(var_names):
+        raise ValueError(f"duplicate variable names in {list(var_names)}")
+    if "t" in index:
+        raise ValueError("'t' names the base field element and cannot be a variable")
+    bad = [name for name in var_names if not is_name(name)]
+    if bad:
+        raise ValueError(
+            f"variable names must be identifiers of ASCII letters, digits and _, not {bad}"
+        )
+    return index
+
+
 class _Parser:
     """Recursive descent over (numerator, denominator) polynomial pairs."""
 
     def __init__(self, src: str, field: BaseField, var_names: Sequence[str], allow_div: bool):
-        self.src = src
         self.field = field
-        self.vars = {name: i for i, name in enumerate(var_names)}
-        if len(self.vars) != len(var_names):
-            raise ValueError(f"duplicate variable names in {list(var_names)}")
-        if "t" in self.vars:
-            raise ValueError("'t' names the base field element and cannot be a variable")
-        bad = [name for name in var_names if not is_name(name)]
-        if bad:
-            raise ValueError(
-                f"variable names must be identifiers of ASCII letters, digits and _, not {bad}"
-            )
+        self.vars = _var_index(var_names)
         self.nvars = len(var_names)
+        self.one = MultiPoly.const(field, self.nvars, 1)
         self.allow_div = allow_div
         self.tokens = _tokenize(src)
         self.i = 0
         self.depth = 0
         self.work = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def _const(self, value) -> MultiPoly:
         return MultiPoly.const(self.field, self.nvars, value)
-
-    def _one(self) -> MultiPoly:
-        return self._const(1)
-
-    def _var(self, idx: int) -> MultiPoly:
-        return MultiPoly.var(self.field, self.nvars, idx)
 
     def _mul(self, a: MultiPoly, b: MultiPoly, pos: int) -> MultiPoly:
         # most products are by the denominator 1: they cost nothing
@@ -159,7 +172,7 @@ class _Parser:
 
     def _pow(self, base: MultiPoly, e: int, pos: int) -> MultiPoly:
         """base**e by square-and-multiply through _mul, so the budget sees it."""
-        out = self._one()
+        out = self.one
         while e:
             if e & 1:
                 out = self._mul(out, base, pos)
@@ -170,151 +183,184 @@ class _Parser:
 
     def parse(self) -> tuple[MultiPoly, MultiPoly]:
         num, den = self.expr()
-        tok = self.peek()
-        if tok.kind != _END:
-            raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+        kind, text, pos = self.peek()
+        if kind is not _END:
+            raise ExprSyntaxError(f"unexpected token {text!r}", pos)
         return num, den
 
     def expr(self) -> tuple[MultiPoly, MultiPoly]:
-        tok = self.peek()
-        negate = False
-        if tok.kind == _OP and tok.text == "-":
-            self.next()
-            negate = True
+        # an operator's text is the operator, which no other token's text is
+        negate = self.peek()[1] == "-"
+        if negate:
+            self.i += 1
         num, den = self.term()
         if negate:
             num = -num
         while True:
-            tok = self.peek()
-            if tok.kind != _OP or tok.text not in "+-":
+            _, text, pos = self.peek()
+            if text != "+" and text != "-":
                 return num, den
-            self.next()
+            self.i += 1
             n2, d2 = self.term()
-            if tok.text == "-":
+            if text == "-":
                 n2 = -n2
-            num = self._mul(num, d2, tok.pos) + self._mul(n2, den, tok.pos)
-            den = self._mul(den, d2, tok.pos)
+            num = self._mul(num, d2, pos) + self._mul(n2, den, pos)
+            den = self._mul(den, d2, pos)
 
     def term(self) -> tuple[MultiPoly, MultiPoly]:
         num, den = self.factor()
         while True:
-            tok = self.peek()
-            if tok.kind != _OP or tok.text not in "*/":
+            _, text, pos = self.peek()
+            if text != "*" and text != "/":
                 return num, den
-            if tok.text == "/" and not self.allow_div:
-                raise ExprSyntaxError("'/' is only valid inside a rational literal", tok.pos)
-            self.next()
+            if text == "/" and not self.allow_div:
+                raise ExprSyntaxError("'/' is only valid inside a rational literal", pos)
+            self.i += 1
             n2, d2 = self.factor()
-            if tok.text == "*":
-                num, den = self._mul(num, n2, tok.pos), self._mul(den, d2, tok.pos)
+            if text == "*":
+                num, den = self._mul(num, n2, pos), self._mul(den, d2, pos)
             else:
                 if n2.is_zero:
                     raise IdenticallyZeroDenominator(
-                        f"division by an identically zero expression (offset {tok.pos})"
+                        f"division by an identically zero expression (offset {pos})"
                     )
-                num, den = self._mul(num, d2, tok.pos), self._mul(den, n2, tok.pos)
+                num, den = self._mul(num, d2, pos), self._mul(den, n2, pos)
 
     def factor(self) -> tuple[MultiPoly, MultiPoly]:
         num, den = self.atom()
-        tok = self.peek()
-        if tok.kind == _OP and tok.text == "^":
-            self.next()
-            etok = self.next()
-            if etok.kind != _INT:
-                raise ExprSyntaxError("exponent must be a nonnegative integer", etok.pos)
-            e = int(etok.text)
+        if self.peek()[1] == "^":
+            self.i += 1
+            kind, text, pos = self.next()
+            if kind is not _INT:
+                raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
+            e = int(text)
             if e > MAX_DEGREE:
-                raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", etok.pos)
-            num, den = self._power(num, den, e, etok.pos)
+                raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", pos)
+            num, den = self._power(num, den, e, pos)
         return num, den
 
     def atom(self) -> tuple[MultiPoly, MultiPoly]:
-        tok = self.next()
-        if tok.kind == _INT:
-            value = Fraction(int(tok.text))
-            nxt = self.peek()
-            if (
-                nxt.kind == _OP
-                and nxt.text == "/"
-                and self.tokens[self.i + 1].kind == _INT
-            ):
-                self.next()
-                dtok = self.next()
-                d = int(dtok.text)
+        kind, text, pos = self.next()
+        if kind is _INT:
+            value = int(text)
+            if self.peek()[1] == "/" and self.tokens[self.i + 1][0] is _INT:
+                _, dtext, dpos = self.tokens[self.i + 1]
+                self.i += 2
+                d = int(dtext)
                 if d == 0:
-                    raise ExprSyntaxError("zero denominator in rational literal", dtok.pos)
-                value = Fraction(int(tok.text), d)
-            return self._const(value), self._one()
-        if tok.kind == _NAME:
-            if tok.text == "t":
+                    raise ExprSyntaxError("zero denominator in rational literal", dpos)
+                value = Fraction(value, d)
+            return self._const(value), self.one
+        if kind is _NAME:
+            if text == "t":
                 if not self.field.has_t:
-                    raise TInQField(tok.pos)
-                return self._const(self.field.t), self._one()
-            idx = self.vars.get(tok.text)
+                    raise TInQField(pos)
+                return self._const(self.field.t), self.one
+            idx = self.vars.get(text)
             if idx is None:
-                raise UnknownVariable(tok.text, tok.pos)
-            return self._var(idx), self._one()
-        if tok.kind == _OP and tok.text == "(":
+                raise UnknownVariable(text, pos)
+            return MultiPoly.var(self.field, self.nvars, idx), self.one
+        if text == "(":
             if self.depth == MAX_NESTING:
-                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", tok.pos)
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
             num, den = self.expr()
             self.depth -= 1
-            closing = self.next()
-            if closing.kind != _OP or closing.text != ")":
-                raise ExprSyntaxError("expected ')'", closing.pos)
+            _, text, pos = self.next()
+            if text != ")":
+                raise ExprSyntaxError("expected ')'", pos)
             return num, den
         raise ExprSyntaxError(
-            f"expected a value, found {tok.text!r}" if tok.kind != _END else "unexpected end of input",
-            tok.pos,
+            f"expected a value, found {text!r}" if kind is not _END else "unexpected end of input",
+            pos,
         )
 
 
-class _Blank:
-    """What the recogniser builds in place of a polynomial: nothing."""
+def _check(src: str, var_names: Sequence[str], field: BaseField, allow_div: bool) -> None:
+    """Raise the first fault _Parser would raise on src, in one pass over its
+    tokens, except the three that depend on the expanded polynomials: a
+    divisor that is identically zero, a product or power of degree above
+    MAX_DEGREE, and MAX_WORK.
 
-    is_zero = False
-
-    def __neg__(self):
-        return self
-
-    def __add__(self, other):
-        return self
-
-
-_BLANK = _Blank()
-
-
-class _Recogniser(_Parser):
-    """The parser's descent with every value left unbuilt.
-
-    It raises each fault the parser raises, except the three that depend on
-    the expanded polynomials: a divisor that is identically zero, a product
-    or power of degree above MAX_DEGREE, and MAX_WORK.
+    The grammar is LL(1) and only parentheses nest, so the position in the
+    descent is one of four states, each a place in the loop below (an
+    expression's head, which may take a unary '-'; an operand; after an
+    atom, which may take '^'; after a factor), plus the number of open
+    parentheses.  An integer followed by '/' and an integer is one literal,
+    as in _Parser.atom.
     """
-
-    def _const(self, value):
-        return _BLANK
-
-    def _var(self, idx):
-        return _BLANK
-
-    def _mul(self, a, b, pos):
-        return _BLANK
-
-    def _power(self, num, den, e, pos):
-        return _BLANK, _BLANK
+    names = _var_index(var_names)
+    tokens = _tokenize(src)
+    has_t = field.has_t
+    depth = 0
+    i = 1 if tokens[0][1] == "-" else 0
+    while True:
+        # an operand
+        kind, text, pos = tokens[i]
+        i += 1
+        if kind is _INT:
+            if tokens[i][1] == "/" and tokens[i + 1][0] is _INT:
+                _, dtext, dpos = tokens[i + 1]
+                if int(dtext) == 0:
+                    raise ExprSyntaxError("zero denominator in rational literal", dpos)
+                i += 2
+        elif kind is _NAME:
+            if text == "t":
+                if not has_t:
+                    raise TInQField(pos)
+            elif text not in names:
+                raise UnknownVariable(text, pos)
+        elif text == "(":
+            if depth == MAX_NESTING:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            depth += 1
+            # the head of an expression
+            if tokens[i][1] == "-":
+                i += 1
+            continue
+        else:
+            raise ExprSyntaxError(
+                f"expected a value, found {text!r}" if kind is not _END else "unexpected end of input",
+                pos,
+            )
+        # after an atom; a closing parenthesis ends one, so '^' may follow it
+        while True:
+            kind, text, pos = tokens[i]
+            i += 1
+            if text == "^":
+                kind, text, pos = tokens[i]
+                if kind is not _INT:
+                    raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
+                if int(text) > MAX_DEGREE:
+                    raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", pos)
+                kind, text, pos = tokens[i + 1]
+                i += 2
+            if text != ")" or not depth:
+                break
+            depth -= 1
+        # after a factor
+        if text == "+" or text == "-" or text == "*":
+            continue
+        if text == "/":
+            if not allow_div:
+                raise ExprSyntaxError("'/' is only valid inside a rational literal", pos)
+            continue
+        if depth:
+            raise ExprSyntaxError("expected ')'", pos)
+        if kind is not _END:
+            raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+        return
 
 
 def check_poly(src: str, var_names: Sequence[str], field: BaseField) -> None:
     """Raise what parse_poly would, except a fault of the expanded values
-    (see _Recogniser), and build nothing."""
-    _Recogniser(src, field, var_names, allow_div=False).parse()
+    (see _check), and build nothing."""
+    _check(src, var_names, field, allow_div=False)
 
 
 def check_rational(src: str, var_names: Sequence[str], field: BaseField) -> None:
     """check_poly for parse_rational, and with no variables for parse_element."""
-    _Recogniser(src, field, var_names, allow_div=True).parse()
+    _check(src, var_names, field, allow_div=True)
 
 
 def parse_poly(src: str, var_names: Sequence[str], field: BaseField) -> MultiPoly:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,15 @@ from prolong import (
     parse_rational,
 )
 
-from prolong.expr import _TOKEN_RE, MAX_DEGREE, MAX_NESTING, check_poly, check_rational, is_name
+from prolong.expr import (
+    _TOKEN_RE,
+    MAX_DEGREE,
+    MAX_LITERAL_DIGITS,
+    MAX_NESTING,
+    check_poly,
+    check_rational,
+    is_name,
+)
 
 from helpers import poly, random_poly
 
@@ -221,22 +230,37 @@ def _depends_on_values(fault):
     )
 
 
-PARSES = (
-    (lambda s, f: parse_poly(s, XY, f), lambda s, f: check_poly(s, XY, f)),
-    (lambda s, f: parse_rational(s, XY, f), lambda s, f: check_rational(s, XY, f)),
-    (lambda s, f: parse_element(s, f), lambda s, f: check_rational(s, (), f)),
-)
-
 SEEDS = ("x^2*y - 3/4", "(x + 1)/(y - t)", "1/(x - x) + y", f"(x + 1)^{MAX_DEGREE}*x",
          f"((x*y)^{MAX_DEGREE // 2})^3", "2/3*t^2 - (x)", f"(x*y + 1)^{MAX_DEGREE // 2 + 1} - 1/0",
          "((x))^2/(1 - 1)")
 
 
+def _agrees(src, field):
+    """Assert that each check raises its parse's fault unless that fault
+    depends on the expanded values, and then no fault or a syntax fault the
+    parse did not reach.  Returns the kinds of the parses' outcomes."""
+    kinds = set()
+    parses = (
+        (parse_poly, check_poly, XY),
+        (parse_rational, check_rational, XY),
+        (lambda s, _, f: parse_element(s, f), check_rational, ()),
+    )
+    for parse, check, names in parses:
+        parsed, checked = _fault(parse, src, names, field), _fault(check, src, names, field)
+        if parsed is None or not _depends_on_values(parsed):
+            assert checked == parsed, (src, names)
+        else:
+            assert checked is None or not _depends_on_values(checked), (src, names)
+        kinds.add("none" if parsed is None else
+                  "value" if _depends_on_values(parsed) else "syntax")
+    return kinds
+
+
 def test_check_raises_what_the_parser_raises(rng):
-    """The recogniser and the parser share one descent: on seeded mutations of
-    a few expressions, a check raises exactly the parser's fault unless
-    that fault depends on the expanded values, and then no fault or a syntax
-    fault the parser did not reach."""
+    """The check is a loop of its own and the parser is its reference: on
+    seeded mutations of a few expressions and on seeded strings of tokens, a
+    check raises exactly the parser's fault unless that fault depends on the
+    expanded values."""
     seen = set()
     for _ in range(600):
         src = list(rng.choice(SEEDS))
@@ -252,15 +276,116 @@ def test_check_raises_what_the_parser_raises(rng):
                     src[k] = rng.choice("xyt0/^*+-()")
         src = "".join(src)
         for field in (Q, QT):
-            for parse, check in PARSES:
-                parsed, checked = _fault(parse, src, field), _fault(check, src, field)
-                if parsed is None or not _depends_on_values(parsed):
-                    assert checked == parsed, src
-                else:
-                    assert checked is None or not _depends_on_values(checked), src
-                seen.add("none" if parsed is None else
-                         "value" if _depends_on_values(parsed) else "syntax")
+            seen |= _agrees(src, field)
+    tokens = ("x", "y", "t", "z", "0", "7", "12", "007", "/", "/", "^", "^", "*", "+", "-",
+              "-", "(", "(", ")", ")", " ", "$")
+    for _ in range(1500):
+        src = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 12)))
+        for field in (Q, QT):
+            seen |= _agrees(src, field)
     assert seen == {"none", "value", "syntax"}
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+@pytest.mark.parametrize("opener", ["(", "-("])
+def test_check_agrees_at_the_nesting_cap(depth, opener):
+    for tail in ("x", "x)", "x^2^3", "x +", "", "x é"):
+        src = opener * depth + tail + ")" * depth
+        assert _agrees(src, Q) <= {"none", "syntax"}
+
+
+@pytest.mark.parametrize("src, message, pos", [
+    # the whole text is tokenized first: a bad character wins over an
+    # earlier grammar fault
+    ("x + + é", "unexpected character 'é'", 6),
+    (") $", "unexpected character '$'", 2),
+    # '^' binds to one atom: after a power only an operator or ')' may come
+    ("x^2^3", "unexpected token '^'", 3),
+    ("(x^2^3)", "expected ')'", 4),
+    ("(x)^2^3", "unexpected token '^'", 5),
+    ("((x)^2)^3", None, None),
+    ("x^y", "exponent must be a nonnegative integer", 2),
+    ("x^", "exponent must be a nonnegative integer", 2),
+    (f"x^0{MAX_DEGREE + 1}", f"exponent above {MAX_DEGREE}", 2),
+    ("--x", "expected a value, found '-'", 1),
+    ("x + -y", "expected a value, found '-'", 4),
+    ("(x", "expected ')'", 2),
+    ("x)", "unexpected token ')'", 1),
+    ("x y", "unexpected token 'y'", 2),
+    ("2/00 + x", "zero denominator in rational literal", 2),
+    ("x/2", "'/' is only valid inside a rational literal", 1),
+    ("-(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+     f"parentheses nested deeper than {MAX_NESTING}", 2 * MAX_NESTING + 1),
+])
+def test_check_raises_the_parsers_first_fault(src, message, pos):
+    assert _agrees(src, Q) <= {"none", "syntax"}
+    if message is None:
+        check_poly(src, XY, Q)
+        return
+    with pytest.raises(ExprSyntaxError) as info:
+        check_poly(src, XY, Q)
+    assert str(info.value) == f"{message} (offset {pos})"
+
+
+@pytest.mark.parametrize("names, message", [
+    (("x", "x"), "duplicate variable names"),
+    (("x", "t"), "'t' names the base field element"),
+    (("x", "1a"), "must be identifiers of ASCII letters"),
+])
+def test_check_raises_the_parsers_name_faults(names, message):
+    # before any fault of the text
+    for src in ("x", "x +", "é"):
+        for parse, check in ((parse_poly, check_poly), (parse_rational, check_rational)):
+            assert _fault(check, src, names, Q) == _fault(parse, src, names, Q)
+            with pytest.raises(ValueError, match=message):
+                check(src, names, Q)
+
+
+@pytest.mark.parametrize("src, pos", [("x + \u0661\u0662", 4), ("x^\u0663", 2),
+                                      ("x + \uff17", 4), ("1/\u0662", 2)])
+def test_integer_literals_are_ascii_digits(src, pos):
+    # Other digits are what str.isdigit calls digits, but no literal
+    for check, parse in ((check_poly, parse_poly), (check_rational, parse_rational)):
+        for run in (check, parse):
+            with pytest.raises(ExprSyntaxError, match="unexpected character") as info:
+                run(src, XY, Q)
+            assert info.value.pos == pos
+
+
+def test_integer_literal_length_is_capped():
+    longest = "7" * MAX_LITERAL_DIGITS
+    assert parse_poly(longest, XY, Q).constant_value() == Q.elem(int(longest))
+    check_poly(f"x + {longest}", XY, Q)
+    cases = [
+        (f"x + {longest}1", 4),
+        (f"x + 1/{longest}1", 6),
+        (f"x^{longest}1", 2),
+        # the first lexical fault in the text
+        (f"x + {longest}1 + é", 4),
+        (f"(x + {longest}1", 5),
+    ]
+
+    def refused():
+        for src, pos in cases:
+            for run in (check_poly, check_rational, parse_poly, parse_rational):
+                with pytest.raises(ExprSyntaxError) as info:
+                    run(src, XY, Q)
+                assert str(info.value) == (
+                    f"integer literal of more than {MAX_LITERAL_DIGITS} digits (offset {pos})"
+                )
+
+    refused()
+    # The bound is the program's own: it holds with Python's integer-string
+    # limit switched off (Pythons before 3.10.7 have no limit to switch off).
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            refused()
+        finally:
+            sys.set_int_max_str_digits(limit)
+    with pytest.raises(ExprSyntaxError, match="unexpected character 'é'"):
+        check_poly(f"é + {longest}1", XY, Q)
 
 
 def test_check_leaves_value_faults_to_the_parse():

@@ -148,6 +148,20 @@ def test_expression_errors_carry_location():
         load_model(text)
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("١", "unexpected character '١' (offset 4)"),
+    ("７", "unexpected character '７' (offset 4)"),
+    ("7" * 5000, "integer literal of more than 4300 digits (offset 4)"),
+], ids=["arabic-indic-digit", "fullwidth-digit", "5000-digits"])
+def test_literal_faults_are_located_at_load(literal, message):
+    # a digit other than 0-9 and an over-long literal are faults of the
+    # text, found by the load-time check with the expression's location
+    text = minimal(varieties={"V": {"vars": ["x"], "gens": ["x - 1", f"x + {literal}"]}})
+    with pytest.raises(ModelError) as info:
+        load_model(text)
+    assert str(info.value) == f"variety 'V' gens[1]: {message}"
+
+
 def test_group_references_unknown_variety():
     text = minimal(
         groups={
