@@ -65,11 +65,6 @@ from .series import SeriesPoint, TruncSeries, solve_dpoint, variety_residuals
 # tests/data/model_q.json.
 MAX_SERIES_ORDER = 1000
 
-# Most digits of one integer in a series file, numerator and denominator
-# alike: the bound of an integer literal in an expression.  At order 1000 the
-# denominators near 1000! have 2568 digits.
-MAX_COEFFICIENT_DIGITS = MAX_LITERAL_DIGITS
-
 # Largest derivative order nabla accepts.  The derivatives of a point with a
 # true rational function of t grow like k!/t^(k+1): order 200 of (t^2, 1/t)
 # takes about 0.6 s, order 1000 about 16 s.
@@ -457,15 +452,17 @@ def _load_series_file(path, variety):
     return SeriesPoint(components)
 
 
-# What solve-series writes: an integer, or a quotient of integers.
-_DIGITS = "[0-9]{1,%d}" % MAX_COEFFICIENT_DIGITS
+# What solve-series writes: an integer, or a quotient of integers.  Each has
+# at most MAX_LITERAL_DIGITS digits, the bound of an integer literal in an
+# expression; at order 1000 the denominators near 1000! have 2568.
+_DIGITS = "[0-9]{1,%d}" % MAX_LITERAL_DIGITS
 _RATIONAL = re.compile(f"-?{_DIGITS}(/{_DIGITS})?")
 
 
 def _json_integer(text: str) -> int:
-    """A JSON integer of a series file, refused past MAX_COEFFICIENT_DIGITS."""
-    if len(text) - text.startswith("-") > MAX_COEFFICIENT_DIGITS:
-        raise UsageError(f"series file has an integer of more than {MAX_COEFFICIENT_DIGITS} digits")
+    """A JSON integer of a series file, refused past MAX_LITERAL_DIGITS."""
+    if len(text) - text.startswith("-") > MAX_LITERAL_DIGITS:
+        raise UsageError(f"series file has an integer of more than {MAX_LITERAL_DIGITS} digits")
     return int(text)
 
 

@@ -65,8 +65,8 @@ MAX_DEGREE = 40
 # products, counting one per pair of t-coefficients: about a second of work.
 MAX_WORK = 500_000
 # Most digits of one integer literal: int() takes time quadratic in the
-# digits, and this is Python's default limit on reading one.  The series
-# files of the CLI share it (cli.MAX_COEFFICIENT_DIGITS).
+# digits, and this is Python's default limit on reading one.  The CLI puts
+# the same bound on the integers of a series file.
 MAX_LITERAL_DIGITS = 4300
 
 
@@ -79,15 +79,20 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
     The lexical faults come in the order of the text: an unexpected
     character, or an integer literal of more than MAX_LITERAL_DIGITS.
+
+    Each match is anchored where the last one ended, so the time is linear
+    in the text: a search (finditer) would, after the last token, try the
+    leading \\s* of _TOKEN_RE at every position of trailing whitespace.
     """
     tokens = []
+    match = _TOKEN_RE.match
     end = 0
-    for m in _TOKEN_RE.finditer(src):
-        if m.start() != end:
-            break
+    m = match(src)
+    while m:
         g = m.lastindex
         tokens.append((_KINDS[g], m.group(g), m.start(g)))
         end = m.end()
+        m = match(src, end)
     # only a text this long can hold a literal this long
     if end > MAX_LITERAL_DIGITS:
         for kind, text, pos in tokens:

@@ -9,8 +9,8 @@ import pytest
 
 import prolong
 from prolong import MultiPoly, cli, errors
-from prolong.cli import MAX_COEFFICIENT_DIGITS, MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
-from prolong.expr import MAX_DEGREE
+from prolong.cli import MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
+from prolong.expr import MAX_DEGREE, MAX_LITERAL_DIGITS
 from prolong.model import MAX_ATLAS_CHARTS, MAX_ATLAS_DIM
 
 DATA = Path(__file__).parent / "data"
@@ -557,7 +557,7 @@ def test_series_coefficient_digit_bound_holds_without_interpreter_limit(capsys, 
     # The bound is the program's own: with Python's integer-string limit off,
     # a longer integer is still refused at once, and one at the bound is read.
     path = tmp_path / "series.json"
-    longest = "7" * MAX_COEFFICIENT_DIGITS
+    longest = "7" * MAX_LITERAL_DIGITS
     cases = [
         ("1" * 10**6, 2),
         ('"%s1"' % longest, 2),

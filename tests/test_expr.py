@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,30 @@ def test_integer_literal_length_is_capped():
             sys.set_int_max_str_digits(limit)
     with pytest.raises(ExprSyntaxError, match="unexpected character 'é'"):
         check_poly(f"é + {longest}1", XY, Q)
+
+
+def test_tokenizing_is_linear_in_long_whitespace():
+    # A tokenizer that searches for each next token, rather than matching
+    # where the last one ended, takes time quadratic in a run of whitespace
+    # after the last token: about 20 s for each of these.
+    gap = " " * 20_000
+    cases = [
+        (f"x{gap}", None),
+        (f"{gap}x{gap}+{gap}y{gap}", None),
+        (f"x ${gap}", 2),
+        (f"x{gap}$", len(gap) + 1),
+        (f"x{gap}$ {gap}", len(gap) + 1),
+    ]
+    for src, pos in cases:
+        for run in (check_poly, parse_poly):
+            start = time.perf_counter()
+            if pos is None:
+                run(src, XY, Q)
+            else:
+                with pytest.raises(ExprSyntaxError, match="unexpected character '\\$'") as info:
+                    run(src, XY, Q)
+                assert info.value.pos == pos
+            assert time.perf_counter() - start < 1.0
 
 
 def test_check_leaves_value_faults_to_the_parse():
