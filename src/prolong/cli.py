@@ -41,6 +41,7 @@ from .expr import (
     parse_poly,
     parse_rational,
 )
+from .field import decimal, read_int
 from .groebner import TermOrder, buchberger, normal_form
 from .model import load_model_file
 from .prolongation import (
@@ -61,8 +62,9 @@ from .series import SeriesPoint, TruncSeries, solve_dpoint, variety_residuals
 # Largest truncation order solve-series and verify-series accept.  The solve
 # is linear in the order for sections of degree one, but the residual check
 # multiplies series (quadratic) and the coefficients carry denominators near
-# k!: order 1000 takes about 0.2 s for B and 11 s for Gm on
-# tests/data/model_q.json.
+# k!: order 1000 takes about 0.2 s for B and 1.1 s for Gm on
+# tests/data/model_q.json.  CI runs that Gm solve, and verify-series on 1000
+# coefficients, each under a bound of 6 s.
 MAX_SERIES_ORDER = 1000
 
 # Largest derivative order nabla accepts.  The derivatives of a point with a
@@ -381,13 +383,13 @@ def _cmd_check_dpoint(args, model):
 def _series_details(variety, point):
     residuals = variety_residuals(variety, point)
     coefficients = {
-        name: [str(c) for c in component.coeffs]
+        name: [decimal(c) for c in component.coeffs]
         for name, component in zip(variety.var_names, point.components)
     }
     return {
         "coefficients": coefficients,
         "order": point.order,
-        "residuals": [[str(c) for c in r.coeffs] for r in residuals],
+        "residuals": [[decimal(c) for c in r.coeffs] for r in residuals],
         "residuals_zero": all(r.is_zero for r in residuals),
     }
 
@@ -418,8 +420,6 @@ def _load_series_file(path, variety):
         raise UsageError(f"series file {path} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise UsageError(f"series file {path} is not valid JSON: nested too deeply") from None
-    except ValueError as exc:  # an integer within the bound that int() still refuses
-        raise UsageError(f"series file {path} has a number too long: {exc}") from exc
     if isinstance(doc, dict) and "details" in doc and isinstance(doc["details"], dict):
         doc = doc["details"]
     if not isinstance(doc, dict) or "coefficients" not in doc:
@@ -463,15 +463,18 @@ def _json_integer(text: str) -> int:
     """A JSON integer of a series file, refused past MAX_LITERAL_DIGITS."""
     if len(text) - text.startswith("-") > MAX_LITERAL_DIGITS:
         raise UsageError(f"series file has an integer of more than {MAX_LITERAL_DIGITS} digits")
-    return int(text)
+    return read_int(text)
 
 
 def _series_coefficient(c) -> Fraction:
     """A coefficient of a series file: a JSON integer or a string as solve-series
     writes it.  JSON reals and exponents are refused: a real is read through a
     float, and Fraction expands an exponent to all its digits."""
-    if type(c) is int or (isinstance(c, str) and _RATIONAL.fullmatch(c)):
+    if type(c) is int:
         return Fraction(c)
+    if isinstance(c, str) and _RATIONAL.fullmatch(c):
+        num, _, den = c.partition("/")
+        return Fraction(read_int(num), read_int(den) if den else 1)
     shown = json.dumps(c)
     if len(shown) > 40:
         shown = shown[:37] + "..."

@@ -41,7 +41,7 @@ from .errors import (
     TInQField,
     UnknownVariable,
 )
-from .field import BaseField, FieldElement
+from .field import BaseField, FieldElement, read_int
 from .poly import MultiPoly, reduce_fraction
 
 # A variable name as the tokenizer reads it; is_name tests the same rule for
@@ -65,8 +65,9 @@ MAX_DEGREE = 40
 # products, counting one per pair of t-coefficients: about a second of work.
 MAX_WORK = 500_000
 # Most digits of one integer literal: int() takes time quadratic in the
-# digits, and this is Python's default limit on reading one.  The CLI puts
-# the same bound on the integers of a series file.
+# digits, and this is Python's default limit on reading one (field.read_int
+# reads it under a lower limit too).  The CLI puts the same bound on the
+# integers of a series file.
 MAX_LITERAL_DIGITS = 4300
 
 
@@ -238,7 +239,7 @@ class _Parser:
             kind, text, pos = self.next()
             if kind is not _INT:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
-            e = int(text)
+            e = read_int(text)
             if e > MAX_DEGREE:
                 raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", pos)
             num, den = self._power(num, den, e, pos)
@@ -247,11 +248,11 @@ class _Parser:
     def atom(self) -> tuple[MultiPoly, MultiPoly]:
         kind, text, pos = self.next()
         if kind is _INT:
-            value = int(text)
+            value = read_int(text)
             if self.peek()[1] == "/" and self.tokens[self.i + 1][0] is _INT:
                 _, dtext, dpos = self.tokens[self.i + 1]
                 self.i += 2
-                d = int(dtext)
+                d = read_int(dtext)
                 if d == 0:
                     raise ExprSyntaxError("zero denominator in rational literal", dpos)
                 value = Fraction(value, d)
@@ -306,7 +307,7 @@ def _check(src: str, var_names: Sequence[str], field: BaseField, allow_div: bool
         if kind is _INT:
             if tokens[i][1] == "/" and tokens[i + 1][0] is _INT:
                 _, dtext, dpos = tokens[i + 1]
-                if int(dtext) == 0:
+                if read_int(dtext) == 0:
                     raise ExprSyntaxError("zero denominator in rational literal", dpos)
                 i += 2
         elif kind is _NAME:
@@ -336,7 +337,7 @@ def _check(src: str, var_names: Sequence[str], field: BaseField, allow_div: bool
                 kind, text, pos = tokens[i]
                 if kind is not _INT:
                     raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
-                if int(text) > MAX_DEGREE:
+                if read_int(text) > MAX_DEGREE:
                     raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", pos)
                 kind, text, pos = tokens[i + 1]
                 i += 2

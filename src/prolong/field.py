@@ -24,6 +24,7 @@ it, for format and for readers outside the arithmetic.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -162,6 +163,46 @@ def _term_count(a) -> int:
     return sum(1 for c in a if c != 0)
 
 
+# Python refuses int() of a numeral, and str() of an int, with more digits
+# than sys.get_int_max_str_digits() (4300 by default, 0 for no limit, and
+# at least 640 otherwise).  read_int and decimal convert a longer numeral in
+# pieces within the limit; the process-wide setting is never changed.
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def read_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits, of any length."""
+    limit = _int_str_limit()
+    if not limit or len(text) <= limit:
+        return int(text)
+    if text[0] == "-":
+        return -read_int(text[1:])
+    k = len(text) // 2
+    return read_int(text[:-k]) * 10**k + read_int(text[-k:])
+
+
+def _int_decimal(n: int) -> str:
+    bits = n.bit_length()
+    limit = _int_str_limit()
+    # 2^(3 * limit) < 10^limit
+    if not limit or bits <= 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + _int_decimal(-n)
+    # n has more than 2k digits, so the high part is not zero
+    k = ((bits - 1) * 1233 >> 12) // 2
+    hi, lo = divmod(n, 10**k)
+    return _int_decimal(hi) + _int_decimal(lo).zfill(k)
+
+
+def decimal(q) -> str:
+    """str(q) for an int or a Fraction q, of any length."""
+    if type(q) is int:
+        return _int_decimal(q)
+    n, d = q.numerator, q.denominator
+    return _int_decimal(n) if d == 1 else f"{_int_decimal(n)}/{_int_decimal(d)}"
+
+
 def _fmt_upoly(a) -> str:
     if not a:
         return "0"
@@ -173,10 +214,10 @@ def _fmt_upoly(a) -> str:
         neg = c < 0
         mag = -c if neg else c
         if k == 0:
-            body = str(mag)
+            body = decimal(mag)
         else:
             var = "t" if k == 1 else f"t^{k}"
-            body = var if mag == 1 else f"{mag}*{var}"
+            body = var if mag == 1 else f"{decimal(mag)}*{var}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

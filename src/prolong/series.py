@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import (
     ArityMismatch,
@@ -11,12 +12,20 @@ from .errors import (
     NonUnitConstantTerm,
     PointNotOnVariety,
 )
-from .field import FieldElement, power
+from .field import FieldElement, decimal, power
 from .poly import PolyMap, RationalMap, evaluate_at
 from .reporting import CheckReport
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# A product multiplies integers, over runs of consecutive coefficients that
+# share one denominator, the lcm of theirs.  A run ends where scaling one of
+# its members to that lcm would lengthen it by more than RUN_BITS bits.
+# Denominators near k! grow by about log2(k) bits a step, so a run near
+# order 1000 holds about 27 coefficients; one lcm over a whole series would
+# make every numerator as long as the longest denominator.
+RUN_BITS = 256
 
 
 def _coerce_fraction(value):
@@ -36,6 +45,39 @@ def _coerce_fraction(value):
 def _nonzero(coeffs):
     """(index, coefficient) pairs of the nonzero coefficients, index ascending."""
     return [(i, c) for i, c in enumerate(coeffs) if c]
+
+
+def _runs(pairs):
+    """Split (index, coefficient) pairs into runs over one common denominator.
+
+    Each run is (denominator, [(index, numerator)]) with every coefficient
+    equal to its numerator over the run's denominator, the lcm of its
+    members' denominators.  A member joins the run before it unless the
+    lcm would then exceed the run's least denominator by more than RUN_BITS
+    bits.
+    """
+    runs = []
+    members = []
+    for i, c in pairs:
+        d = c.denominator
+        if members:
+            lcm = den // gcd(den, d) * d
+            least = d if d < low else low
+            if (lcm // least).bit_length() <= RUN_BITS:
+                den, low = lcm, least
+                members.append((i, c))
+                continue
+            runs.append(_scaled(den, members))
+            members = []
+        den = low = d
+        members.append((i, c))
+    if members:
+        runs.append(_scaled(den, members))
+    return runs
+
+
+def _scaled(den, members):
+    return den, [(i, c.numerator * (den // c.denominator)) for i, c in members]
 
 
 class TruncSeries:
@@ -112,15 +154,43 @@ class TruncSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """The truncated product, convolved in integers run by run.
+
+        Each pair of runs (see _runs) is one integer convolution, and each
+        nonzero coefficient of it is added to the product once, over the
+        product of the two runs' denominators.  A factor with at most one
+        nonzero coefficient, such as a constant, multiplies term by term.
+        """
         a, b = self._pair(other)
         n = a.order
         out = [_ZERO] * (n + 1)
-        bs = _nonzero(b.coeffs)
-        for i, x in _nonzero(a.coeffs):
-            for j, y in bs:
-                if i + j > n:
+        xs = _nonzero(a.coeffs)
+        ys = _nonzero(b.coeffs)
+        if len(xs) <= 1 or len(ys) <= 1:
+            for i, x in xs:
+                for j, y in ys:
+                    if i + j > n:
+                        break
+                    out[i + j] += x * y
+            return TruncSeries._of(tuple(out))
+        runs_b = _runs(ys)
+        for da, ra in _runs(xs):
+            i0 = ra[0][0]
+            for db, rb in runs_b:
+                base = i0 + rb[0][0]
+                if base > n:
                     break
-                out[i + j] += x * y
+                acc = [0] * (min(ra[-1][0] + rb[-1][0], n) - base + 1)
+                for i, x in ra:
+                    for j, y in rb:
+                        k = i + j
+                        if k > n:
+                            break
+                        acc[k - base] += x * y
+                d = da * db
+                for k, v in enumerate(acc, base):
+                    if v:
+                        out[k] += Fraction(v, d)
         return TruncSeries._of(tuple(out))
 
     __rmul__ = __mul__
@@ -176,10 +246,10 @@ class TruncSeries:
             if c == 0:
                 continue
             if k == 0:
-                body = str(c)
+                body = decimal(c)
             else:
                 tk = "t" if k == 1 else f"t^{k}"
-                body = tk if abs(c) == 1 else f"{abs(c)}*{tk}"
+                body = tk if abs(c) == 1 else f"{decimal(abs(c))}*{tk}"
                 if not parts:
                     body = body if c > 0 else "-" + body
                 else:

@@ -1,5 +1,7 @@
 """Seeded random generators shared by the property-test suites."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from prolong import MultiPoly, PolyMap, RationalMap, parse_poly, parse_rational
@@ -83,3 +85,18 @@ def rmap(field, names, exprs):
 def pmap(field, names, exprs):
     comps = tuple(parse_poly(e, names, field) for e in exprs)
     return PolyMap(field, len(names), comps)
+
+
+@contextmanager
+def int_str_limit(limit):
+    """Python's integer-string limit set to limit for the block (None: leave
+    it).  Pythons before 3.10.7 have no limit, and the block runs as is."""
+    if limit is None or not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

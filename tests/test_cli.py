@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from prolong import MultiPoly, cli, errors
 from prolong.cli import MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
 from prolong.expr import MAX_DEGREE, MAX_LITERAL_DIGITS
 from prolong.model import MAX_ATLAS_CHARTS, MAX_ATLAS_DIM
+
+from helpers import int_str_limit
 
 DATA = Path(__file__).parent / "data"
 MODEL_Q = str(DATA / "model_q.json")
@@ -596,6 +599,71 @@ def test_series_coefficients_read_integers_and_rational_strings(capsys, tmp_path
             capsys, "verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(path)
         )
         assert code == 0 and report["details"]["residuals_zero"] is True
+
+
+def _str_unlimited(n):
+    with int_str_limit(0):
+        return str(n)
+
+
+def test_reports_render_values_past_the_int_string_limit(capsys, tmp_path):
+    # 6000- and 8600-digit values: more than Python's default limit of 4300
+    # digits on str(), which the reports' renderer writes in pieces.
+    sevens = "7" * 3000
+    big = int(sevens) ** 2
+    code, report, _ = run(capsys, "parse", "-i", MODEL_Q, "--expr", f"{sevens}^2 + x",
+                          "--vars", "x")
+    assert code == 0
+    assert report["details"]["canonical"] == f"x + {_str_unlimited(big)}"
+    code, report, _ = run(capsys, "solve-series", "-i", MODEL_Q, "-g", "Gm", "-s",
+                          "gm_twist1", "--init", f"({sevens})^2,1/({sevens})^2",
+                          "--order", "2")
+    assert code == 0
+    assert report["details"]["coefficients"]["x"] == [
+        _str_unlimited(big), _str_unlimited(big), _str_unlimited(Fraction(big, 2))
+    ]
+    assert report["details"]["coefficients"]["w"][0] == "1/" + _str_unlimited(big)
+    longest = "7" * MAX_LITERAL_DIGITS
+    n = int(longest)
+    path = tmp_path / "series.json"
+    path.write_text('{"coefficients": {"x": [%s, "%s"], "w": ["%s", "0"]}}' % ((longest,) * 3))
+    code, report, _ = run(capsys, "verify-series", "-i", MODEL_Q, "-v", "GmV",
+                          "--series", str(path))
+    assert code == 1
+    assert report["details"]["residuals"] == [[_str_unlimited(n * n - 1), _str_unlimited(n * n)]]
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        (("parse", "--expr", "x + " + "7" * 1000, "--vars", "x"), "canonical",
+         "x + " + "7" * 1000),
+        (("parse", "--expr", "x^" + "0" * 999 + "2", "--vars", "x"), "canonical", "x^2"),
+        (("solve-series", "-g", "Gm", "-s", "gm_twist0", "--init",
+          f"{'7' * 1000},1/{'7' * 1000}", "--order", "1"), "coefficients",
+         {"x": ["7" * 1000, "0"], "w": ["1/" + "7" * 1000, "0"]}),
+        (("verify-series", "-v", "GmV", "--series", "{series}"), "coefficients",
+         {"x": ["7" * 1000, "0"], "w": ["1/" + "7" * 1000, "0"]}),
+    ],
+    ids=["parse-literal", "parse-exponent", "solve-series", "verify-series"],
+)
+def test_long_literals_under_a_lower_interpreter_limit(tmp_path, argv, key, want):
+    """Python's integer-string limit at its least, 640 digits: a literal of
+    1000 digits is inside the program's own bound and is read and written in
+    pieces.  The limit is the process's, so the run is a subprocess."""
+    series = tmp_path / "series.json"
+    series.write_text('{"coefficients": {"x": [%s, 0], "w": ["1/%s", "0"]}}'
+                      % ("7" * 1000, "7" * 1000))
+    argv = [str(series) if a == "{series}" else a for a in argv]
+    src = str(Path(prolong.__file__).parent.parent)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="640",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "prolong.cli", argv[0], "-i", MODEL_Q, *argv[1:]],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout
+    assert json.loads(done.stdout)["details"][key] == want
 
 
 def test_unknown_subcommand(capsys):

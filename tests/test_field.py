@@ -5,9 +5,9 @@ from math import gcd
 import pytest
 
 from prolong import Q, QT, DivisionByZero, MultiPoly, format_element, parse_element
-from prolong.field import power
+from prolong.field import decimal, power, read_int
 
-from helpers import random_element, random_fraction, random_point, random_unit
+from helpers import int_str_limit, random_element, random_fraction, random_point, random_unit
 
 
 def qt(text):
@@ -448,3 +448,24 @@ def test_constant_hash_is_fraction_hash_by_any_route():
             assert e == value and e.as_fraction() == value
             assert hash(e) == hash(value)
             assert {value: "v"}.get(e) == "v"
+
+
+def test_decimal_and_read_int_pass_any_int_string_limit():
+    rng = random.Random(5)
+    lengths = [1, 2, 639, 640, 641, 1920, 1921, 4300, 4301, 6000, 12917]
+    values = [0, 10**640, 10**4300 - 1, -(10**6000)]
+    for digits in lengths:
+        values.append(rng.randrange(10 ** (digits - 1), 10**digits))
+        # a long run of zeros inside, where a piece would lose them
+        values.append(10 ** (digits - 1) + rng.randrange(10))
+    with int_str_limit(0):
+        want = {n: str(n) for n in values} | {-n: str(-n) for n in values}
+        fractions = {Fraction(n, 7**900): str(Fraction(n, 7**900)) for n in want}
+    for limit in (None, 640, 641, 4300, 0):
+        with int_str_limit(limit):
+            for n, text in want.items():
+                assert decimal(n) == text
+                assert read_int(text) == n
+                assert read_int("000" + text.lstrip("-")) == abs(n)
+            for q, text in fractions.items():
+                assert decimal(q) == text
