@@ -4,8 +4,14 @@ Buchberger's algorithm with the Gebauer-Moller pair criteria, a
 selectable pair strategy, and a hard total-degree cap that aborts runaway
 computations.  Resulting bases are reduced, monic, and sorted by leading
 monomial, so equal ideals yield identical bases for a fixed term order.
-Over Q the work runs fraction-free on primitive integer polynomials, and
-only the output is made monic.
+
+Division and Buchberger's loop run on one internal form, _Packed: a dict
+from packed monomials, each one int (_Ring), to coefficients, which are
+primitive integers over Q and field elements over Q(t).  Every basis
+element, S-polynomial and remainder of buchberger stays in that form from
+input to output.  MultiPolys are built only at the edges: the output
+basis, and the results of reduce_full and normal_form.  Over Q the work is
+fraction-free, and only the output is made monic.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, ge, le, sub
+from operator import le, lshift
 from typing import Sequence
 
 from .errors import ArityMismatch, DegreeCapExceeded
-from .field import BaseField
+from .field import _UNIT, BaseField, FieldElement
 from .poly import Monomial, MultiPoly, grevlex_key
 
 
@@ -54,14 +60,6 @@ class TermOrder:
         if self.kind == "lex":
             return mono
         return grevlex_key(mono)
-
-    def reverse_key(self, mono: Monomial):
-        """Ascending sort key for the descending order: the largest monomial first."""
-        if self.priority is not None:
-            mono = self._permuted(mono)
-        if self.kind == "lex":
-            return tuple([-e for e in mono])
-        return (-sum(mono),) + mono[::-1]
 
 
 DEFAULT_ORDER = TermOrder()
@@ -110,20 +108,119 @@ class GroebnerBasis:
     gens: tuple[MultiPoly, ...]
 
     @cached_property
-    def _basis(self) -> "_Basis":
-        """gens, with division records that every normal form modulo them shares."""
-        return _Basis(self.order, self.gens)
+    def _divisors(self) -> "_Divisors":
+        """gens, with the packed form that every normal form modulo them shares."""
+        return _Divisors(self.gens)
 
 
-def _primitive(terms: dict) -> tuple[Fraction, dict]:
-    """Content and primitive part of a nonzero polynomial over Q.
+class _Overflow(Exception):
+    """An exponent outgrew its field of the packing; the call is redone at
+    twice the bits."""
 
-    terms maps monomials to elements of Q.  The part has integer
-    coefficients with gcd 1, the content is a positive rational, and terms
-    equals content * part term by term.
+
+def _bits(degree: int) -> int:
+    """Bits per variable for monomials and caps of total degree up to degree.
+
+    An exponent below 2^(bits - 2) leaves room for the product of two, and
+    three times such a degree is below 2^bits - 1, where the digit sum of
+    _Ring.degree stays exact.
     """
+    bits = 8
+    while degree >= 1 << (bits - 2):
+        bits *= 2
+    return bits
+
+
+class _Ring:
+    """Monomials in nvars variables packed into one int each, for order.
+
+    Each variable has a field of bits bits, whose top bit is a guard bit.
+    The word E of a monomial holds its exponents in those fields, the least
+    significant variable in the highest field for grevlex and the most
+    significant for lex, after the priority.  The key is
+    E - deg * 2^(bits * nvars) for grevlex and -E for lex.  So
+    key(a * b) = key(a) + key(b), ascending keys are descending monomials,
+    a divides b when E_b - E_a has no guard bit set, and a product whose
+    word has a guard bit set has an exponent too large for the fields.
+    """
+
+    __slots__ = ("field", "nvars", "bits", "lex", "shifts", "width", "mask", "guard", "digits")
+
+    def __init__(self, field: BaseField, nvars: int, order: TermOrder, bits: int):
+        # A priority of the wrong length raises ArityMismatch here.
+        perm = order._permuted(tuple(range(nvars))) if order.priority is not None else range(nvars)
+        self.field, self.nvars, self.bits = field, nvars, bits
+        self.lex = order.kind == "lex"
+        shifts = [0] * nvars
+        for k, i in enumerate(perm):
+            shifts[i] = bits * (nvars - 1 - k if self.lex else k)
+        self.shifts = tuple(shifts)
+        self.width = bits * nvars
+        self.mask = (1 << self.width) - 1
+        self.guard = sum(1 << (s + bits - 1) for s in shifts)
+        self.digits = (1 << bits) - 1
+
+    def key(self, mono: Monomial) -> int:
+        e = sum(map(lshift, mono, self.shifts))
+        return -e if self.lex else e - (sum(mono) << self.width)
+
+    def word(self, key: int) -> int:
+        return -key if self.lex else key & self.mask
+
+    def mono(self, key: int) -> Monomial:
+        e = -key if self.lex else key & self.mask
+        f = self.digits
+        return tuple([e >> s & f for s in self.shifts])
+
+    def degree(self, key: int) -> int:
+        """The total degree of key's monomial: the digit sum of its word,
+        exact while that is below 2^bits - 1."""
+        return self.word(key) % self.digits
+
+
+class _Packed:
+    """A polynomial in the internal form: terms maps keys of ring to nonzero
+    coefficients, integers over Q and field elements over Q(t).
+
+    A basis element (made by _element) also carries its lead monomial and
+    its division record, made once: (lead word, lead key, lead coefficient,
+    tail, reach).  The tail lists (k - lead key, c) for the other terms, so
+    the term's multiple by the quotient of a monomial of key hk by the lead
+    has key hk + k - lead key.  reach is how far the degree of the tail goes
+    above the lead's.  Over Q(t), where divisors are monic, the lead
+    coefficient in the record is None.
+    """
+
+    __slots__ = ("ring", "terms", "lead", "record")
+
+    def __init__(self, ring: _Ring, terms: dict):
+        self.ring = ring
+        self.terms = terms
+        self.lead = self.record = None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        ring = self.ring
+        if ring.lex:
+            return max(map(ring.degree, self.terms))
+        return -(min(self.terms) >> ring.width)
+
+    def poly(self) -> MultiPoly:
+        """The MultiPoly with these terms."""
+        return _unpack(self.ring, self.terms)
+
+
+def _pack(ring: _Ring, p: MultiPoly) -> tuple[dict, Fraction | None]:
+    """p's terms keyed by ring.  Over Q they are the primitive integer part
+    of p, given with p's content; over Q(t) they are p's own, with None."""
+    key = ring.key
+    if ring.field.has_t:
+        return {key(m): c for m, c in p.terms.items()}, None
     # A nonzero element of Q is the integer quotient n[0] / d[0].
-    vals = list(terms.values())
+    vals = p.terms.values()
     den = lcm(*[c.d[0] for c in vals])
     if den == 1:
         ints = [c.n[0] for c in vals]
@@ -132,84 +229,177 @@ def _primitive(terms: dict) -> tuple[Fraction, dict]:
     cont = gcd(*ints)
     if cont != 1:
         ints = [c // cont for c in ints]
-    return Fraction(cont, den), dict(zip(terms, ints))
+    return dict(zip(map(key, p.terms), ints)), Fraction(cont, den)
 
 
-def _from_rationals(field: BaseField, nvars: int, terms: dict) -> MultiPoly:
-    """The polynomial over Q with these nonzero rational coefficients."""
-    elem = field.elem
-    return MultiPoly._of(field, nvars, {m: elem(c) for m, c in terms.items()})
+def _unpack(ring: _Ring, terms: dict, num: int = 1, den: int = 1) -> MultiPoly:
+    """The MultiPoly with these terms, times num/den over Q."""
+    field, mono = ring.field, ring.mono
+    if field.has_t or (num == 1 and den == 1):
+        elem = field.elem
+        return MultiPoly._of(field, ring.nvars, {mono(k): elem(c) for k, c in terms.items()})
+    out = {}
+    for k, c in terms.items():
+        n, d = c * num, den
+        g = gcd(n, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            n, d = n // g, d // g
+        out[mono(k)] = FieldElement(field, (n,), _UNIT if d == 1 else (d,))
+    return MultiPoly._of(field, ring.nvars, out)
 
 
-class _PrimitivePoly(MultiPoly):
-    """A basis element of buchberger over Q: integer coefficients of gcd 1,
-    kept beside it in ints, so that each S-polynomial reads them instead of
-    recomputing them."""
-
-    __slots__ = ("ints",)
-
-    @classmethod
-    def of(cls, field: BaseField, nvars: int, ints: dict, terms=None) -> "_PrimitivePoly":
-        """The polynomial with these integer terms; terms, if given, are
-        the same as field elements."""
-        p = cls._of(field, nvars, terms if terms is not None else
-                    {m: field.elem(c) for m, c in ints.items()})
-        object.__setattr__(p, "ints", ints)
-        return p
-
-
-def _integer_terms(p: MultiPoly) -> dict:
-    """The primitive integer terms of a nonzero p over Q; p's own when p is
-    a _PrimitivePoly, so not to be changed."""
-    return p.ints if type(p) is _PrimitivePoly else _primitive(p.terms)[1]
-
-
-def _divisor(g: MultiPoly, rkey) -> tuple:
-    """What dividing by a nonzero g needs, in the order rkey sorts.
-
-    The record is (lead monomial, its degree, lead coefficient, tail terms,
-    top tail degree).  Over Q it describes g's primitive integer part, which
-    divides as g does; over Q(t) it describes g, with the inverse lead
-    coefficient in place of the lead coefficient.
-    """
-    integral = not g.field.has_t
-    terms = _integer_terms(g) if integral else g.terms
-    gm = min(terms, key=rkey)
-    tail = [(m, c) for m, c in terms.items() if m != gm]
-    top = max((sum(m) for m, _ in tail), default=0)
-    return gm, sum(gm), terms[gm] if integral else terms[gm].inverse(), tail, top
+def _element(ring: _Ring, terms: dict) -> _Packed:
+    """A divisor with these terms, primitive over Q, with its lead and
+    record; over Q(t) it is made monic."""
+    gk = min(terms)
+    gc = terms[gk]
+    if ring.field.has_t:
+        if not gc.is_one:
+            inv = gc.inverse()
+            terms = {k: c * inv for k, c in terms.items()}
+        gc = None
+    g = _Packed(ring, terms)
+    g.lead = ring.mono(gk)
+    tail = [(k - gk, c) for k, c in terms.items() if k != gk]
+    # Under grevlex no term has a higher degree than the lead.
+    reach = max(map(ring.degree, terms)) - ring.degree(gk) if ring.lex else 0
+    g.record = (ring.word(gk), gk, gc, tail, reach)
+    return g
 
 
 class _Basis(list):
-    """Polynomials to divide by, with the division record of each nonzero
-    one made once, when reduce_full first reads it, instead of per call."""
+    """Divisors (_Packed, each made by _element), beside their records."""
 
-    def __init__(self, order: TermOrder, gens: Sequence[MultiPoly] = ()):
+    def __init__(self, elements: Sequence[_Packed] = ()):
+        super().__init__(elements)
+        self.records = [g.record for g in self]
+
+    def append(self, g: _Packed) -> None:
+        super().append(g)
+        self.records.append(g.record)
+
+
+class _Divisors(list):
+    """MultiPolys to divide by, with their packing and _Basis made once per
+    order and bits."""
+
+    def __init__(self, gens: Sequence[MultiPoly]):
         super().__init__(gens)
-        self.order = order
-        self._divisors: list[tuple] = []
-        self._done = 0
+        self.nonzero = [g for g in self if not g.is_zero]
+        self.degree = max([g.total_degree() for g in self.nonzero], default=0)
+        self.packed: dict[tuple[TermOrder, int], tuple[_Ring, _Basis]] = {}
 
-    @property
-    def divisors(self) -> list[tuple]:
-        rkey = self.order.reverse_key
-        for g in self[self._done :]:
-            if not g.is_zero:
-                self._divisors.append(_divisor(g, rkey))
-        self._done = len(self)
-        return self._divisors
+    def at(self, field: BaseField, nvars: int, order: TermOrder, bits: int):
+        """The ring (a priority of the wrong length raises ArityMismatch
+        here) and the _Basis of the nonzero elements in it."""
+        packed = self.packed.get((order, bits))
+        if packed is None:
+            ring = _Ring(field, nvars, order, bits)
+            basis = _Basis([_element(ring, _pack(ring, g)[0]) for g in self.nonzero])
+            packed = self.packed[order, bits] = ring, basis
+        return packed
 
-    def select(self, indices: Sequence[int]) -> "_Basis":
-        """The elements at indices, in that order, sharing their records.
 
-        Only for a list with no zero element, where records and elements
-        correspond one to one.
-        """
-        divisors = self.divisors
-        out = _Basis(self.order, [self[j] for j in indices])
-        out._divisors = [divisors[j] for j in indices]
-        out._done = len(out)
-        return out
+def _divide(ring: _Ring, h: dict, records: list, degree_cap: int | None, unit):
+    """Fully reduce the polynomial with terms h, which is consumed, by records.
+
+    Returns the remainder's terms, in ascending key order so the leading
+    one first, and a factor.  The leading term of h is the top entry of a
+    heap of keys still in h (cancelled keys stay in the heap and are
+    skipped).  DegreeCapExceeded is raised before a step that would give h
+    a total degree above degree_cap; the working polynomial is then within
+    the cap, so a step makes no exponent too large for the fields.  With
+    no cap, _Overflow is raised when one does.
+
+    Over Q the division is fraction-free.  h and the remainder r hold
+    integers, and the polynomial divided is unit * (h + r) minus a
+    combination of the divisors.  A step by a divisor with lead c_g x^m on a
+    term c_h x^(m+s) of h computes h <- (c_g/g0) h - (c_h/g0) x^s g with
+    g0 = gcd(c_g, c_h), scaling r alike, then takes the content of h and r
+    out when the step scaled them.  It is a nonzero multiple of the field
+    step, so the same monomials cancel and the cap fires alike.  unit is a
+    Fraction, or None when the remainder is wanted only up to a constant:
+    then the remainder is returned primitive and the factor is 1.  Over Q(t)
+    the divisors are monic, a step subtracts c_h x^s g, and the factor is
+    None.
+    """
+    integral = not ring.field.has_t
+    lex, mask, guard, digits = ring.lex, ring.mask, ring.guard, ring.digits
+    heap = list(h)
+    heapify(heap)
+    r = {}
+    rcont = 0  # the gcd of r's coefficients over Q
+    while heap:
+        hk = heappop(heap)
+        hc = h.pop(hk, None)
+        if hc is None:
+            continue
+        eh = -hk if lex else hk & mask
+        for eg, gk, gc, tail, reach in records:
+            if not (eh - eg) & guard:
+                break
+        else:
+            r[hk] = hc
+            if integral:
+                rcont = gcd(rcont, hc)
+            continue
+        # Only the tail can go above the lead's degree: by reach.
+        if reach and degree_cap is not None:
+            top = eh % digits + reach
+            if top > degree_cap:
+                raise DegreeCapExceeded(f"intermediate degree {top} exceeds cap {degree_cap}")
+        if integral:
+            g0 = gcd(gc, hc) if gc > 0 else -gcd(gc, hc)
+            scale, nq = gc // g0, -(hc // g0)
+            if scale != 1:
+                for k in h:
+                    h[k] *= scale
+                if r:
+                    for k in r:
+                        r[k] *= scale
+                    rcont *= abs(scale)
+                if unit is not None:
+                    unit /= scale
+        else:
+            scale, nq = 1, -hc
+        for k, tc in tail:
+            k += hk
+            d = nq * tc
+            old = h.get(k)
+            if old is None:
+                h[k] = d
+                heappush(heap, k)
+                if (-k if lex else k) & guard:
+                    raise _Overflow
+            else:
+                d = old + d
+                if d:
+                    h[k] = d
+                else:
+                    del h[k]
+        if scale != 1 and h:
+            cont = gcd(*h.values())
+            if rcont:
+                cont = gcd(cont, rcont)
+            if cont != 1:
+                for k in h:
+                    h[k] //= cont
+                if r:
+                    for k in r:
+                        r[k] //= cont
+                    rcont //= cont
+                if unit is not None:
+                    unit *= cont
+    if not integral:
+        return r, None
+    if unit is None:
+        if rcont > 1:
+            for k in r:
+                r[k] //= rcont
+        return r, 1
+    return r, unit
 
 
 def reduce_full(
@@ -221,135 +411,85 @@ def reduce_full(
     """Full remainder of p under multivariate division by gens.
 
     The remainder's terms come in descending order, so its first term is
-    the leading one.  Division runs in place on a term dict beside a heap
-    of reverse order keys: the leading term is the top entry still in the
-    dict (cancelled monomials stay in the heap and are skipped), and each
-    monomial's key is computed once, when it enters.  DegreeCapExceeded is
-    raised as soon as the working polynomial has total degree above
-    degree_cap: on input, or after the step that adds such a term.
+    the leading one.  DegreeCapExceeded is raised as soon as the working
+    polynomial would have total degree above degree_cap: on input, or at
+    the step that adds such a term.  The division runs in _divide on the
+    packed form, at twice the bits whenever an exponent outgrows them.
 
-    Over Q the division is fraction-free.  The working polynomial h and the
-    divisors are primitive integer polynomials, and p's remaining part is
-    unit * h.  A step by a divisor with lead c_g x^m on a term c_h x^(m+s)
-    of h computes h <- (c_g/g0) h - (c_h/g0) x^s g with g0 = gcd(c_g, c_h),
-    then takes the content out of h when the step scaled it.  It is a
-    nonzero multiple of the field step, so the same monomials cancel and
-    the cap fires alike.  Over Q(t) a step subtracts (c_h/c_g) x^s g.
+    Inside buchberger and is_groebner, p is a _Packed polynomial and gens
+    their _Basis; the remainder is then _Packed too, primitive over Q.
     """
-    rkey = order.reverse_key
+    if type(p) is _Packed:
+        if degree_cap is not None and p.terms and p.degree() > degree_cap:
+            raise DegreeCapExceeded(f"intermediate degree {p.degree()} exceeds cap {degree_cap}")
+        return _Packed(p.ring, _divide(p.ring, dict(p.terms), gens.records, degree_cap, None)[0])
     field, nvars = p.field, p.nvars
     _check_ring((p, *gens), nvars)
-    integral = not field.has_t
-    if isinstance(gens, _Basis) and gens.order == order:
-        divisors = gens.divisors
-    else:
-        divisors = [_divisor(g, rkey) for g in gens if not g.is_zero]
-    if degree_cap is not None and p.terms and p.total_degree() > degree_cap:
-        raise DegreeCapExceeded(f"intermediate degree {p.total_degree()} exceeds cap {degree_cap}")
-    if integral and p.terms:
-        unit, h = _primitive(p.terms)
-    else:
-        h = dict(p.terms)
-    heap = [(rkey(m), m) for m in h]
-    heapify(heap)
-    remainder = {}
-    while heap:
-        hm = heappop(heap)[1]
-        hc = h.pop(hm, None)
-        if hc is None:
+    if not isinstance(gens, _Divisors):
+        gens = _Divisors(gens)
+    degree = p.total_degree()
+    bits = _bits(max(degree, gens.degree, degree_cap or 0))
+    if gens.nonzero:
+        # A priority of the wrong length raises here, as a division by them would.
+        gens.at(field, nvars, order, bits)
+    if degree_cap is not None and p.terms and degree > degree_cap:
+        raise DegreeCapExceeded(f"intermediate degree {degree} exceeds cap {degree_cap}")
+    if not p.terms:
+        return MultiPoly.zero(field, nvars)
+    while True:
+        ring, basis = gens.at(field, nvars, order, bits)
+        h, unit = _pack(ring, p)
+        try:
+            r, unit = _divide(ring, h, basis.records, degree_cap, unit)
+        except _Overflow:
+            bits *= 2
             continue
-        for gm, gdeg, gc, tail, top in divisors:
-            if all(map(ge, hm, gm)):
-                break
-        else:
-            remainder[hm] = hc if not integral or unit == 1 else hc * unit
-            continue
-        shift = tuple(map(sub, hm, gm))
-        # Only a term new to h can exceed the cap: the others were within it.
-        lim = None if degree_cap is None else degree_cap - (sum(hm) - gdeg)
-        check = lim is not None and top > lim
-        if integral:
-            g0 = gcd(gc, hc) if gc > 0 else -gcd(gc, hc)
-            scale, nq = gc // g0, -(hc // g0)
-            if scale != 1:
-                for m in h:
-                    h[m] *= scale
-                unit /= scale
-        else:
-            scale, nq = 1, (-hc if gc.is_one else -(hc * gc))
-        over = False
-        for tm, tc in tail:
-            mono = tuple(map(add, tm, shift))
-            d = nq * tc
-            old = h.get(mono)
-            if old is None:
-                h[mono] = d
-                heappush(heap, (rkey(mono), mono))
-                if check and sum(tm) > lim:
-                    over = True
-            else:
-                d = old + d
-                if d:
-                    h[mono] = d
-                else:
-                    del h[mono]
-        if over:
-            degree = max(map(sum, h))
-            raise DegreeCapExceeded(f"intermediate degree {degree} exceeds cap {degree_cap}")
-        if scale != 1 and h:
-            cont = gcd(*h.values())
-            if cont != 1:
-                for m in h:
-                    h[m] //= cont
-                unit *= cont
-    if integral:
-        return _from_rationals(field, nvars, remainder)
-    return MultiPoly._of(field, nvars, remainder)
+        if unit is None:
+            return _unpack(ring, r)
+        return _unpack(ring, r, unit.numerator, unit.denominator)
 
 
-def _s_polynomial(f: MultiPoly, g: MultiPoly, order: TermOrder) -> MultiPoly:
-    """S-polynomial of f and g, up to a nonzero constant factor.
+def _s_polynomial(f: _Packed, g: _Packed, order: TermOrder) -> _Packed:
+    """S-polynomial of two divisors, up to a nonzero constant factor.
 
-    Over Q it is fraction-free.  With F and G the primitive integer parts of
-    f and g, leads c_F x^a and c_G x^b, lcm x^l and g0 = gcd(c_F, c_G), it
-    is (c_G/g0) x^(l-a) F - (c_F/g0) x^(l-b) G, with integer coefficients.
-    Over Q(t) it is x^(l-a) f / c_f - x^(l-b) g / c_g.
+    It is built from their records: with leads x^a and x^b and lcm x^l, a
+    tail term of f with relative key k moves to key(l) + k, and the leads
+    cancel.  Every divisor has degree below 2^(bits - 2) (_bits), so no
+    exponent of the result reaches a guard bit.  Over Q, with lead
+    coefficients c_f and c_g and g0 = gcd(c_f, c_g), it is
+    (c_g/g0) x^(l-a) f - (c_f/g0) x^(l-b) g, made primitive.  Over Q(t),
+    where divisors are monic, it is x^(l-a) f - x^(l-b) g.
     """
-    fm, fc = f.lead(order.key)
-    gm, gc = g.lead(order.key)
-    both = _lcm(fm, gm)
-    mf = tuple(map(sub, both, fm))
-    mg = tuple(map(sub, both, gm))
-    if f.field.has_t:
-        tf = MultiPoly(f.field, f.nvars, {mf: fc.inverse()})
-        tg = MultiPoly(g.field, g.nvars, {mg: gc.inverse()})
-        return tf * f - tg * g
-    fz = _integer_terms(f)
-    gz = _integer_terms(g)
-    g0 = gcd(fz[fm], gz[gm])
-    kf, kg = gz[gm] // g0, fz[fm] // g0
-    s = {tuple(map(add, m, mf)): kf * c for m, c in fz.items()}
-    for m, c in gz.items():
-        mono = tuple(map(add, m, mg))
-        d = s.get(mono, 0) - kg * c
-        if d:
-            s[mono] = d
-        else:
-            del s[mono]
-    return _from_rationals(f.field, f.nvars, s)
-
-
-def _monic(g: MultiPoly, lead: Monomial) -> MultiPoly:
-    lc = g.terms[lead]
-    return g if lc.is_one else g * lc.inverse()
-
-
-def _basis_element(g: MultiPoly, lead: Monomial) -> MultiPoly:
-    """g as buchberger keeps it: a _PrimitivePoly over Q, monic over Q(t)."""
-    if g.field.has_t:
-        return _monic(g, lead)
-    content, ints = _primitive(g.terms)
-    return _PrimitivePoly.of(g.field, g.nvars, ints, g.terms if content == 1 else None)
+    ring = f.ring
+    _, _, fc, ftail, _ = f.record
+    _, _, gc, gtail, _ = g.record
+    lk = ring.key(_lcm(f.lead, g.lead))
+    if ring.field.has_t:
+        s = {lk + k: c for k, c in ftail}
+        for k, c in gtail:
+            k += lk
+            d = s.get(k)
+            d = -c if d is None else d - c
+            if d:
+                s[k] = d
+            else:
+                del s[k]
+    else:
+        g0 = gcd(fc, gc)
+        kf, kg = gc // g0, fc // g0
+        s = {lk + k: kf * c for k, c in ftail}
+        for k, c in gtail:
+            k += lk
+            d = s.get(k, 0) - kg * c
+            if d:
+                s[k] = d
+            else:
+                del s[k]
+        cont = gcd(*s.values())
+        if cont > 1:
+            for k in s:
+                s[k] //= cont
+    return _Packed(ring, s)
 
 
 def buchberger(
@@ -377,7 +517,10 @@ def buchberger(
     Every element stays a divisor.  The reduced basis does not depend on
     the strategy or on the pairs deleted; DegreeCapExceeded depends on the
     polynomials formed: the generators, the S-polynomials of the pairs
-    kept, their intermediate remainders and the inserted elements.
+    kept and their intermediate remainders.
+
+    The packing has room for twice the cap in each exponent and three
+    times it in a degree, so no exponent of a polynomial formed outgrows it.
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -393,9 +536,9 @@ def buchberger(
             raise DegreeCapExceeded(
                 f"generator degree {g.total_degree()} exceeds cap {degree_cap}"
             )
-    rkey = order.reverse_key
+    ring = _Ring(polys[0].field, nvars, order, _bits(degree_cap))
     fifo = strategy == "fifo"
-    basis = _Basis(order)
+    basis = _Basis()
     leads: list[Monomial] = []
     # Indices of the elements that still get new pairs, ascending.
     active: list[int] = []
@@ -406,9 +549,10 @@ def buchberger(
     head = 0
     live: dict[tuple[int, int], Monomial] = {}
 
-    def insert(g: MultiPoly, gm: Monomial) -> None:
+    def insert(g: _Packed) -> None:
         r = len(basis)
-        basis.append(_basis_element(g, gm))
+        gm = g.lead
+        basis.append(g)
         leads.append(gm)
         for (i, j), m in list(live.items()):
             if _divides(gm, m) and _lcm(leads[i], gm) != m and _lcm(leads[j], gm) != m:
@@ -434,7 +578,7 @@ def buchberger(
         active.append(r)
 
     for g in polys:
-        insert(g, min(g.terms, key=rkey))
+        insert(_element(ring, _pack(ring, g)[0]))
     while head < len(queue):
         if fifo:
             i, j = queue[head]
@@ -445,13 +589,8 @@ def buchberger(
             continue
         s = _s_polynomial(basis[i], basis[j], order)
         h = reduce_full(s, basis, order, degree_cap)
-        if h.is_zero:
-            continue
-        if h.total_degree() > degree_cap:
-            raise DegreeCapExceeded(
-                f"basis element degree {h.total_degree()} exceeds cap {degree_cap}"
-            )
-        insert(h, next(iter(h.terms)))
+        if not h.is_zero:
+            insert(_element(ring, h.terms))
 
     # Minimal basis: drop elements whose lead is divisible by another lead.
     keep = [
@@ -464,16 +603,21 @@ def buchberger(
         )
     ]
     # Reduced basis: each element fully reduced against the others.  No other
-    # lead divides gm, so the lead term of g stays that of the remainder, and
-    # the remainder is made monic here, on output, the only place it is.  The
-    # remainder is a plain MultiPoly even with no others to divide by.
-    reduced: list[tuple[Monomial, MultiPoly]] = []
+    # lead divides its lead, so the lead term stays that of the remainder,
+    # which is made monic here, on output, the only place it is.
+    reduced = []
     for i in keep:
-        gm, g = leads[i], basis[i]
-        others = basis.select([j for j in keep if j != i])
-        reduced.append((gm, _monic(reduce_full(g, others, order, degree_cap), gm)))
-    reduced.sort(key=lambda lg: order.key(lg[0]))
-    return GroebnerBasis(order, nvars, tuple(g for _, g in reduced))
+        others = _Basis([basis[j] for j in keep if j != i])
+        reduced.append(_element(ring, reduce_full(basis[i], others, order, degree_cap).terms))
+    reduced.sort(key=lambda g: g.record[1], reverse=True)
+    # Over Q the record holds the lead coefficient, and over Q(t) None.
+    monic = tuple(_unpack(ring, g.terms, 1, g.record[2] or 1) for g in reduced)
+    gb = GroebnerBasis(order, nvars, monic)
+    # Normal forms modulo gb divide by these records: gb.gens are their
+    # elements made monic.  A cached_property is set in the instance dict.
+    divisors = vars(gb)["_divisors"] = _Divisors(gb.gens)
+    divisors.packed[order, ring.bits] = ring, _Basis(reduced)
+    return gb
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis, degree_cap: int | None = None) -> MultiPoly:
@@ -482,7 +626,7 @@ def normal_form(p: MultiPoly, gb: GroebnerBasis, degree_cap: int | None = None) 
     if not gb.gens:
         gb.order.key((0,) * gb.nvars)  # a priority of the wrong length raises ArityMismatch
         return p
-    return reduce_full(p, gb._basis, gb.order, degree_cap)
+    return reduce_full(p, gb._divisors, gb.order, degree_cap)
 
 
 def equal_mod_ideal(p: MultiPoly, q: MultiPoly, gb: GroebnerBasis) -> bool:
@@ -491,10 +635,19 @@ def equal_mod_ideal(p: MultiPoly, q: MultiPoly, gb: GroebnerBasis) -> bool:
 
 def is_groebner(gens: Sequence[MultiPoly], order: TermOrder = DEFAULT_ORDER) -> bool:
     """Check Buchberger's criterion: every S-polynomial reduces to zero."""
-    polys = [g for g in gens if not g.is_zero]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            s = _s_polynomial(polys[i], polys[j], order)
-            if not reduce_full(s, polys, order).is_zero:
-                return False
-    return True
+    divisors = _Divisors(gens)
+    polys = divisors.nonzero
+    if len(polys) < 2:
+        return True
+    bits = _bits(divisors.degree)
+    while True:
+        _, basis = divisors.at(polys[0].field, polys[0].nvars, order, bits)
+        try:
+            for i in range(len(basis)):
+                for j in range(i + 1, len(basis)):
+                    s = _s_polynomial(basis[i], basis[j], order)
+                    if not reduce_full(s, basis, order).is_zero:
+                        return False
+            return True
+        except _Overflow:
+            bits *= 2

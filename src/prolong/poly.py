@@ -478,8 +478,12 @@ def poly_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return q.monic()
     if q.is_zero:
         return p.monic()
-    if p.nvars == 0 or p.is_constant or q.is_constant:
-        return MultiPoly.const(p.field, p.nvars, 1)
+    if len(p.terms) == 1 or len(q.terms) == 1:
+        # A monomial's divisors are monomials, so the gcd is the largest
+        # monomial dividing every term of both: that of least exponents.
+        # This covers constants and nvars == 0, where it is 1.
+        mono = tuple(map(min, *p.terms, *q.terms))
+        return MultiPoly._of(p.field, p.nvars, {mono: p.field.one})
     A = _rec_split(p)
     B = _rec_split(q)
     ca = _rec_content(A)

@@ -7,6 +7,8 @@ The heap-ordered in-place kernel must agree with them exactly: the same
 remainders, the same bases, and the same exceptions with the same messages.
 Over Q the kernel is fraction-free, so its S-polynomials are nonzero
 constant multiples of the reference ones: they are compared once monic.
+The kernel keeps S-polynomials and divisors packed; unpacked() reads them
+as MultiPolys.
 """
 
 import itertools
@@ -184,6 +186,12 @@ def reference_buchberger(gens, order, degree_cap, strategy, spolys, criteria=Tru
     return GroebnerBasis(order, nvars, tuple(reduced))
 
 
+def unpacked(p):
+    """p as a MultiPoly: buchberger's S-polynomials and divisors are kept
+    packed, with primitive integer coefficients over Q."""
+    return p if isinstance(p, MultiPoly) else p.poly()
+
+
 def outcome(fn, *args):
     """The value fn returns, or the type and message of what it raises."""
     try:
@@ -250,6 +258,7 @@ def test_reduce_full_matches_reference_division():
             want = outcome(reference_reduce_full, p, gens, order, cap)
             got = outcome(reduce_full, p, gens, order, cap)
             assert got == want
+            assert outcome(normal_form, p, GroebnerBasis(order, 3, tuple(gens)), cap) == want
             if got[0] == "value":
                 kept += 1
                 assert_clean(got[1])
@@ -318,7 +327,7 @@ def test_buchberger_matches_reference(monkeypatch):
             spolys.clear()
             got = outcome(buchberger, gens, order, cap, strategy)
             assert got == want
-            assert [s.monic(order.key) for s in spolys] == [
+            assert [unpacked(s).monic(order.key) for s in spolys] == [
                 s.monic(order.key) for s in want_spolys
             ]
             if got[0] == "value":
@@ -369,7 +378,7 @@ def integer_coefficients(p):
 
 
 def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
-    spolys, divisor_lists = [], []
+    spolys, divisor_lists, useful = [], [], [0]
     s_polynomial, reduce = groebner._s_polynomial, groebner.reduce_full
 
     def logged_s_polynomial(f, g, order):
@@ -379,22 +388,28 @@ def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
 
     def logged_reduce_full(p, gens, *args):
         divisor_lists.append(list(gens))
-        return reduce(p, gens, *args)
+        r = reduce(p, gens, *args)
+        # The benchmark's tracer counts a useful S-polynomial by this test.
+        if spolys and p is spolys[-1]:
+            useful[0] += not r.is_zero
+        return r
 
     monkeypatch.setattr(groebner, "_s_polynomial", logged_s_polynomial)
     monkeypatch.setattr(groebner, "reduce_full", logged_reduce_full)
     gens = [parse_poly(g, KATSURA5_NAMES, Q) for g in KATSURA5]
     gb = buchberger(gens)
-    assert len(gb.gens) == 13 and len(spolys) == 28
-    bits = max(abs(c).bit_length() for s in spolys for c in integer_coefficients(s))
+    assert len(gb.gens) == 13 and len(spolys) == 28 and useful[0] == 10
+    bits = max(abs(c).bit_length() for s in spolys for c in integer_coefficients(unpacked(s)))
     assert 0 < bits <= SPOLY_BITS
+    # Each S-polynomial is made primitive before it is reduced.
+    assert all(gcd(*integer_coefficients(unpacked(s))) == 1 for s in spolys if not s.is_zero)
     # Every element buchberger inserts is primitive over Z: the divisors it
     # passes are the basis so far, and in the end each kept element.
     assert divisor_lists
     for divisors in divisor_lists:
         for g in divisors:
-            assert gcd(*integer_coefficients(g)) == 1
-    # The integer terms kept beside each basis element stay inside buchberger.
+            assert gcd(*integer_coefficients(unpacked(g))) == 1
+    # The packed form, integer terms included, stays inside buchberger.
     assert all(type(g) is MultiPoly for g in gb.gens)
     x = parse_poly("2*u0 + 4", KATSURA5_NAMES, Q)
     for gens in ([x], [x, x * x]):
@@ -448,7 +463,9 @@ def test_arithmetic_results_are_clean():
                 assert_clean(r)
 
 
-def test_reverse_key_reverses_key():
+def test_packed_key_reverses_key():
+    """Ascending packed keys are descending monomials, keys add under
+    products, and each key unpacks to its monomial."""
     for nvars in range(1, 5):
         monos = [
             m for m in itertools.product(range(5), repeat=nvars) if sum(m) <= 4
@@ -458,15 +475,19 @@ def test_reverse_key_reverses_key():
         orders += [TermOrder(kind, priority=perms[-1]) for kind in ("grevlex", "lex")]
         orders += [TermOrder("lex", priority=perms[len(perms) // 2])]
         for order in orders:
-            assert sorted(monos, key=order.reverse_key) == sorted(
-                monos, key=order.key, reverse=True
-            )
+            ring = groebner._Ring(Q, nvars, order, 8)
+            assert sorted(monos, key=ring.key) == sorted(monos, key=order.key, reverse=True)
+            a, b = monos[-1], monos[len(monos) // 2]
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert ring.key(ab) == ring.key(a) + ring.key(b)
+            assert all(ring.mono(ring.key(m)) == m for m in monos)
+            assert all(ring.degree(ring.key(m)) == sum(m) for m in monos)
 
 
 def test_wrong_length_priority_raises_from_normal_form():
     order = TermOrder("lex", priority=(1, 0))
     with pytest.raises(ArityMismatch):
-        order.reverse_key((1, 2, 3))
+        order.key((1, 2, 3))
     x = MultiPoly.var(Q, 3, 0)
     y = MultiPoly.var(Q, 3, 1)
     with pytest.raises(ArityMismatch):
@@ -475,3 +496,59 @@ def test_wrong_length_priority_raises_from_normal_form():
         normal_form(x * y + 1, GroebnerBasis(order, 3, ()))
     with pytest.raises(ArityMismatch):
         buchberger(IdealBasis(3, (x * y + 1,)), order)
+
+
+def test_exponents_that_outgrow_the_packing_redo_it_wider():
+    x, y, z = (parse_poly(v, XYZ, Q) for v in XYZ)
+    gens = [x - y**40, y - z**40]
+    lex = TermOrder("lex")
+    assert reduce_full(x**3, gens, lex) == z**4800 == reference_reduce_full(x**3, gens, lex)
+    assert normal_form(x**3 + y, GroebnerBasis(lex, 3, tuple(gens))) == z**4800 + z**40
+    assert groebner.is_groebner(gens, lex)
+    assert not groebner.is_groebner([x**2 - y**40, x * y - z**40], lex)
+    # With a cap the packing is as wide as the cap needs from the start.
+    gb = buchberger(gens, lex, degree_cap=2000)
+    assert gb == reference_buchberger(gens, lex, 2000, "normal", [])
+    assert gb.gens == (y - z**40, x - z**1600)
+    want = outcome(reference_buchberger, gens, lex, 1000, "normal", [])
+    assert outcome(buchberger, gens, lex, 1000) == want
+    assert want == (DegreeCapExceeded, "intermediate degree 1015 exceeds cap 1000")
+    # Over Q(t) as well, and past 2^15 in one exponent.
+    u, v = MultiPoly.var(QT, 2, 0), MultiPoly.var(QT, 2, 1)
+    t = QT.t
+    chain = [u - v**200 * t]
+    assert reduce_full(u**200, chain, lex) == MultiPoly(QT, 2, {(0, 40000): t**200})
+
+
+def test_wrong_length_priority_and_degree_cap_agree_with_reference():
+    bad = TermOrder("lex", priority=(1, 0))
+    zero = MultiPoly.zero(Q, 3)
+    x, y, z = (parse_poly(v, XYZ, Q) for v in XYZ)
+    for p in (zero, x * y + 1):
+        for gens in ([], [zero], [x - y], [zero, x - y]):
+            for cap in (None, 1):
+                want = outcome(reference_reduce_full, p, gens, bad, cap)
+                assert outcome(reduce_full, p, gens, bad, cap) == want
+                if gens:
+                    basis = GroebnerBasis(bad, 3, tuple(gens))
+                    assert outcome(normal_form, p, basis, cap) == want
+    assert outcome(buchberger, [x * y + 1], bad) == (
+        ArityMismatch, "priority permutation length differs from variable count")
+    # Lex tails that go above the lead's degree: the cap names the degree
+    # the step would reach.
+    lex = TermOrder("lex")
+    for p, gens, cap in (
+        (x**2, [x - y**3], 4),
+        (x**2 * z, [x - y**3], 5),
+        (x * y, [x - y**2 * z, y - z**3], 6),
+        (x * y, [x - y**2 * z, y - z**3], 9),
+    ):
+        want = outcome(reference_reduce_full, p, gens, lex, cap)
+        assert outcome(reduce_full, p, gens, lex, cap) == want
+        assert want[0] is DegreeCapExceeded or cap == 9
+    assert outcome(reduce_full, x**2, [x - y**3], lex, 4) == (
+        DegreeCapExceeded, "intermediate degree 6 exceeds cap 4")
+    for cap in (2, 3, 4, 6, 9):
+        gens = [x - y**2 * z, y - z**3]
+        want = outcome(reference_buchberger, gens, lex, cap, "normal", [])
+        assert outcome(buchberger, gens, lex, cap) == want
