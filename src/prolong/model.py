@@ -64,8 +64,10 @@ _TOP_KEYS = (
 # checked before coordinate names or chart ids are built.  Work grows with
 # them: tau-atlas --samples 200 on a two-chart atlas with x1 -> 1/x1 takes
 # about 0.6 s at dimension 20; with all 380 transitions of 20 charts
-# declared at dimension 20 (identity maps), check-cocycle takes about 1.3 s
-# and tau-atlas --samples 1 about 7 s (CLI runs, 2-core x86 VM, Python 3.11).
+# declared at dimension 20 (identity maps), check-cocycle takes about 2 s
+# and tau-atlas --samples 1 about 7 s; on the standard atlas of P^9,
+# check-cocycle takes about 0.8 s and tau-atlas --samples 1 about 3 s (CLI
+# runs, 2-core x86 VM, Python 3.11).
 MAX_ATLAS_DIM = 20
 MAX_ATLAS_CHARTS = 20
 

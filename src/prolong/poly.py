@@ -228,7 +228,7 @@ class MultiPoly:
         target = args[0]
         for a in args:
             target._check(a)
-        return evaluate_at(self, args, partial(MultiPoly.const, target.field, target.nvars))
+        return evaluate_at(self, args, partial(MultiPoly.const, target.field, target.nvars), {})
 
     def embed(self, new_nvars: int, index_map: Sequence[int]) -> "MultiPoly":
         """Rename variable i to index_map[i] inside a ring of new_nvars variables."""
@@ -278,14 +278,15 @@ class MultiPoly:
         return f"MultiPoly({self.field}, {format_poly(self, names)!r})"
 
 
-def evaluate_at(p: MultiPoly, values: Sequence, lift):
+def evaluate_at(p: MultiPoly, values: Sequence, lift, powers: dict):
     """p at a tuple of values in one ring: field elements, polynomials or series.
 
     lift carries a coefficient of p into that ring; lift(zero) is the ring's
-    zero.  Each power of each value is computed once, the first time a term
-    needs it, and a coefficient 1 is not multiplied in.
+    zero.  A value None stands for 1: its variable adds no factor.  Each
+    power of each value is computed once, the first time a term needs it,
+    and kept in powers, which every call on the same values may share; a
+    coefficient 1 is not multiplied in.
     """
-    powers = {}
     total = None
     for mono, c in p.terms.items():
         term = None
@@ -293,7 +294,10 @@ def evaluate_at(p: MultiPoly, values: Sequence, lift):
             if e:
                 x = powers.get((i, e))
                 if x is None:
-                    x = powers[i, e] = values[i] if e == 1 else power(values[i], e)
+                    x = values[i]
+                    if x is None:
+                        continue
+                    x = powers[i, e] = x if e == 1 else power(x, e)
                 term = x if term is None else term * x
         if term is None:
             term = lift(c)
@@ -321,11 +325,11 @@ def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]
         raise ArityMismatch(f"point of length {len(point)} for {p.nvars} variables")
     field = p.field
     values = [field.elem(v) for v in point]
-    if all(len(v.d) == 1 for v in values):
-        return [evaluate_at(q, values, field.elem) for q in polys]
     powers = {}
+    if all(len(v.d) == 1 for v in values):
+        return [evaluate_at(q, values, field.elem, powers) for q in polys]
     return [
-        evaluate_at(q, values, field.elem)
+        evaluate_at(q, values, field.elem, {})
         if len(q.terms) <= 2 and q.total_degree() <= 1
         else _over_common_denominator(q, values, powers)
         for q in polys
@@ -358,7 +362,7 @@ def _over_common_denominator(p: MultiPoly, values, powers: dict) -> FieldElement
                 bases.add(d)
             live.append((i, e))
     if not bases:
-        return evaluate_at(p, values, field.elem)
+        return evaluate_at(p, values, field.elem, {})
 
     def raised(i, e):
         x = powers.get((i, e))
@@ -528,60 +532,63 @@ def reduce_fraction(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPol
     return num, den
 
 
+def _at_fractions(field: BaseField, nvars: int, nums, dens):
+    """(cleared, at) for a substitution of nums/dens, in nvars variables.
+
+    cleared lists the variables whose denominator is not 1.  at evaluates a
+    polynomial made homogeneous over them by _homogeneous at nums and those
+    dens_i, each value 1 as None, with one power cache for all its calls.
+    """
+    cleared = [i for i, d in enumerate(dens) if not d.is_one]
+    values = [None if v.is_one else v for v in nums] + [dens[i] for i in cleared]
+    lift = partial(MultiPoly.const, field, nvars)
+    return cleared, partial(evaluate_at, values=values, lift=lift, powers={})
+
+
+def _homogeneous(ps: Sequence[MultiPoly], cleared: Sequence[int]):
+    """ps made homogeneous to one degree vector over the variables in cleared.
+
+    deg_k is the largest degree of ps in x_i, i = cleared[k], and a term
+    c*x^m of each p gains the factor y_k^(deg_k - m_i), y_k a new variable
+    after p's own.  Each p at x_i = n_i/d_i is then its value at (n, d)
+    over the product of the d_i^deg_k, one denominator for all of ps.
+    Returns them and deg.
+    """
+    if not cleared:
+        return ps, ()
+    deg = [0] * len(cleared)
+    for p in ps:
+        if p.terms:
+            top = tuple(map(max, zip(*p.terms)))
+            deg = [max(d, top[i]) for d, i in zip(deg, cleared)]
+    nvars = ps[0].nvars + len(cleared)
+
+    def pad(mono):
+        return mono + tuple([d - mono[i] for i, d in zip(cleared, deg)])
+
+    return [MultiPoly._of(p.field, nvars, {pad(m): c for m, c in p.terms.items()}) for p in ps], deg
+
+
 def _subst_rational(
     p: MultiPoly, nums: Sequence[MultiPoly], dens: Sequence[MultiPoly]
 ) -> tuple[MultiPoly, MultiPoly]:
     """Evaluate p at the rational tuple nums/dens by clearing denominators.
 
-    Returns (N, D) with p(nums/dens) = N/D and D = prod dens_i^deg_i, deg_i
-    the degree of p in variable i, over the denominators other than 1.  N
-    is p made homogeneous of degree deg_i in each pair (x_i, y_i) with
-    dens_i other than 1, evaluated at nums and those dens_i.
+    Returns (N, D) with p(nums/dens) = N/D: N is p made homogeneous by
+    _homogeneous and D = prod dens_i^deg_i over the dens_i other than 1.
     """
     if len(nums) != p.nvars:
         raise ArityMismatch(f"{len(nums)} arguments for {p.nvars} variables")
     if p.nvars == 0:
         raise ArityMismatch("substitution into a ring with no variables")
     target = nums[0]
-    one = MultiPoly.const(target.field, target.nvars, 1)
-    cleared = [(i, p.degree_in(i)) for i, den in enumerate(dens) if den != one]
-    cleared = [(i, d) for i, d in cleared if d > 0]
-    D = one
-    for i, d in cleared:
-        D = dens[i] ** d if D is one else D * dens[i] ** d
-    homogeneous = MultiPoly._of(
-        p.field,
-        p.nvars + len(cleared),
-        {mono + tuple(d - mono[i] for i, d in cleared): c for mono, c in p.terms.items()},
-    )
-    lift = partial(MultiPoly.const, target.field, target.nvars)
-    values = list(nums) + [dens[i] for i, _ in cleared]
-    return evaluate_at(homogeneous, values, lift), D
-
-
-def _product(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """a * b, with no product made when a or b is 1."""
-    return b if a.is_one else a if b.is_one else a * b
-
-
-def _units(inner: "PolyMap") -> frozenset:
-    """The coordinates where inner is the constant 1."""
-    return frozenset(i for i, c in enumerate(inner.components) if c.is_one)
-
-
-def _substitute_into(p: MultiPoly, inner: "PolyMap", units: frozenset) -> MultiPoly:
-    """p after inner: PolyMap checked the ring of inner's components once.
-
-    A variable in units is dropped from p first (1^e = 1), so that no
-    product by 1 is made.
-    """
-    if units:
-        p = MultiPoly(p.field, p.nvars, [
-            (tuple(0 if i in units else e for i, e in enumerate(mono)), c)
-            for mono, c in p.terms.items()
-        ])
-    lift = partial(MultiPoly.const, inner.field, inner.in_arity)
-    return evaluate_at(p, inner.components, lift)
+    cleared, at = _at_fractions(target.field, target.nvars, nums, dens)
+    (homogeneous,), deg = _homogeneous((p,), cleared)
+    D = MultiPoly.const(target.field, target.nvars, 1)
+    for i, d in zip(cleared, deg):
+        if d:
+            D = dens[i] ** d if D.is_one else D * dens[i] ** d
+    return at(homogeneous), D
 
 
 @dataclass(frozen=True)
@@ -616,9 +623,8 @@ class PolyMap:
             raise ArityMismatch(
                 f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"
             )
-        units = _units(inner)
-        comps = tuple(_substitute_into(c, inner, units) for c in self.components)
-        return PolyMap(self.field, inner.in_arity, comps)
+        _, at = _at_fractions(inner.field, inner.in_arity, inner.components, ())
+        return PolyMap(self.field, inner.in_arity, tuple(map(at, self.components)))
 
     def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
         """Row i holds the partials of component i."""
@@ -707,33 +713,24 @@ class RationalMap:
     def compose(self, inner) -> "RationalMap":
         """self after inner.
 
-        After a polynomial inner map this is plain substitution, since a
-        constant canonical denominator is 1; otherwise each component goes
-        through _subst_rational.
+        Each component p/q becomes N_p/N_q: p and q are made homogeneous to
+        one degree vector over the variables whose inner denominator is
+        not 1, so their cleared denominators are equal and cancel.  After a
+        polynomial inner map that vector is empty and this is plain
+        substitution.  One power cache serves every component.
         """
         inner = RationalMap.coerce(inner)
         if inner.out_arity != self.in_arity:
             raise ArityMismatch(
                 f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"
             )
-        comps = []
-        if inner.is_polynomial():
-            args = inner.as_polymap()
-            units = _units(args)
-            for pnum, pden in self.components:
-                comps.append(
-                    (_substitute_into(pnum, args, units), _substitute_into(pden, args, units))
-                )
-        else:
-            nums = [n for n, _ in inner.components]
-            dens = [d for _, d in inner.components]
-            for pnum, pden in self.components:
-                n1, d1 = _subst_rational(pnum, nums, dens)
-                n2, d2 = _subst_rational(pden, nums, dens)
-                comps.append((_product(n1, d2), _product(d1, n2)))
+        nums = [n for n, _ in inner.components]
+        dens = [d for _, d in inner.components]
+        cleared, at = _at_fractions(inner.field, inner.in_arity, nums, dens)
+        comps = tuple(tuple(map(at, _homogeneous(pair, cleared)[0])) for pair in self.components)
         if any(den.is_zero for _, den in comps):
             raise IdenticallyZeroDenominator("denominator vanishes identically after composition")
-        return RationalMap(self.field, inner.in_arity, tuple(comps))
+        return RationalMap(self.field, inner.in_arity, comps)
 
     def permute_inputs(self, new_index_of_old: Sequence[int]) -> "RationalMap":
         comps = tuple(

@@ -339,7 +339,7 @@ def poly_on_series(p, point):
     if p.nvars != len(point):
         raise ArityMismatch(f"expected {p.nvars} components, got {len(point)}")
     order = point.order
-    return evaluate_at(p, point.components, lambda c: element_to_series(c, order))
+    return evaluate_at(p, point.components, lambda c: element_to_series(c, order), {})
 
 
 def map_on_series(f, point):

@@ -113,7 +113,27 @@ def test_evaluation_computes_each_power_once(monkeypatch):
     calls.clear()
     image = p.substitute((poly("x + y", XY, QT), poly("x*y", XY, QT)))
     assert sorted(k for _, k in calls) == [2, 3]
+    # one compose shares its powers across the outer components, and a
+    # value 1 is raised to no power
+    outer = pmap(QT, XYZ, ["x^3 + x*y^2*z^2 - 2*y^2", "x^3*y^2*z^3 - y*z"])
+    inner = pmap(QT, XY, ["x + y", "x*y", "1"])
+    calls.clear()
+    composed = outer.compose(inner)
+    assert sorted(k for _, k in calls) == [2, 3]
+    powers_of_compose = list(calls)
+    outer_r = rmap(QT, XYZ, ["(x^2*z + y)/(x*z^3 + 1)", "x^2*y^2*z/(y^2 - x)"])
+    inner_r = rmap(QT, XY, ["(x + y)/(x - t)", "1", "y^2/(y + t)"])
+    calls.clear()
+    composed_r = outer_r.compose(inner_r)
+    # (x + y)^2, (y^2)^3, (x - t)^2, (y + t)^2 and (y + t)^3
+    assert sorted(k for _, k in calls) == [2, 2, 2, 3, 3]
+    for made in (powers_of_compose, calls):
+        assert len(set(made)) == len(made)
+        assert not any(x.is_one for x, _ in made)
     monkeypatch.undo()
+    substituted = tuple(c.substitute(inner.components) for c in outer.components)
+    assert composed == PolyMap(QT, 2, substituted)
+    assert composed_r.components == compose_by_subst_rational(outer_r, inner_r).components
     x, y = a
     assert value == x**3 + x**3 * y - 2 * y**2 + x * y**2 + x + 5
     assert values == (value, x**3 * y**2 - y)
@@ -283,6 +303,62 @@ def test_compose_after_polynomial_map_zero_denominator():
     f = rmap(Q, XY, ["1/(x - y)"])
     with pytest.raises(IdenticallyZeroDenominator):
         f.compose(pmap(Q, XY, ["x", "x"]))
+
+
+def assert_compose_matches_subst_rational(outer, inner):
+    """True when the composite is defined, False when both routes find its
+    denominator identically zero."""
+    try:
+        expected = compose_by_subst_rational(outer, inner)
+    except IdenticallyZeroDenominator:
+        with pytest.raises(IdenticallyZeroDenominator):
+            outer.compose(inner)
+        return False
+    assert outer.compose(inner).components == expected.components
+    return True
+
+
+def random_nonconstant_poly(rng, field, deg):
+    while True:
+        p = random_poly(rng, field, 2, deg=deg, terms=2, tdeg=1)
+        if not p.is_constant:
+            return p
+
+
+def test_compose_after_rational_map_matches_subst_rational(rng):
+    composed = shared = 0
+    for field in (Q, QT):
+        one = MultiPoly.const(field, 2, 1)
+        for _ in range(8):
+            den, other = (random_nonconstant_poly(rng, field, deg) for deg in (2, 1))
+            # a denominator 1 beside nonconstant ones, one of them twice
+            dens = [one, den, rng.choice((den, other))]
+            rng.shuffle(dens)
+            nums = [random_poly(rng, field, 2, deg=2, terms=2, tdeg=1) for _ in dens]
+            inner = RationalMap(field, 2, tuple(zip(nums, dens)))
+            inner_dens = [d for _, d in inner.components]
+            assert any(d.is_one for d in inner_dens)
+            assert not all(d.is_constant for d in inner_dens)
+            shared += any(not d.is_constant and inner_dens.count(d) > 1 for d in inner_dens)
+            composed += assert_compose_matches_subst_rational(
+                random_rational_map(rng, field, 3, 2), inner
+            )
+    assert composed >= 12 and shared >= 4
+    # composites that cancel to a polynomial, beside ones that do not
+    uv = ("u", "v")
+    for field in (Q, QT):
+        inner = rmap(field, XY, ["x*y/(x + 1)", "(x + 1)/y"])
+        outer = rmap(field, uv, ["u*v", "u^2*v/(u + 1)"])
+        assert assert_compose_matches_subst_rational(outer, inner)
+        assert outer.compose(inner).components[0] == (poly("x", XY, field), poly("1", XY, field))
+        inner = rmap(field, XY, ["x/(y + 1)", "(y + 1)^2"])
+        outer = rmap(field, uv, ["u^2*v", "(u*v + 1)/(u + 2)"])
+        assert assert_compose_matches_subst_rational(outer, inner)
+        assert outer.compose(inner).components[0][0] == poly("x^2", XY, field)
+        # a composite whose denominator is zero
+        inner = rmap(field, XY, ["x/(y + 1)", "x/(y + 1)", "1"])
+        outer = rmap(field, XYZ, ["z/(x - y)", "x"])
+        assert not assert_compose_matches_subst_rational(outer, inner)
 
 
 def test_equiv_over_equal_denominators():
