@@ -205,9 +205,13 @@ def _cmd_prolong_variety(args, model):
     return "pass", details
 
 
+def _check_order(order, cap):
+    if not 0 <= order <= cap:
+        raise UsageError(f"--order must be between 0 and {cap}, got {order}")
+
+
 def _cmd_nabla(args, model):
-    if args.order > MAX_NABLA_ORDER:
-        raise UsageError(f"--order must be at most {MAX_NABLA_ORDER}, got {args.order}")
+    _check_order(args.order, MAX_NABLA_ORDER)
     variety = model.variety(args.variety)
     point = _point(args, model.field, variety.nvars, f"variety {args.variety!r}")
     variety.require_point(point)
@@ -395,8 +399,7 @@ def _series_details(variety, point):
 
 
 def _cmd_solve_series(args, model):
-    if args.order > MAX_SERIES_ORDER:
-        raise UsageError(f"--order must be at most {MAX_SERIES_ORDER}, got {args.order}")
+    _check_order(args.order, MAX_SERIES_ORDER)
     group = model.group(args.group)
     section = _named_section(model, args)
     initial = parse_point(args.init, model.field)

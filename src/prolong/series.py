@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .errors import (
@@ -38,7 +39,7 @@ def _coerce_fraction(value):
         n, d = value.n, value.d
         if len(d) == 1 and len(n) <= 1:
             return Fraction(n[0], d[0]) if n else _ZERO
-        raise ValueError("initial data must be rational constants")
+        raise ValueError("series coefficients and initial data must be rational constants")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -80,13 +81,62 @@ def _scaled(den, members):
     return den, [(i, c.numerator * (den // c.denominator)) for i, c in members]
 
 
+# The solver's and the inverse's recurrences run on (numerator, denominator)
+# pairs of ints, denominators positive.  A sum is kept unreduced over a
+# running lcm of its terms' denominators, with one gcd per nonzero term, and
+# each coefficient a recurrence stores is reduced once.
+
+
+def _pairs(coeffs):
+    """The Fractions coeffs as (numerator, denominator) pairs, trailing zeros dropped."""
+    return _trimmed([(c.numerator, c.denominator) for c in coeffs])
+
+
+def _trimmed(pairs):
+    while pairs and not pairs[-1][0]:
+        pairs.pop()
+    return pairs
+
+
+def _reduced(n, d):
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _sum_of_products(n, d, products):
+    """n/d + sum over (xs, ys) in products of x_i * y_(k-i), k = len(ys) - 1.
+
+    Each xs is an iterable and each ys a list of pairs, and xs may be
+    shorter or longer than ys.  The sum is returned unreduced.
+    """
+    for xs, ys in products:
+        for (xn, xd), (yn, yd) in zip(xs, reversed(ys)):
+            if xn and yn:
+                tn = xn * yn
+                td = xd * yd
+                g = gcd(d, td)
+                n = n * (td // g) + tn * (d // g)
+                d = d // g * td
+    return n, d
+
+
+def _quotient(n, d, d0, tail, qs):
+    """q_k = (n_k - sum_{j>=1} d_j q_{k-j}) / d_0, as a Fraction, for k = len(qs).
+
+    n/d is n_k; d0 is the pair d_0, tail the pairs d_1, d_2, ... and qs the
+    pairs q_0, ..., q_(k-1).
+    """
+    n, d = _sum_of_products(-n, d, ((tail, qs),))
+    return Fraction(-n * d0[1], d * d0[0])
+
+
 class TruncSeries:
     """Element of Q[[t]] / t^(order+1), held as exact rational coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple([_coerce_fraction(c) for c in coeffs])
         if not cs:
             raise ValueError("a series stores at least its constant term")
         self.coeffs = cs
@@ -138,8 +188,11 @@ class TruncSeries:
         return self, TruncSeries.const(other, self.order)
 
     def __add__(self, other):
+        """The sum; a coefficient beside a zero one is passed through as is."""
         a, b = self._pair(other)
-        return TruncSeries._of(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        return TruncSeries._of(
+            tuple([x + y if x and y else x or y for x, y in zip(a.coeffs, b.coeffs)])
+        )
 
     __radd__ = __add__
 
@@ -148,7 +201,9 @@ class TruncSeries:
 
     def __sub__(self, other):
         a, b = self._pair(other)
-        return TruncSeries._of(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return TruncSeries._of(
+            tuple([x - y if x and y else -y if y else x for x, y in zip(a.coeffs, b.coeffs)])
+        )
 
     def __rsub__(self, other):
         return (-self) + other
@@ -196,18 +251,18 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inverse(self):
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        """The online quotient (see _quotient) with numerator 1."""
+        if not self.coeffs[0]:
             raise NonUnitConstantTerm("series has zero constant term")
-        tail = _nonzero(self.coeffs)[1:]
-        out = [1 / a0]
-        for k in range(1, self.order + 1):
-            acc = _ZERO
-            for j, c in tail:
-                if j > k:
-                    break
-                acc += c * out[k - j]
-            out.append(-acc / a0)
+        d0, *tail = _pairs(self.coeffs)
+        out = []
+        qs = []
+        n = 1
+        for _ in self.coeffs:
+            q = _quotient(n, 1, d0, tail, qs)
+            out.append(q)
+            qs.append((q.numerator, q.denominator))
+            n = 0
         return TruncSeries._of(tuple(out))
 
     def __truediv__(self, other):
@@ -387,16 +442,22 @@ def verify_on_variety(variety, point):
 class _OnlineMap:
     """A map's fractions compiled into a straight-line program on online series.
 
-    An online series is a list holding the coefficients computed so far.
-    The inputs are the solution's own coefficient lists.  Every distinct
-    monomial of degree two or more is one product node, the monomial with
-    its first variable peeled off times that variable, shared by all
-    components.  ``coefficient(k)`` extends every node by its coefficient k,
-    reading only coefficients 0..k of the inputs, and returns coefficient k
-    of each component.  A product or quotient coefficient is a sum of at
-    most k + 1 terms, and so is a term whose coefficient is a rational
-    function of t; a map of degree one with coefficients in Q[t] costs O(1)
-    per step.
+    An online series is a list of the coefficients computed so far, each a
+    reduced (numerator, denominator) pair of ints.  The inputs are the
+    solution's own coefficient lists.  Every distinct monomial of degree two
+    or more is one product node, the monomial with its first variable peeled
+    off times that variable, shared by all components.  ``coefficient(k)``
+    extends every node by its coefficient k, reading only coefficients 0..k
+    of the inputs, and returns coefficient k of each component as a pair,
+    unreduced.  A product or quotient coefficient is a sum of at most k + 1
+    terms, and so is a term whose coefficient is a rational function of t;
+    a map of degree one with coefficients in Q[t] costs O(1) per step.
+
+    The sums run in integers: each is kept over a running lcm of its terms'
+    denominators (see _sum_of_products), and the coefficients of sigma are
+    turned into pairs once, here.  A node or denominator coefficient is
+    reduced once, when it is stored; a quotient coefficient is one Fraction
+    (see _quotient).
     """
 
     def __init__(self, fractions, inputs, order):
@@ -428,46 +489,35 @@ class _OnlineMap:
         return node
 
     def _poly(self, p):
-        """(constant term's coefficients, [(nonzero coefficients, node)])."""
-        const = (_ZERO,) * (self.order + 1)
+        """(constant term's coefficients, [(coefficients, node)]), all as pairs."""
+        order = self.order
+        const = []
         terms = []
         for mono, c in p.terms.items():
-            cs = element_to_series(c, self.order).coeffs
+            n, d = c.n, c.d
+            if len(d) == 1:
+                cs = _trimmed([_reduced(x, d[0]) for x in n[: order + 1]])
+            else:
+                cs = _pairs(element_to_series(c, order).coeffs)
             if any(mono):
-                terms.append((_nonzero(cs), self._node(mono)))
+                terms.append((cs, self._node(mono)))
             else:
                 const = cs
-        return const, terms
-
-    @staticmethod
-    def _poly_coefficient(poly, k):
-        const, terms = poly
-        acc = const[k]
-        for pairs, node in terms:
-            for i, c in pairs:
-                if i > k:
-                    break
-                x = node[k - i]
-                if x:
-                    acc += c * x
-        return acc
+        return const + [(0, 1)] * (order + 1 - len(const)), terms
 
     def coefficient(self, k):
         for out, left, right in self.products:
-            out.append(sum([x * y for x, y in zip(left, reversed(right)) if x and y], _ZERO))
+            out.append(_reduced(*_sum_of_products(0, 1, ((left, right),))))
         velocity = []
-        for num, quotient in self.components:
-            n = self._poly_coefficient(num, k)
+        for (const, terms), quotient in self.components:
+            n, d = _sum_of_products(*const[k], terms)
             if quotient is None:
-                velocity.append(n)
+                velocity.append((n, d))
                 continue
-            # q_k = (n_k - sum_{j>=1} d_j q_{k-j}) / d_0
-            den, ds, qs = quotient
-            ds.append(self._poly_coefficient(den, k))
-            for j in range(1, k + 1):
-                if ds[j]:
-                    n -= ds[j] * qs[k - j]
-            qs.append(n / ds[0])
+            (den_const, den_terms), ds, qs = quotient
+            ds.append(_reduced(*_sum_of_products(*den_const[k], den_terms)))
+            q = _quotient(n, d, ds[0], islice(ds, 1, None), qs)
+            qs.append((q.numerator, q.denominator))
             velocity.append(qs[k])
         return velocity
 
@@ -482,6 +532,10 @@ def solve_dpoint(variety, sigma, initial, order):
     0..k of a only.  A solve costs O(order) when sigma has degree one and
     coefficients in Q[t], and O(order^2) per product node, denominator other
     than 1 or coefficient that is a true rational function of t.
+
+    Each step runs in integers (see _OnlineMap): coeff_k(sigma_i(a)) comes
+    back as an unreduced pair n/d, and coeff_{k+1}(a_i) is made as one
+    Fraction(n, d*(k+1)), the only reduction it takes.
     """
     if not isinstance(sigma, (PolyMap, RationalMap)):
         raise TypeError("expected a polynomial or rational section map")
@@ -513,8 +567,11 @@ def solve_dpoint(variety, sigma, initial, order):
     coeffs = [[v] for v in a0]
     if order:
         # compiled only now: at order 0 the numerators are never expanded
-        program = _OnlineMap(fractions, coeffs, order)
+        inputs = [[(v.numerator, v.denominator)] for v in a0]
+        program = _OnlineMap(fractions, inputs, order)
         for k in range(order):
-            for cs, v in zip(coeffs, program.coefficient(k)):
-                cs.append(v / (k + 1))
+            for cs, pairs, (n, d) in zip(coeffs, inputs, program.coefficient(k)):
+                v = Fraction(n, d * (k + 1))
+                cs.append(v)
+                pairs.append((v.numerator, v.denominator))
     return SeriesPoint(tuple(TruncSeries._of(tuple(cs)) for cs in coeffs))

@@ -236,7 +236,7 @@ def test_nabla_order_cap(capsys):
     code, report, err = run(capsys, *argv, "--order", str(MAX_NABLA_ORDER + 1))
     assert code == 2
     assert report["details"]["error"] == "UsageError"
-    assert f"at most {MAX_NABLA_ORDER}" in err
+    assert f"between 0 and {MAX_NABLA_ORDER}" in err
 
 
 def test_check_nabla(capsys):
@@ -470,7 +470,24 @@ def test_solve_series_order_cap(capsys):
     code, report, err = run(capsys, *argv, "--order", "100000")
     assert code == 2
     assert report["details"]["error"] == "UsageError"
-    assert f"at most {MAX_SERIES_ORDER}" in err
+    assert f"between 0 and {MAX_SERIES_ORDER}" in err
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("nabla", "-i", MODEL_QT, "-v", "Hyp", "--init", "t,1"), MAX_NABLA_ORDER),
+    (("solve-series", "-i", MODEL_Q, "-g", "B", "-s", "b_s01", "--init", "2,0,1/2"),
+     MAX_SERIES_ORDER),
+])
+def test_negative_order_is_a_usage_error(capsys, argv, cap):
+    code, report, err = run(capsys, *argv, "--order", "0")
+    assert code == 0
+    assert report["details"]["order"] == 0
+    code, report, err = run(capsys, *argv, "--order", "-1")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["details"]["error"] == "UsageError"
+    assert f"--order must be between 0 and {cap}, got -1" in err
+    assert "nonnegative" not in err and "Traceback" not in err
 
 
 def test_verify_series_round_trip(capsys, tmp_path):

@@ -51,6 +51,19 @@ def test_constructors():
     assert series(0, 5).coefficient(1) == 5
 
 
+def test_constructor_takes_exact_rationals_only():
+    half = Fraction(1, 2)
+    s = TruncSeries([3, half, parse_element("-7/3", QT), Q.elem(0)])
+    assert s.coeffs == (Fraction(3), half, Fraction(-7, 3), Fraction(0))
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert s.coeffs[1] is half  # a Fraction is stored, not copied
+    for bad in ([0.1], [1, 0.5], ["1/2"]):
+        with pytest.raises(TypeError):
+            TruncSeries(bad)
+    with pytest.raises(ValueError):
+        TruncSeries([1, parse_element("t", QT)])
+
+
 def test_arithmetic_truncates_products():
     a = series(1, 1, 0, 0)
     b = series(1, -1, 0, 0)

@@ -1,4 +1,4 @@
-"""Series products against the Fraction double loop.
+"""Series products and the online solver's recurrences against Fraction loops.
 
 reference_product is how TruncSeries.__mul__ used to work: one Fraction
 product and one Fraction sum per pair of nonzero coefficients whose indices
@@ -9,19 +9,38 @@ coefficient by coefficient.  The operands include the solver's outputs
 (denominators near k!), integers, random denominators of 1 to 200 digits,
 interior zeros, constants and monomials, operands of different orders, and
 order 0; powers and variety residuals are checked through the same oracle.
+
+The solver (solve_dpoint), the online quotient behind TruncSeries.inverse
+and the sums skip Fraction arithmetic too: they add integer products over a
+running lcm denominator and reduce each stored coefficient once.  Each is
+checked against its recurrence written out in plain Fraction arithmetic.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from prolong import SeriesPoint, TruncSeries, solve_dpoint, variety_residuals
+from prolong import (
+    QT,
+    AffineVariety,
+    DenominatorVanishesAtInitialPoint,
+    MultiPoly,
+    Q,
+    RationalMap,
+    SeriesPoint,
+    TruncSeries,
+    parse_poly,
+    parse_rational,
+    solve_dpoint,
+    variety_residuals,
+)
 from prolong.model import load_model_file
 from prolong.series import RUN_BITS
 
-from helpers import random_fraction
+from helpers import random_element, random_fraction, random_poly, random_unit
 
 MODEL_Q = Path(__file__).parent / "data" / "model_q.json"
 SEEDS = range(25)
@@ -193,3 +212,228 @@ def test_variety_residuals(model, seed):
     for variety, point in cases:
         got = variety_residuals(variety, point)
         assert [list(r.coeffs) for r in got] == reference_residuals(variety, point)
+
+
+def assert_canonical(coeffs):
+    for c in coeffs:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def reference_quotient(n, d):
+    """q with q*d = n through len(n) coefficients, by the Fraction loop."""
+    q = []
+    for k in range(len(n)):
+        acc = n[k]
+        for j in range(1, k + 1):
+            if d[j]:
+                acc -= d[j] * q[k - j]
+        q.append(acc / d[0])
+    return q
+
+
+def reference_expansion(elem, order):
+    """A base-field element expanded at t = 0, by long division in Fraction."""
+    def padded(cs):
+        cs = [Fraction(c) for c in cs[: order + 1]]
+        return cs + [Fraction(0)] * (order + 1 - len(cs))
+    return reference_quotient(padded(elem.n), padded(elem.d))
+
+
+def reference_solve(sigma, initial, order):
+    """solve_dpoint's recurrences in plain Fraction arithmetic.
+
+    a_{k+1} = coeff_k(sigma(a)) / (k+1).  Coefficient k of a monomial is a
+    Cauchy product of the monomial with one variable peeled off and that
+    variable; of a term, a Cauchy product of the coefficient's expansion and
+    the monomial; of a quotient, the online division
+    q_k = (n_k - sum_{j>=1} d_j q_{k-j}) / d_0.
+    """
+    a = [[Fraction(v)] for v in initial]
+    monomials = {}
+    expansions = {}
+
+    def monomial(mono, k):
+        cs = monomials.setdefault(mono, [])
+        while len(cs) <= k:
+            j = len(cs)
+            i = next(i for i, e in enumerate(mono) if e)
+            if sum(mono) == 1:
+                cs.append(a[i][j])
+                continue
+            rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            cs.append(sum((monomial(rest, m) * a[i][j - m] for m in range(j + 1)), Fraction(0)))
+        return cs[k]
+
+    def polynomial(p, k):
+        total = Fraction(0)
+        for mono, c in p.terms.items():
+            if c not in expansions:
+                expansions[c] = reference_expansion(c, order)
+            e = expansions[c]
+            if any(mono):
+                total += sum((e[m] * monomial(mono, k - m) for m in range(k + 1)), Fraction(0))
+            else:
+                total += e[k]
+        return total
+
+    fractions = sigma.as_rational().components
+    quotients = [([], []) for _ in fractions]
+    for k in range(order):
+        velocity = []
+        for (num, den), (ds, qs) in zip(fractions, quotients):
+            ds.append(polynomial(den, k))
+            acc = polynomial(num, k)
+            for j in range(1, k + 1):
+                acc -= ds[j] * qs[k - j]
+            qs.append(acc / ds[0])
+            velocity.append(qs[k])
+        for cs, v in zip(a, velocity):
+            cs.append(v / (k + 1))
+    return a
+
+
+def wide_fraction(rng, digits=300):
+    return Fraction(rng.choice((-1, 1)) * random_digits(rng, digits), random_digits(rng, digits))
+
+
+def true_series_coefficient(rng, field):
+    """Over Q(t), a coefficient such as (1 + 2t)/(1 - t/3): a true series in t."""
+    if not field.has_t:
+        return field.elem(random_fraction(rng, -9, 9, 12) or 1)
+    return random_element(rng, field) / random_unit(rng, field, rng.randint(1, 2))
+
+
+def random_component(rng, field, n, kind):
+    """A numerator and denominator for one component of a random sigma.
+
+    A "product" is a polynomial of degree 2 or 3.  A "quotient" has a
+    denominator whose constant term is a nonzero rational, and a "quotient
+    by a series" one whose constant term is a true series in t over Q(t).
+    """
+    if kind == "product":
+        p = MultiPoly.zero(field, n)
+        while p.is_zero or p.total_degree() < 2:
+            p = p + random_poly(rng, field, n, deg=3, terms=3)
+        return p, MultiPoly.const(field, n, 1)
+    num = random_poly(rng, field, n, deg=2, terms=3)
+    den = random_poly(rng, field, n, deg=2, terms=2)
+    if kind == "quotient by a series" and field.has_t:
+        den = den + MultiPoly.const(field, n, true_series_coefficient(rng, field))
+    else:
+        den = den + MultiPoly.const(field, n, random_fraction(rng, 1, 9, 5))
+    return num, den
+
+
+def random_solve_case(rng, digits):
+    field = rng.choice((Q, QT))
+    n = rng.randint(1, 3)
+    names = tuple("xyz"[:n])
+    comps = []
+    for _ in range(n):
+        kind = rng.choice(("product", "product", "quotient", "quotient by a series",
+                           "series coefficient"))
+        if kind == "series coefficient":
+            num, den = random_component(rng, field, n, "product")
+            mono = tuple(rng.randint(0, 1) for _ in range(n))
+            num = num + MultiPoly(field, n, {mono: true_series_coefficient(rng, field)})
+        else:
+            num, den = random_component(rng, field, n, kind)
+        comps.append((num, den))
+    sigma = RationalMap(field, n, tuple(comps))
+    if digits:
+        initial = tuple(wide_fraction(rng, digits) for _ in range(n))
+    else:
+        initial = tuple(random_fraction(rng, -9, 9, 7) for _ in range(n))
+    return AffineVariety("A", field, names, ()), sigma, initial
+
+
+def assert_solve(variety, sigma, initial, order):
+    try:
+        got = solve_dpoint(variety, sigma, initial, order)
+    except DenominatorVanishesAtInitialPoint:
+        return False
+    want = reference_solve(sigma, initial, order)
+    assert [list(c.coeffs) for c in got] == want
+    for c in got:
+        assert_canonical(c.coeffs)
+    return True
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_solver_against_fraction_recurrences(seed):
+    rng = random.Random(seed)
+    order = (0, 1, 40)[seed] if seed < 3 else rng.randint(0, 40)
+    solved = 0
+    for _ in range(3):
+        solved += assert_solve(*random_solve_case(rng, 0), order)
+    assert solved
+
+
+def test_solver_from_300_digit_initial_values():
+    rng = random.Random(1000)
+    solved = 0
+    for _ in range(10):
+        # a quotient of 300-digit values passes 4300 digits near t^7
+        order = rng.randint(0, 6)
+        solved += assert_solve(*random_solve_case(rng, 300), order)
+    assert solved >= 8
+
+
+def test_solver_product_nodes_and_quotients():
+    names = ("x", "y")
+    plane = AffineVariety("A2", QT, names, ())
+    one = MultiPoly.const(QT, 2, 1)
+
+    def rational(num, den):
+        return parse_rational(f"({num})/({den})", names, QT)
+
+    sigma = RationalMap(QT, 2, (
+        (parse_poly("x^2*y - y^3 + t*x*y", names, QT), one),
+        rational("x + (1/(1 - t))*y^2", "(1 + t)*x - 2*y + 3"),
+    ))
+    for order in (0, 1, 2, 7, 40):
+        assert assert_solve(plane, sigma, (Fraction(1, 3), Fraction(-2)), order)
+    sigma = RationalMap(Q, 1, ((parse_poly("x", ("x",), Q), parse_poly("1 + x", ("x",), Q)),))
+    line = AffineVariety("A1", Q, ("x",), ())
+    assert assert_solve(line, sigma, (Fraction(2, 7),), 40)
+    assert assert_solve(line, sigma, (wide_fraction(random.Random(5)),), 10)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_inverse_against_fraction_loop(seed):
+    rng = random.Random(seed)
+    kind = rng.choice(("integer", "wide", "small"))
+    # the inverse of 200-digit coefficients has about 200*k digits at t^k
+    order = rng.randint(0, 12 if kind == "wide" else 40)
+    a = random_series(rng, order, kind)
+    if rng.random() < 0.5:
+        a = with_zeros(rng, a)
+    if not a.coeffs[0]:
+        a = a + 1
+    one = [Fraction(1)] + [Fraction(0)] * order
+    got = a.inverse()
+    assert list(got.coeffs) == reference_quotient(one, list(a.coeffs))
+    assert_canonical(got.coeffs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sums_against_fraction_loop(seed):
+    rng = random.Random(seed)
+    order = rng.randint(0, 40)
+    kinds = ("integer", "wide", "small")
+    a = with_zeros(rng, random_series(rng, order, rng.choice(kinds)))
+    b = with_zeros(rng, random_series(rng, rng.randint(0, 40), rng.choice(kinds)))
+    n = min(a.order, b.order)
+    pairs = list(zip(a.coeffs[: n + 1], b.coeffs[: n + 1]))
+    c = random_fraction(rng, -9, 9, 12)
+    for got, want in (
+        (a + b, [x + y for x, y in pairs]),
+        (a - b, [x - y for x, y in pairs]),
+        (b - a, [y - x for x, y in pairs]),
+        (a + c, [a.coeffs[0] + c] + list(a.coeffs[1:])),
+        (c - a, [c - a.coeffs[0]] + [-x for x in a.coeffs[1:]]),
+        (a - a, [Fraction(0)] * (a.order + 1)),
+    ):
+        assert list(got.coeffs) == want
+        assert_canonical(got.coeffs)
