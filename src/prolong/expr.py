@@ -22,11 +22,13 @@ degree in the variables would exceed MAX_DEGREE, and the products one parse
 expands cost at most MAX_WORK coefficient products in all.  Each bound
 raises ExprSyntaxError before the work that would break it is done.
 
-check_poly and check_rational build nothing, for a caller that wants an
-expression's faults now and its polynomial later.  They read the tokens
-once, in a loop that keeps its place in the grammar and the number of open
-parentheses, and raise the fault the parser would raise first, except a
-fault of the expanded values.
+The grammar is read in one place, _read: one pass over the tokens, which
+builds the value as it goes (parse_poly, parse_rational, parse_element) or
+builds nothing (check_poly and check_rational, for a caller that wants an
+expression's faults now and its polynomial later).  Both modes raise the
+same first fault, except that a check leaves out the faults of the expanded
+values.  parse_point reads each element in place, so a fault's offset
+indexes the whole text.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ _INT, _NAME, _OP, _END = "int", "name", "op", "end"
 # token kind by the number of the _TOKEN_RE group that matched
 _KINDS = (None, _INT, _NAME, _OP)
 
-# Each level of parentheses costs four stack frames of the descent, so this
-# stays far below the interpreter's recursion limit.
+# The reader keeps one frame per open parenthesis on a list, not on the
+# interpreter's stack; the cap is part of the grammar's documented contract.
 MAX_NESTING = 100
 # Exponent and total-degree cap, equal to the CLI's default Groebner degree
 # cap.
@@ -75,8 +77,9 @@ def _size(p: MultiPoly) -> int:
     return sum(len(c.n) + len(c.d) for c in p.terms.values())
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) of each token of src, then one _END token.
+def _tokenize(src: str, start: int, stop: int) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) of each token of src[start:stop], then one _END
+    token; the offsets index the whole of src.
 
     The lexical faults come in the order of the text: an unexpected
     character, or an integer literal of more than MAX_LITERAL_DIGITS.
@@ -87,25 +90,25 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     """
     tokens = []
     match = _TOKEN_RE.match
-    end = 0
-    m = match(src)
+    end = start
+    m = match(src, start, stop)
     while m:
         g = m.lastindex
         tokens.append((_KINDS[g], m.group(g), m.start(g)))
         end = m.end()
-        m = match(src, end)
+        m = match(src, end, stop)
     # only a text this long can hold a literal this long
-    if end > MAX_LITERAL_DIGITS:
+    if end - start > MAX_LITERAL_DIGITS:
         for kind, text, pos in tokens:
             if kind is _INT and len(text) > MAX_LITERAL_DIGITS:
                 raise ExprSyntaxError(
                     f"integer literal of more than {MAX_LITERAL_DIGITS} digits", pos
                 )
-    rest = src[end:]
+    rest = src[end:stop]
     if rest and not rest.isspace():
-        j = len(src) - len(rest.lstrip())
+        j = stop - len(rest.lstrip())
         raise ExprSyntaxError(f"unexpected character {src[j]!r}", j)
-    tokens.append((_END, "", len(src)))
+    tokens.append((_END, "", stop))
     return tokens
 
 
@@ -133,173 +136,77 @@ def _var_index(var_names: Sequence[str]) -> dict[str, int]:
     return index
 
 
-class _Parser:
-    """Recursive descent over (numerator, denominator) polynomial pairs."""
+def _read(
+    src: str,
+    var_names: Sequence[str],
+    field: BaseField,
+    allow_div: bool,
+    build: bool,
+    start: int = 0,
+    stop: int | None = None,
+) -> tuple[MultiPoly, MultiPoly] | None:
+    """Read src[start:stop] in one pass over its tokens and raise its first
+    fault.  With build on, return its value as a (numerator, denominator)
+    pair of polynomials; with build off, return None and leave out the three
+    faults of the expanded values: a divisor that is identically zero, a
+    product or power of degree above MAX_DEGREE, and MAX_WORK.
 
-    def __init__(self, src: str, field: BaseField, var_names: Sequence[str], allow_div: bool):
-        self.field = field
-        self.vars = _var_index(var_names)
-        self.nvars = len(var_names)
-        self.one = MultiPoly.const(field, self.nvars, 1)
-        self.allow_div = allow_div
-        self.tokens = _tokenize(src)
-        self.i = 0
-        self.depth = 0
-        self.work = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _const(self, value) -> MultiPoly:
-        return MultiPoly.const(self.field, self.nvars, value)
-
-    def _mul(self, a: MultiPoly, b: MultiPoly, pos: int) -> MultiPoly:
-        # most products are by the denominator 1: they cost nothing
-        if b.is_one:
-            return a
-        if a.is_one:
-            return b
-        if a.total_degree() + b.total_degree() > MAX_DEGREE:
-            raise ExprSyntaxError(f"product of degree above {MAX_DEGREE}", pos)
-        self.work += _size(a) * _size(b)
-        if self.work > MAX_WORK:
-            raise ExprSyntaxError(f"expression expands beyond {MAX_WORK} coefficient products", pos)
-        return a * b
-
-    def _power(self, num: MultiPoly, den: MultiPoly, e: int, pos: int):
-        if e * max(num.total_degree(), den.total_degree()) > MAX_DEGREE:
-            raise ExprSyntaxError(f"power of degree above {MAX_DEGREE}", pos)
-        return self._pow(num, e, pos), self._pow(den, e, pos)
-
-    def _pow(self, base: MultiPoly, e: int, pos: int) -> MultiPoly:
-        """base**e by square-and-multiply through _mul, so the budget sees it."""
-        out = self.one
-        while e:
-            if e & 1:
-                out = self._mul(out, base, pos)
-            e >>= 1
-            if e:
-                base = self._mul(base, base, pos)
-        return out
-
-    def parse(self) -> tuple[MultiPoly, MultiPoly]:
-        num, den = self.expr()
-        kind, text, pos = self.peek()
-        if kind is not _END:
-            raise ExprSyntaxError(f"unexpected token {text!r}", pos)
-        return num, den
-
-    def expr(self) -> tuple[MultiPoly, MultiPoly]:
-        # an operator's text is the operator, which no other token's text is
-        negate = self.peek()[1] == "-"
-        if negate:
-            self.i += 1
-        num, den = self.term()
-        if negate:
-            num = -num
-        while True:
-            _, text, pos = self.peek()
-            if text != "+" and text != "-":
-                return num, den
-            self.i += 1
-            n2, d2 = self.term()
-            if text == "-":
-                n2 = -n2
-            num = self._mul(num, d2, pos) + self._mul(n2, den, pos)
-            den = self._mul(den, d2, pos)
-
-    def term(self) -> tuple[MultiPoly, MultiPoly]:
-        num, den = self.factor()
-        while True:
-            _, text, pos = self.peek()
-            if text != "*" and text != "/":
-                return num, den
-            if text == "/" and not self.allow_div:
-                raise ExprSyntaxError("'/' is only valid inside a rational literal", pos)
-            self.i += 1
-            n2, d2 = self.factor()
-            if text == "*":
-                num, den = self._mul(num, n2, pos), self._mul(den, d2, pos)
-            else:
-                if n2.is_zero:
-                    raise IdenticallyZeroDenominator(
-                        f"division by an identically zero expression (offset {pos})"
-                    )
-                num, den = self._mul(num, d2, pos), self._mul(den, n2, pos)
-
-    def factor(self) -> tuple[MultiPoly, MultiPoly]:
-        num, den = self.atom()
-        if self.peek()[1] == "^":
-            self.i += 1
-            kind, text, pos = self.next()
-            if kind is not _INT:
-                raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
-            e = read_int(text)
-            if e > MAX_DEGREE:
-                raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", pos)
-            num, den = self._power(num, den, e, pos)
-        return num, den
-
-    def atom(self) -> tuple[MultiPoly, MultiPoly]:
-        kind, text, pos = self.next()
-        if kind is _INT:
-            value = read_int(text)
-            if self.peek()[1] == "/" and self.tokens[self.i + 1][0] is _INT:
-                _, dtext, dpos = self.tokens[self.i + 1]
-                self.i += 2
-                d = read_int(dtext)
-                if d == 0:
-                    raise ExprSyntaxError("zero denominator in rational literal", dpos)
-                value = Fraction(value, d)
-            return self._const(value), self.one
-        if kind is _NAME:
-            if text == "t":
-                if not self.field.has_t:
-                    raise TInQField(pos)
-                return self._const(self.field.t), self.one
-            idx = self.vars.get(text)
-            if idx is None:
-                raise UnknownVariable(text, pos)
-            return MultiPoly.var(self.field, self.nvars, idx), self.one
-        if text == "(":
-            if self.depth == MAX_NESTING:
-                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            num, den = self.expr()
-            self.depth -= 1
-            _, text, pos = self.next()
-            if text != ")":
-                raise ExprSyntaxError("expected ')'", pos)
-            return num, den
-        raise ExprSyntaxError(
-            f"expected a value, found {text!r}" if kind is not _END else "unexpected end of input",
-            pos,
-        )
-
-
-def _check(src: str, var_names: Sequence[str], field: BaseField, allow_div: bool) -> None:
-    """Raise the first fault _Parser would raise on src, in one pass over its
-    tokens, except the three that depend on the expanded polynomials: a
-    divisor that is identically zero, a product or power of degree above
-    MAX_DEGREE, and MAX_WORK.
-
-    The grammar is LL(1) and only parentheses nest, so the position in the
-    descent is one of four states, each a place in the loop below (an
-    expression's head, which may take a unary '-'; an operand; after an
-    atom, which may take '^'; after a factor), plus the number of open
-    parentheses.  An integer followed by '/' and an integer is one literal,
-    as in _Parser.atom.
+    The grammar is LL(1) and only parentheses nest, so the place in it is
+    one of four states, each a place in the loop below (an expression's
+    head, which may take a unary '-'; an operand; after an atom, which may
+    take '^'; after a factor), plus a stack of the open parentheses, each
+    frame holding the unfinished sum and product around its parenthesis.  A
+    factor joins its product, and a product its sum, as soon as the next
+    token shows that it is complete, so the value faults come in the order
+    of a recursive descent, each at its operator's offset.  An integer
+    followed by '/' and an integer is one literal.
     """
     names = _var_index(var_names)
-    tokens = _tokenize(src)
+    tokens = _tokenize(src, start, len(src) if stop is None else stop)
     has_t = field.has_t
-    depth = 0
-    i = 1 if tokens[0][1] == "-" else 0
+    if build:
+        nvars = len(var_names)
+        one = MultiPoly.const(field, nvars, 1)
+        work = 0
+
+        def mul(a: MultiPoly, b: MultiPoly, pos: int) -> MultiPoly:
+            nonlocal work
+            # most products are by the denominator 1: they cost nothing
+            if b.is_one:
+                return a
+            if a.is_one:
+                return b
+            if a.total_degree() + b.total_degree() > MAX_DEGREE:
+                raise ExprSyntaxError(f"product of degree above {MAX_DEGREE}", pos)
+            work += _size(a) * _size(b)
+            if work > MAX_WORK:
+                raise ExprSyntaxError(
+                    f"expression expands beyond {MAX_WORK} coefficient products", pos
+                )
+            return a * b
+
+        def power(base: MultiPoly, e: int, pos: int) -> MultiPoly:
+            """base**e by square-and-multiply through mul, so the budget sees it."""
+            out = one
+            while e:
+                if e & 1:
+                    out = mul(out, base, pos)
+                e >>= 1
+                if e:
+                    base = mul(base, base, pos)
+            return out
+
+    # The open parentheses, innermost last.  Around the operand being read:
+    # the sum so far, and whether its term is subtracted, at the offset of
+    # its operator; the product so far, and whether its factor divides, at
+    # the offset of its operator.  A sum or product is None until its first
+    # term or factor is complete.
+    stack = []
+    total = prod = add_pos = div = mul_pos = None
+    # the head of an expression; an operator's text is the operator, which
+    # no other token's text is
+    neg = tokens[0][1] == "-"
+    i = 1 if neg else 0
     while True:
         # an operand
         kind, text, pos = tokens[i]
@@ -307,21 +214,32 @@ def _check(src: str, var_names: Sequence[str], field: BaseField, allow_div: bool
         if kind is _INT:
             if tokens[i][1] == "/" and tokens[i + 1][0] is _INT:
                 _, dtext, dpos = tokens[i + 1]
-                if read_int(dtext) == 0:
+                d = read_int(dtext)
+                if d == 0:
                     raise ExprSyntaxError("zero denominator in rational literal", dpos)
                 i += 2
+                if build:
+                    value = MultiPoly.const(field, nvars, Fraction(read_int(text), d)), one
+            elif build:
+                value = MultiPoly.const(field, nvars, read_int(text)), one
         elif kind is _NAME:
             if text == "t":
                 if not has_t:
                     raise TInQField(pos)
+                if build:
+                    value = MultiPoly.const(field, nvars, field.t), one
             elif text not in names:
                 raise UnknownVariable(text, pos)
+            elif build:
+                value = MultiPoly.var(field, nvars, names[text]), one
         elif text == "(":
-            if depth == MAX_NESTING:
+            if len(stack) == MAX_NESTING:
                 raise ExprSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            depth += 1
+            stack.append((total, neg, add_pos, prod, div, mul_pos))
+            total = prod = None
             # the head of an expression
-            if tokens[i][1] == "-":
+            neg = tokens[i][1] == "-"
+            if neg:
                 i += 1
             continue
         else:
@@ -329,49 +247,88 @@ def _check(src: str, var_names: Sequence[str], field: BaseField, allow_div: bool
                 f"expected a value, found {text!r}" if kind is not _END else "unexpected end of input",
                 pos,
             )
-        # after an atom; a closing parenthesis ends one, so '^' may follow it
         while True:
+            # after an atom; a closing parenthesis ends one, so '^' may follow it
             kind, text, pos = tokens[i]
             i += 1
             if text == "^":
                 kind, text, pos = tokens[i]
                 if kind is not _INT:
                     raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
-                if read_int(text) > MAX_DEGREE:
+                e = read_int(text)
+                if e > MAX_DEGREE:
                     raise ExprSyntaxError(f"exponent above {MAX_DEGREE}", pos)
+                if build:
+                    num, den = value
+                    if e * max(num.total_degree(), den.total_degree()) > MAX_DEGREE:
+                        raise ExprSyntaxError(f"power of degree above {MAX_DEGREE}", pos)
+                    value = power(num, e, pos), power(den, e, pos)
                 kind, text, pos = tokens[i + 1]
                 i += 2
-            if text != ")" or not depth:
+            # after a factor
+            if build:
+                if prod is None:
+                    prod = value
+                else:
+                    num, den = prod
+                    n2, d2 = value
+                    if not div:
+                        prod = mul(num, n2, mul_pos), mul(den, d2, mul_pos)
+                    elif n2.is_zero:
+                        raise IdenticallyZeroDenominator(
+                            f"division by an identically zero expression (offset {mul_pos})"
+                        )
+                    else:
+                        prod = mul(num, d2, mul_pos), mul(den, n2, mul_pos)
+            if text == "*" or text == "/":
+                div = text == "/"
+                if div and not allow_div:
+                    raise ExprSyntaxError("'/' is only valid inside a rational literal", pos)
+                mul_pos = pos
                 break
-            depth -= 1
-        # after a factor
-        if text == "+" or text == "-" or text == "*":
-            continue
-        if text == "/":
-            if not allow_div:
-                raise ExprSyntaxError("'/' is only valid inside a rational literal", pos)
-            continue
-        if depth:
-            raise ExprSyntaxError("expected ')'", pos)
-        if kind is not _END:
-            raise ExprSyntaxError(f"unexpected token {text!r}", pos)
-        return
+            # after a term
+            if build:
+                n2, d2 = prod
+                if neg:
+                    n2 = -n2
+                if total is None:
+                    total = n2, d2
+                else:
+                    num, den = total
+                    total = (
+                        mul(num, d2, add_pos) + mul(n2, den, add_pos),
+                        mul(den, d2, add_pos),
+                    )
+                prod = None
+            if text == "+" or text == "-":
+                neg = text == "-"
+                add_pos = pos
+                break
+            if text != ")" or not stack:
+                if stack:
+                    raise ExprSyntaxError("expected ')'", pos)
+                if kind is not _END:
+                    raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+                return total
+            # the parenthesis' sum is an atom of the expression around it
+            value = total
+            total, neg, add_pos, prod, div, mul_pos = stack.pop()
 
 
 def check_poly(src: str, var_names: Sequence[str], field: BaseField) -> None:
     """Raise what parse_poly would, except a fault of the expanded values
-    (see _check), and build nothing."""
-    _check(src, var_names, field, allow_div=False)
+    (see _read), and build nothing."""
+    _read(src, var_names, field, allow_div=False, build=False)
 
 
 def check_rational(src: str, var_names: Sequence[str], field: BaseField) -> None:
     """check_poly for parse_rational, and with no variables for parse_element."""
-    _check(src, var_names, field, allow_div=True)
+    _read(src, var_names, field, allow_div=True, build=False)
 
 
 def parse_poly(src: str, var_names: Sequence[str], field: BaseField) -> MultiPoly:
     """Parse a polynomial under the strict grammar (no '/' operator)."""
-    num, den = _Parser(src, field, var_names, allow_div=False).parse()
+    num, den = _read(src, var_names, field, allow_div=False, build=True)
     c = den.constant_value()
     return num if c.is_one else num * c.inverse()
 
@@ -380,22 +337,30 @@ def parse_rational(
     src: str, var_names: Sequence[str], field: BaseField
 ) -> tuple[MultiPoly, MultiPoly]:
     """Parse a rational expression; returns canonical (num, den)."""
-    num, den = _Parser(src, field, var_names, allow_div=True).parse()
+    num, den = _read(src, var_names, field, allow_div=True, build=True)
     return reduce_fraction(num, den)
+
+
+def _element(src: str, field: BaseField, start: int, stop: int) -> FieldElement:
+    num, den = _read(src, (), field, allow_div=True, build=True, start=start, stop=stop)
+    return num.constant_value() / den.constant_value()
 
 
 def parse_element(src: str, field: BaseField) -> FieldElement:
     """Parse a base field element: rationals over Q, rational functions of t over Q(t)."""
-    num, den = _Parser(src, field, (), allow_div=True).parse()
-    nv = num.constant_value()
-    dv = den.constant_value()
-    return nv / dv
+    return _element(src, field, 0, len(src))
 
 
 def parse_point(src: str, field: BaseField) -> tuple[FieldElement, ...]:
-    """Parse a comma-separated tuple of base field elements."""
-    parts = src.split(",")
-    return tuple(parse_element(part, field) for part in parts)
+    """Parse a comma-separated tuple of base field elements.  Each is read
+    in place, so a fault's offset indexes the whole text."""
+    point = []
+    start = 0
+    for part in src.split(","):
+        stop = start + len(part)
+        point.append(_element(src, field, start, stop))
+        start = stop + 1
+    return tuple(point)
 
 
 _BARE_DENOM_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*(\^\d+)?$")

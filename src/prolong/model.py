@@ -18,9 +18,10 @@ Conventions fixed here:
 load_model checks the whole document and builds no polynomial: its shape,
 keys and names, cross-references and caps, component and identity counts,
 atlas chart keys, and the grammar of every expression (expr.check_poly,
-expr.check_rational: one pass over its tokens that raises the fault the
-parser would raise first).  Each object is built the first time the Model is
-asked for it, and kept: a section builds its group, a group its variety.
+expr.check_rational: the parser's own pass over the tokens, with no values
+built, so it raises the fault a parse would raise first).  Each object is
+built the first time the Model is asked for it, and kept: a section builds
+its group, a group its variety.
 Only the faults that depend on an expanded polynomial wait for that build:
 a divisor that is identically zero, a product or power of degree above the
 cap, and the parse work budget.  They are ModelErrors located at where[k],

@@ -704,6 +704,18 @@ def test_bad_expression_is_usage_error(capsys):
     assert report["details"]["error"] == "ExprSyntaxError"
 
 
+@pytest.mark.parametrize("init, error, message", [
+    ("t,1 + y", "UnknownVariable", "unknown variable 'y' (offset 6)"),
+    ("1,,2", "ExprSyntaxError", "unexpected end of input (offset 2)"),
+])
+def test_init_fault_offsets_index_the_whole_text(capsys, init, error, message):
+    code, report, _ = run(
+        capsys, "nabla", "-i", MODEL_QT, "-v", "Hyp", "--init", init
+    )
+    assert code == 2
+    assert report["details"] == {"error": error, "message": message}
+
+
 def test_bad_point_length(capsys):
     code, report, _ = run(
         capsys, "fiber", "-i", MODEL_QT, "-v", "Hyp", "--init", "t"

@@ -25,12 +25,14 @@ from prolong.expr import (
     MAX_DEGREE,
     MAX_LITERAL_DIGITS,
     MAX_NESTING,
+    _read,
     check_poly,
     check_rational,
     is_name,
 )
 
 from helpers import poly, random_poly
+from test_expr_reference import reference_read
 
 XY = ("x", "y")
 
@@ -142,6 +144,19 @@ def test_parse_point():
 def test_parse_point_bad_entry():
     with pytest.raises(ExprSyntaxError):
         parse_point("1, ", Q)
+    # each entry is read in place: an offset indexes the whole text
+    with pytest.raises(UnknownVariable) as info:
+        parse_point("t,1 + y", QT)
+    assert info.value.pos == 6
+    for src, message, pos in [
+        ("1,,2", "unexpected end of input", 2),
+        ("1, 2 $", "unexpected character '$'", 5),
+        ("1/2,3/0", "zero denominator in rational literal", 6),
+        ("1,(2", "expected ')'", 4),
+    ]:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_point(src, Q)
+        assert str(info.value) == f"{message} (offset {pos})"
 
 
 def test_format_poly_descending_grevlex_with_signs():
@@ -224,6 +239,15 @@ def _fault(parse, *args):
     return None
 
 
+def _outcome(read, *args):
+    """(class, message) of what a read raises, or ("value", num, den)."""
+    try:
+        num, den = read(*args)
+    except (ProlongError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "value", num, den
+
+
 def _depends_on_values(fault):
     cls, message = fault
     return cls is IdenticallyZeroDenominator or any(
@@ -233,35 +257,37 @@ def _depends_on_values(fault):
 
 SEEDS = ("x^2*y - 3/4", "(x + 1)/(y - t)", "1/(x - x) + y", f"(x + 1)^{MAX_DEGREE}*x",
          f"((x*y)^{MAX_DEGREE // 2})^3", "2/3*t^2 - (x)", f"(x*y + 1)^{MAX_DEGREE // 2 + 1} - 1/0",
-         "((x))^2/(1 - 1)")
+         "((x))^2/(1 - 1)", f"x^{MAX_DEGREE} + 1/y", f"x^{MAX_DEGREE}*x/2")
 
 
 def _agrees(src, field):
-    """Assert that each check raises its parse's fault unless that fault
+    """Assert that a parse raises the reference descent's fault or returns
+    its (num, den), and that a check raises the same fault unless that fault
     depends on the expanded values, and then no fault or a syntax fault the
-    parse did not reach.  Returns the kinds of the parses' outcomes."""
+    descent did not reach.  Returns the kinds of the descent's outcomes."""
     kinds = set()
-    parses = (
-        (parse_poly, check_poly, XY),
-        (parse_rational, check_rational, XY),
-        (lambda s, _, f: parse_element(s, f), check_rational, ()),
-    )
-    for parse, check, names in parses:
-        parsed, checked = _fault(parse, src, names, field), _fault(check, src, names, field)
-        if parsed is None or not _depends_on_values(parsed):
-            assert checked == parsed, (src, names)
+    reads = ((check_poly, XY, False), (check_rational, XY, True), (check_rational, (), True))
+    for check, names, allow_div in reads:
+        want = _outcome(reference_read, src, names, field, allow_div)
+        assert _outcome(_read, src, names, field, allow_div, True) == want, (src, names)
+        checked = _fault(check, src, names, field)
+        if want[0] == "value":
+            assert checked is None, (src, names)
+        elif not _depends_on_values(want):
+            assert checked == want, (src, names)
         else:
             assert checked is None or not _depends_on_values(checked), (src, names)
-        kinds.add("none" if parsed is None else
-                  "value" if _depends_on_values(parsed) else "syntax")
+        kinds.add("none" if want[0] == "value" else
+                  "value" if _depends_on_values(want) else "syntax")
     return kinds
 
 
 def test_check_raises_what_the_parser_raises(rng):
-    """The check is a loop of its own and the parser is its reference: on
-    seeded mutations of a few expressions and on seeded strings of tokens, a
-    check raises exactly the parser's fault unless that fault depends on the
-    expanded values."""
+    """The check and the parse are one loop, and the recursive descent of
+    test_expr_reference is their reference: on seeded mutations of a few
+    expressions and on seeded strings of tokens, a parse raises the
+    descent's fault or returns its value, and a check raises exactly the
+    descent's fault unless that fault depends on the expanded values."""
     seen = set()
     for _ in range(600):
         src = list(rng.choice(SEEDS))
