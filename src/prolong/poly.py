@@ -21,7 +21,7 @@ from .errors import (
     IdenticallyZeroDenominator,
     IndexOutOfRange,
 )
-from .field import _UNIT, BaseField, FieldElement, _exquo, _gcd, _mul, _trim, power
+from .field import _UNIT, BaseField, FieldElement, _exquo, _gcd, _mul, power
 
 Monomial = tuple[int, ...]
 
@@ -313,10 +313,9 @@ def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]
     Where every value has a constant denominator this is evaluate_at over
     field elements.  Where some value has a denominator of positive degree
     in t, each field product and sum of that loop would run a gcd in Z[t];
-    a polynomial in such a value is instead evaluated over one common
-    denominator, with the powers of the point shared by all of polys.  A
-    polynomial of at most two terms and degree at most 1 makes at most one
-    product and one sum, too few to repay that set-up, and keeps the loop.
+    polys are instead evaluated over common denominators by
+    _over_common_denominator, in integers at t = 2^B for one B chosen for
+    all of polys, so that they share the powers of the point.
     """
     if not polys:
         return []
@@ -325,86 +324,152 @@ def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]
         raise ArityMismatch(f"point of length {len(point)} for {p.nvars} variables")
     field = p.field
     values = [field.elem(v) for v in point]
-    powers = {}
     if all(len(v.d) == 1 for v in values):
+        powers = {}
         return [evaluate_at(q, values, field.elem, powers) for q in polys]
-    return [
-        evaluate_at(q, values, field.elem, {})
-        if len(q.terms) <= 2 and q.total_degree() <= 1
-        else _over_common_denominator(q, values, powers)
-        for q in polys
-    ]
+    return _over_common_denominator(polys, values)
 
 
-def _over_common_denominator(p: MultiPoly, values, powers: dict) -> FieldElement:
-    """p at values x_i = n_i/d_i, as N/D in Z[t] with one cancellation.
+def _pack(a, bits: int) -> int:
+    """a in Z[t] at t = 2^bits."""
+    v = 0
+    for c in reversed(a):
+        v = (v << bits) + c
+    return v
 
-    With L the lcm of the coefficient denominators and deg_i the degree of
+
+def _unpack(v: int, bits: int) -> tuple[int, ...]:
+    """The a in Z[t] with _pack(a, bits) = v, where each |a_k| < 2^(bits - 1).
+
+    The coefficients are v's signed digits in base 2^bits, lowest first: a
+    low digit of 2^(bits - 1) or more stands for itself less 2^bits, with a
+    carry of 1 into the rest.  The top digit read is nonzero.
+    """
+    out = []
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    while v:
+        c = v & mask
+        v >>= bits
+        if c >= half:
+            c -= mask + 1
+            v += 1
+        out.append(c)
+    return tuple(out)
+
+
+def _over_common_denominator(polys: Sequence[MultiPoly], values) -> list[FieldElement]:
+    """Each of polys at values x_i = n_i/d_i, as N/D with one cancellation.
+
+    With L the lcm of p's coefficient denominators and deg_i the degree of
     p in x_i, D = L * prod d_i^deg_i over the d_i other than 1, and N is
-    L*p made homogeneous as _subst_rational does, evaluated on tuples: a
-    term c*x^m contributes c*L * prod n_i^m_i * d_i^(deg_i - m_i), where
-    powers[i, e] holds n_i^e and powers[~i, e] holds d_i^e.  An
-    irreducible factor of positive degree shared by N and D divides L or
+    L*p made homogeneous as _subst_rational does: a term c*x^m contributes
+    c' * prod n_i^m_i * d_i^(deg_i - m_i), with c' = c*L in Z[t].  N and D
+    are computed in Z at t = 2^B, where t -> 2^B is a ring homomorphism, and
+    read back as signed base-2^B digits.  As ||ab||_inf <= ||a||_1 ||b||_1,
+    no coefficient of N or D exceeds max(S, ||L||_1) * prod M_i^deg_i in
+    absolute value, with S the sum of the ||c'||_1 and M_i =
+    max(||n_i||_1, ||d_i||_1) (at least 1, as d_i is not 0).  B, one more
+    bit than the largest such bound over polys, keeps every coefficient
+    below 2^(B-1), so the read-back is exact; one B lets every polynomial
+    share powers[i, e], n_i^e at 2^B, and powers[~i, e], d_i^e at 2^B.
+
+    An irreducible factor of positive degree shared by N and D divides L or
     some d_i, so unless one of those shares one with N only integer content
     can cancel, and gcd(N, D) does not run.
+
+    evaluate_at over field elements takes a polynomial in no x_i whose d_i
+    has positive degree, and one of at most two terms and degree at most 1:
+    its one product and one sum over field elements cost less than the
+    set-up here and the gcd of N with each d_i.
     """
-    field = p.field
-    terms = p.terms
-    # (i, deg_i) for each variable of p, deg_i taken as 0 where d_i = 1
-    live = []
-    bases = set()
-    for i, e in enumerate(map(max, zip(*terms))):
-        if e:
-            d = values[i].d
-            if d == _UNIT:
-                e = 0
-            elif len(d) > 1:
-                bases.add(d)
-            live.append((i, e))
-    if not bases:
-        return evaluate_at(p, values, field.elem, {})
+    field = polys[0].field
+    norms = [max(sum(map(abs, v.n)), sum(map(abs, v.d))) for v in values]
+    plans = []
+    top_bound = 0
+    for p in polys:
+        terms = p.terms
+        if len(terms) <= 2 and p.total_degree() <= 1:
+            plans.append(None)
+            continue
+        # (i, deg_i) for each variable of p, deg_i taken as 0 where d_i = 1
+        live = []
+        bases = set()
+        bound = 1
+        for i, e in enumerate(map(max, zip(*terms))):
+            if e:
+                bound *= norms[i] ** e
+                d = values[i].d
+                if d == _UNIT:
+                    e = 0
+                elif len(d) > 1:
+                    bases.add(d)
+                live.append((i, e))
+        if not bases:
+            plans.append(None)
+            continue
+        lcm = _UNIT
+        for c in terms.values():
+            d = c.d
+            if d != _UNIT and d != lcm:
+                lcm = _mul(lcm, _exquo(d, _gcd(lcm, d)))
+        scaled = []
+        total = 0
+        for mono, c in terms.items():
+            n = c.n if c.d == lcm else _mul(c.n, _exquo(lcm, c.d))
+            total += sum(map(abs, n))
+            scaled.append((mono, n))
+        bound *= max(total, sum(map(abs, lcm)))
+        top_bound = max(top_bound, bound)
+        plans.append((live, bases, lcm, scaled))
+    bits = top_bound.bit_length() + 1
+    powers = {}
 
     def raised(i, e):
         x = powers.get((i, e))
         if x is None:
-            base = values[i].n if i >= 0 else values[~i].d
-            x = powers[i, e] = base if e == 1 or base == _UNIT else power(base, e, _mul)
+            x = powers.get((i, 1))
+            if x is None:
+                x = powers[i, 1] = _pack(values[i].n if i >= 0 else values[~i].d, bits)
+            if e > 1 and x != 1:
+                x = powers[i, e] = power(x, e)
         return x
 
-    lcm = _UNIT
-    for c in terms.values():
-        d = c.d
-        if d != _UNIT and d != lcm:
-            lcm = _mul(lcm, _exquo(d, _gcd(lcm, d)))
-    acc = []
-    for mono, c in terms.items():
-        x = c.n if c.d == lcm else _mul(c.n, _exquo(lcm, c.d))
+    out = []
+    for p, plan in zip(polys, plans):
+        if plan is None:
+            out.append(evaluate_at(p, values, field.elem, {}))
+            continue
+        live, bases, lcm, scaled = plan
+        acc = 0
+        for mono, c in scaled:
+            x = _pack(c, bits)
+            for i, top in live:
+                m = mono[i]
+                if m:
+                    x *= powers.get((i, m)) or raised(i, m)
+                if top > m:
+                    x *= powers.get((~i, top - m)) or raised(~i, top - m)
+            acc += x
+        if not acc:
+            out.append(field.zero)
+            continue
+        num = _unpack(acc, bits)
+        den = _pack(lcm, bits)
         for i, top in live:
-            m = mono[i]
-            if m:
-                x = _mul(x, raised(i, m))
-            if top > m:
-                x = _mul(x, raised(~i, top - m))
-        if len(x) > len(acc):
-            acc.extend([0] * (len(x) - len(acc)))
-        for k, a in enumerate(x):
-            acc[k] += a
-    num = _trim(acc)
-    if not num:
-        return field.zero
-    den = lcm
-    for i, top in live:
-        if top:
-            den = _mul(den, raised(~i, top))
-    if len(lcm) > 1:
-        bases.add(lcm)
-    if any(len(_gcd(num, b)) > 1 for b in bases):
-        g = _gcd(num, den)
-    else:
-        g = (gcd(*num, *den),)
-    if g != _UNIT:
-        num, den = _exquo(num, g), _exquo(den, g)
-    return FieldElement(field, num, den)
+            if top:
+                den *= raised(~i, top)
+        den = _unpack(den, bits)
+        if len(lcm) > 1:
+            bases.add(lcm)
+        if any(len(_gcd(num, b)) > 1 for b in bases):
+            g = _gcd(num, den)
+        else:
+            g = (gcd(*num, *den),)
+        if g != _UNIT:
+            num, den = _exquo(num, g), _exquo(den, g)
+        out.append(FieldElement(field, num, den))
+    return out
 
 
 def exact_div(p: MultiPoly, d: MultiPoly) -> MultiPoly:

@@ -10,6 +10,13 @@ cases include zero and constant polynomials, values whose denominators
 share factors with each other and with the coefficients, values that
 cancel to 0 or to a smaller denominator, and PolyMap and RationalMap
 evaluation, at points and at a pole.
+
+The common denominator's numerator N and denominator D are computed in
+integers at t = 2^B and read back as signed base-2^B digits, so the later
+cases press on that packing: a coefficient equal to the bound B is taken
+from, negative digits, coefficients and values of 1000 digits, zero
+values, exact cancellation to 0, and the components of one map that need
+very different B.
 """
 
 import random
@@ -18,6 +25,7 @@ import pytest
 
 from prolong import (
     DenominatorVanishes,
+    parse_element,
     FieldElement,
     MultiPoly,
     PolyMap,
@@ -35,6 +43,7 @@ from helpers import (
     random_unit,
     rmap,
 )
+from prolong.poly import _pack, _unpack
 
 SEEDS = range(60)
 
@@ -177,3 +186,108 @@ def test_rational_map_at_a_pole():
     got = r.evaluate((x, y))
     assert_same(got[0], x / (x * y - 1))
     assert_same(got[1], y)
+
+
+def test_coefficient_equal_to_the_bound():
+    # x^2 at 3t/(1 + t): S = 1, M = max(||3t||_1, ||1 + t||_1) = 3, so the
+    # bound is 9, and N = 9t^2 reaches it.  Its digit 9 must read back as
+    # 9, not as 9 - 2^B with a carry, so B needs a bit above 9's four.
+    x = parse_element("3*t/(1 + t)", QT)
+    p = poly("x^2", ("x",), QT)
+    got = p.evaluate((x,))
+    assert_same(got, reference_evaluate(p, (x,)))
+    assert got.n == (0, 0, 9) and got.d == (1, 2, 1)
+    # the same bound with a negative coefficient and two variables
+    q = poly("-x*y", ("x", "y"), QT)
+    point = (x, parse_element("(1 - 2*t)/(1 + t)", QT))
+    assert_same(q.evaluate(point), reference_evaluate(q, point))
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 61, 64, 65, 200])
+def test_signed_digits_read_back(bits):
+    rng = random.Random(bits)
+    top = (1 << (bits - 1)) - 1
+    for _ in range(50):
+        a = [rng.choice((-top, top, 0, 1, -1, rng.randint(-top, top))) for _ in range(rng.randint(1, 6))]
+        a[-1] = a[-1] or top
+        a = tuple(a)
+        assert _unpack(_pack(a, bits), bits) == a
+    assert _unpack(0, bits) == ()
+
+
+def test_negative_digits_and_long_coefficients():
+    big = 10**999 + 7
+    names = ("x", "y", "z")
+    x = parse_element(f"({big} - {3 * big}*t + t^2)/({2 * big} - t)", QT)
+    y = parse_element(f"(-5 + 7*t - 3*t^2)/(1 - {big}*t)", QT)
+    z = parse_element(f"-{big}*t^3 + 2", QT)
+    over_t = parse_element(f"-{big}/(t + 1)", QT)
+    over_quadratic = parse_element(f"({big}*t - 1)/(t^2 + {big})", QT)
+    for p in (
+        poly(f"-{big}*x^2*y + 3*x - 5*y^3 + {big}", names, QT),
+        poly(f"x^3 - y*z + {big}*z^2 - t*x*y*z", names, QT),
+        poly("-x*y^2*z^3", names, QT) + poly("y", names, QT) * over_t,
+        poly("x^2*z", names, QT) * over_quadratic - poly("y^2", names, QT),
+    ):
+        got = p.evaluate((x, y, z))
+        assert_same(got, reference_evaluate(p, (x, y, z)))
+        assert any(c < 0 for c in got.n)
+        assert max(map(abs, got.n)) > 10**999
+
+
+def test_zero_values_and_denominators_one_beside_positive_degree():
+    names = ("x", "y", "z", "w")
+    point = (
+        QT.zero,
+        QT.t * QT.t - 3,
+        (QT.t + 2) / (QT.t - 1),
+        QT.elem(-4) / 7,
+    )
+    for text in (
+        "x^2*y + x*z + y^2*z^2 - w^3",
+        "x^3 + x*w + 2",
+        "y^3*z - w*z^2 + t*y",
+        "x*y*z*w + (t - 1)*z^2",
+        "x^2 + z^2",
+    ):
+        p = poly(text, names, QT)
+        assert_same(p.evaluate(point), reference_evaluate(p, point))
+    values = PolyMap(QT, 4, (poly("x^2*z", names, QT), poly("y*z^2 + x", names, QT))).evaluate(point)
+    assert_same(values[0], QT.zero)
+    assert_same(values[1], reference_evaluate(poly("y*z^2 + x", names, QT), point))
+
+
+def test_long_values_that_cancel_to_zero():
+    n, m = "7" * 1000, "3" * 1000
+    x = parse_element(f"({n}*t + t^2)/({m} + t)", QT)
+    y = parse_element(f"({m} + t)/({n} + t)", QT)
+    names = ("x", "y")
+    for text in ("x*y - t", "x^2*y^2 - t^2", f"{m}*x*y - {m}*t + x^2*y - t*x"):
+        p = poly(text, names, QT)
+        assert_same(p.evaluate((x, y)), reference_evaluate(p, (x, y)))
+    assert poly("x*y - t", names, QT).evaluate((x, y)).is_zero
+    assert poly("x^2*y^2 - t^2", names, QT).evaluate((x, y)).is_zero
+    # t -> 2^B maps an exact zero to 0 at any B; the read-back shows only
+    # where the value is not zero
+    off = parse_element(f"({m} + t)/({n[:-1]}8 + t)", QT)
+    for text in ("x*y - t", "x^2*y^2 - t^2", f"{m}*x*y - {m}*t + x^2*y - t*x"):
+        p = poly(text, names, QT)
+        got = p.evaluate((x, off))
+        assert not got.is_zero
+        assert_same(got, reference_evaluate(p, (x, off)))
+
+
+def test_map_components_that_need_very_different_bounds():
+    names = ("x", "y")
+    point = (parse_element("(t - 2)/(t + 1)", QT), parse_element("(3*t^2 - 1)/(t^2 + t + 5)", QT))
+    small = poly("x^2 + y", names, QT)
+    large = poly(f"{10**400}*x^7*y^5 - {3**900}*x*y + t", names, QT)
+    for comps in ((small, large), (large, small), (small, small, large, small)):
+        values = PolyMap(QT, 2, comps).evaluate(point)
+        for got, p in zip(values, comps):
+            assert_same(got, reference_evaluate(p, point))
+    r = RationalMap(QT, 2, ((small, large), (large, small)))
+    got = r.evaluate(point)
+    want = reference_evaluate(small, point) / reference_evaluate(large, point)
+    assert_same(got[0], want)
+    assert_same(got[1], want.inverse())

@@ -100,13 +100,18 @@ def test_evaluation_computes_each_power_once(monkeypatch):
     monkeypatch.setattr(poly_module, "power", counted)
     a = (QT.t, parse_element("1/(1 + t)", QT))
     value = p.evaluate(a)
-    # over the common denominator (1 + t)^2: t^3 and (1 + t)^2, and no power
-    # of y's numerator 1
-    assert sorted(calls) == [((0, 1), 3), ((1, 1), 2)]
+    # over the common denominator (1 + t)^2, in integers at t = 2^B: t^3 and
+    # (1 + t)^2, and no power of y's numerator 1
+    made_by_p = sorted(calls)
+    (packed_t, k_t), (packed_d, k_d) = made_by_p
+    assert (k_t, k_d) == (3, 2)
+    assert packed_t > 1 and packed_t & (packed_t - 1) == 0
+    assert packed_d == packed_t + 1
     calls.clear()
     values = PolyMap(QT, 2, (p, q)).evaluate(a)
-    # q's powers are the ones p made: the map shares them
-    assert sorted(calls) == [((0, 1), 3), ((1, 1), 2)]
+    # q's powers are the ones p made: the map shares them (p's coefficient
+    # bound is the larger, so the map packs at the same 2^B)
+    assert sorted(calls) == made_by_p
     calls.clear()
     at_q_point = p.evaluate((Fraction(1, 2), 3))
     assert sorted(k for _, k in calls) == [2, 3]
