@@ -1,7 +1,8 @@
 """Chart-based manifolds as gluing data with rational transitions.
 
 Chart domains are not represented: every identity is an identity of
-rational maps (checked by cross multiplication), and evaluation at a
+rational maps (numerators over equal denominators, else by cross
+multiplication), and evaluation at a
 point where a denominator vanishes raises DenominatorVanishes.
 """
 
@@ -19,7 +20,7 @@ from .errors import (
     IdenticallyZeroDenominator,
 )
 from .field import BaseField, FieldElement
-from .poly import RationalMap
+from .poly import RationalMap, _equal_pairs, _substitute
 from .prolongation import FiberPoint, derive_point, fiber_names, tangent_map, tau_map
 from .reporting import CheckReport
 
@@ -94,13 +95,19 @@ def check_cocycle(m: AtlasManifold) -> CheckReport:
 
 def _check_composite(report: CheckReport, name: str, maps, want: RationalMap, names) -> None:
     """Add the check maps[0] . maps[1] . ... = want; a composite whose
-    denominator vanishes identically fails with that message as witness."""
+    denominator vanishes identically fails with that message as witness.
+
+    The last substitution, maps[0] into the rest, is compared with want
+    unreduced; only a failing composite is reduced, for its witness.
+    """
+    outer, *rest = maps
     try:
-        got = maps[-1]
-        for outer in reversed(maps[:-1]):
-            got = outer.compose(got)
-        ok = got.equiv(want)
-        witness = None if ok else _map_str(got, names)
+        got = rest[-1]
+        for m in reversed(rest[:-1]):
+            got = m.compose(got)
+        pairs = _substitute(outer.components, got, outer.in_arity)
+        ok = _equal_pairs(pairs, want.components)
+        witness = None if ok else _map_str(RationalMap(outer.field, got.in_arity, pairs), names)
     except IdenticallyZeroDenominator as err:
         ok, witness = False, str(err)
     report.add(name, ok, witness)

@@ -20,7 +20,7 @@ from .errors import (
 )
 from .field import FieldElement
 from .groebner import DEFAULT_ORDER, GroebnerBasis, TermOrder, buchberger, normal_form
-from .poly import MultiPoly, RationalMap, _subst_rational, map_product
+from .poly import MultiPoly, RationalMap, _equal_pairs, _substitute, map_product
 from .prolongation import (
     AffineVariety,
     derive_point,
@@ -210,9 +210,8 @@ def tau_group(
     tinv = tau_map(g.inv)
     tidentity = g.identity + derive_point(g.identity)
     out = AffineAlgGroup(f"tau({g.name})", total, tmult, tinv, tidentity)
-    head = RationalMap(g.variety.field, 4 * n, tuple(tmult.components[:n]))
     base_on_xy = g.mult.embed_inputs(4 * n, list(range(n)) + list(range(2 * n, 3 * n)))
-    if not head.equiv(base_on_xy):
+    if not _equal_pairs(tmult.components[:n], base_on_xy.components):
         raise ProlongError("projection of the prolonged multiplication differs from the base law")
     check_group_axioms(out, degree_cap, order).require(
         ProlongError, "prolonged group fails re-verification"
@@ -268,12 +267,11 @@ def check_dgroup(
     gb1 = _stacked_gb(v, 1, order, degree_cap)
     # s = (x, sigma(x)) into tau(V), with its denominators cleared: reducing
     # the fractions first could cancel one that vanishes on the variety.
-    graph = _fan_out(RationalMap.identity(v.field, n), sigma).components
-    nums = [p for p, _ in graph]
-    dens = [q for _, q in graph]
+    graph = _fan_out(RationalMap.identity(v.field, n), sigma)
     tau_total = tau_variety(v).total
-    for idx, gen in enumerate(tau_total.gens):
-        num, den = _subst_rational(gen, nums, dens)
+    one = MultiPoly.const(v.field, tau_total.nvars, 1)
+    pairs = _substitute([(gen, one) for gen in tau_total.gens], graph, tau_total.nvars)
+    for idx, (num, den) in enumerate(pairs):
         if not den.is_constant and normal_form(den, gb1, degree_cap).is_zero:
             raise IndeterminateOnVariety(
                 "section check: a cleared denominator vanishes identically on the variety"
@@ -291,7 +289,7 @@ def check_dgroup(
     # (x, y) -> (x, y, sigma(x), sigma(y)), the input layout of tau(m)
     send = _fan_out(RationalMap.identity(v.field, 2 * n), map_product(sigma, sigma))
     full = tau_map(g.mult).compose(send)
-    rhs = RationalMap(v.field, 2 * n, tuple(full.components[n:]))
+    rhs = RationalMap._of(v.field, 2 * n, full.components[n:])
     _compare_components(report, "homomorphism", lhs, rhs, gb2, names2, degree_cap)
     return report
 

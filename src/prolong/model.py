@@ -67,8 +67,10 @@ _TOP_KEYS = (
 # about 0.6 s at dimension 20; with all 380 transitions of 20 charts
 # declared at dimension 20 (identity maps), check-cocycle takes about 2 s
 # and tau-atlas --samples 1 about 7 s; on the standard atlas of P^9,
-# check-cocycle takes about 0.8 s and tau-atlas --samples 1 about 3 s (CLI
-# runs, 2-core x86 VM, Python 3.11).
+# check-cocycle takes about 0.6 s and tau-atlas --samples 1 about 2.3 s
+# (CI bounds 5 s and 8 s), and on that of P^19 check-cocycle about 10 s
+# (CI bound 25 s) while tau-atlas is not bounded (CLI runs, 2-core x86 VM,
+# Python 3.11).
 MAX_ATLAS_DIM = 20
 MAX_ATLAS_CHARTS = 20
 

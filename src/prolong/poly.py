@@ -217,7 +217,7 @@ class MultiPoly:
         return max(m[i] for m in self.terms)
 
     def evaluate(self, point: Sequence) -> FieldElement:
-        return _at_point((self,), point)[0]
+        return _at_point((self,), point, self.nvars)[0]
 
     def substitute(self, args: Sequence["MultiPoly"]) -> "MultiPoly":
         """Substitute args[i] for variable i; args share a common ring."""
@@ -307,8 +307,9 @@ def evaluate_at(p: MultiPoly, values: Sequence, lift, powers: dict):
     return lift(p.field.zero) if total is None else total
 
 
-def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]:
-    """Each of polys, all over one ring, at one point of its field.
+def _at_point(polys: Sequence[MultiPoly], point: Sequence, nvars: int) -> list[FieldElement]:
+    """Each of polys, all in nvars variables over one ring, at one point of
+    its field.
 
     Where every value has a constant denominator this is evaluate_at over
     field elements.  Where some value has a denominator of positive degree
@@ -317,12 +318,11 @@ def _at_point(polys: Sequence[MultiPoly], point: Sequence) -> list[FieldElement]
     _over_common_denominator, in integers at t = 2^B for one B chosen for
     all of polys, so that they share the powers of the point.
     """
+    if len(point) != nvars:
+        raise ArityMismatch(f"point of length {len(point)} for {nvars} variables")
     if not polys:
         return []
-    p = polys[0]
-    if len(point) != p.nvars:
-        raise ArityMismatch(f"point of length {len(point)} for {p.nvars} variables")
-    field = p.field
+    field = polys[0].field
     values = [field.elem(v) for v in point]
     if all(len(v.d) == 1 for v in values):
         powers = {}
@@ -363,7 +363,7 @@ def _over_common_denominator(polys: Sequence[MultiPoly], values) -> list[FieldEl
 
     With L the lcm of p's coefficient denominators and deg_i the degree of
     p in x_i, D = L * prod d_i^deg_i over the d_i other than 1, and N is
-    L*p made homogeneous as _subst_rational does: a term c*x^m contributes
+    L*p made homogeneous as _homogeneous does: a term c*x^m contributes
     c' * prod n_i^m_i * d_i^(deg_i - m_i), with c' = c*L in Z[t].  N and D
     are computed in Z at t = 2^B, where t -> 2^B is a ring homomorphism, and
     read back as signed base-2^B digits.  As ||ab||_inf <= ||a||_1 ||b||_1,
@@ -597,30 +597,16 @@ def reduce_fraction(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPol
     return num, den
 
 
-def _at_fractions(field: BaseField, nvars: int, nums, dens):
-    """(cleared, at) for a substitution of nums/dens, in nvars variables.
-
-    cleared lists the variables whose denominator is not 1.  at evaluates a
-    polynomial made homogeneous over them by _homogeneous at nums and those
-    dens_i, each value 1 as None, with one power cache for all its calls.
-    """
-    cleared = [i for i, d in enumerate(dens) if not d.is_one]
-    values = [None if v.is_one else v for v in nums] + [dens[i] for i in cleared]
-    lift = partial(MultiPoly.const, field, nvars)
-    return cleared, partial(evaluate_at, values=values, lift=lift, powers={})
-
-
-def _homogeneous(ps: Sequence[MultiPoly], cleared: Sequence[int]):
+def _homogeneous(ps: Sequence[MultiPoly], cleared: Sequence[int]) -> list[MultiPoly]:
     """ps made homogeneous to one degree vector over the variables in cleared.
 
     deg_k is the largest degree of ps in x_i, i = cleared[k], and a term
     c*x^m of each p gains the factor y_k^(deg_k - m_i), y_k a new variable
     after p's own.  Each p at x_i = n_i/d_i is then its value at (n, d)
     over the product of the d_i^deg_k, one denominator for all of ps.
-    Returns them and deg.
     """
     if not cleared:
-        return ps, ()
+        return ps
     deg = [0] * len(cleared)
     for p in ps:
         if p.terms:
@@ -631,29 +617,43 @@ def _homogeneous(ps: Sequence[MultiPoly], cleared: Sequence[int]):
     def pad(mono):
         return mono + tuple([d - mono[i] for i, d in zip(cleared, deg)])
 
-    return [MultiPoly._of(p.field, nvars, {pad(m): c for m, c in p.terms.items()}) for p in ps], deg
+    return [MultiPoly._of(p.field, nvars, {pad(m): c for m, c in p.terms.items()}) for p in ps]
 
 
-def _subst_rational(
-    p: MultiPoly, nums: Sequence[MultiPoly], dens: Sequence[MultiPoly]
-) -> tuple[MultiPoly, MultiPoly]:
-    """Evaluate p at the rational tuple nums/dens by clearing denominators.
+def _substitute(pairs, inner: "RationalMap", arity: int) -> tuple:
+    """Each p/q of pairs at the map inner, as the unreduced pair (N_p, N_q).
 
-    Returns (N, D) with p(nums/dens) = N/D: N is p made homogeneous by
-    _homogeneous and D = prod dens_i^deg_i over the dens_i other than 1.
+    p and q, in arity variables (given, as pairs may be empty), are made
+    homogeneous to one degree vector over the variables whose inner
+    denominator is not 1, so their cleared denominators are equal and
+    cancel; for q = 1, N_q is that cleared denominator.  After a polynomial
+    inner map the vector is empty and this is plain substitution.  One
+    power cache serves every pair, and a value 1 adds no factor.
     """
-    if len(nums) != p.nvars:
-        raise ArityMismatch(f"{len(nums)} arguments for {p.nvars} variables")
-    if p.nvars == 0:
-        raise ArityMismatch("substitution into a ring with no variables")
-    target = nums[0]
-    cleared, at = _at_fractions(target.field, target.nvars, nums, dens)
-    (homogeneous,), deg = _homogeneous((p,), cleared)
-    D = MultiPoly.const(target.field, target.nvars, 1)
-    for i, d in zip(cleared, deg):
-        if d:
-            D = dens[i] ** d if D.is_one else D * dens[i] ** d
-    return at(homogeneous), D
+    if inner.out_arity != arity:
+        raise ArityMismatch(f"inner map produces {inner.out_arity} values, outer expects {arity}")
+    cleared = [i for i, (_, d) in enumerate(inner.components) if not d.is_one]
+    values = [None if n.is_one else n for n, _ in inner.components]
+    values += [inner.components[i][1] for i in cleared]
+    lift = partial(MultiPoly.const, inner.field, inner.in_arity)
+    powers = {}
+    out = tuple(
+        tuple(evaluate_at(p, values, lift, powers) for p in _homogeneous(pair, cleared))
+        for pair in pairs
+    )
+    if any(den.is_zero for _, den in out):
+        raise IdenticallyZeroDenominator("denominator vanishes identically after composition")
+    return out
+
+
+def _equal_pairs(lhs, rhs) -> bool:
+    """Whether the pairs (n, d) of lhs and rhs are equal fractions, place by
+    place: the numerators over equal denominators, else by cross
+    multiplication.  Neither side need be reduced."""
+    return all(
+        n1 == n2 if d1 == d2 else (n1 * d2 - n2 * d1).is_zero
+        for (n1, d1), (n2, d2) in zip(lhs, rhs)
+    )
 
 
 @dataclass(frozen=True)
@@ -680,7 +680,7 @@ class PolyMap:
         return cls(field, n, tuple(MultiPoly.var(field, n, i) for i in range(n)))
 
     def evaluate(self, point: Sequence) -> tuple[FieldElement, ...]:
-        return tuple(_at_point(self.components, point))
+        return tuple(_at_point(self.components, point, self.in_arity))
 
     def compose(self, inner: "PolyMap") -> "PolyMap":
         """self after inner."""
@@ -688,8 +688,11 @@ class PolyMap:
             raise ArityMismatch(
                 f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"
             )
-        _, at = _at_fractions(inner.field, inner.in_arity, inner.components, ())
-        return PolyMap(self.field, inner.in_arity, tuple(map(at, self.components)))
+        values = [None if c.is_one else c for c in inner.components]
+        lift = partial(MultiPoly.const, inner.field, inner.in_arity)
+        powers = {}
+        comps = tuple(evaluate_at(c, values, lift, powers) for c in self.components)
+        return PolyMap(self.field, inner.in_arity, comps)
 
     def jacobian(self) -> tuple[tuple[MultiPoly, ...], ...]:
         """Row i holds the partials of component i."""
@@ -711,7 +714,8 @@ class PolyMap:
 
     def as_rational(self) -> "RationalMap":
         one = MultiPoly.const(self.field, self.in_arity, 1)
-        return RationalMap(self.field, self.in_arity, tuple((c, one) for c in self.components))
+        # a polynomial over 1 is canonical
+        return RationalMap._of(self.field, self.in_arity, tuple((c, one) for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -767,7 +771,7 @@ class RationalMap:
         return PolyMap(self.field, self.in_arity, tuple(num for num, _ in self.components))
 
     def evaluate(self, point: Sequence) -> tuple[FieldElement, ...]:
-        values = _at_point([q for pair in self.components for q in pair], point)
+        values = _at_point([q for pair in self.components for q in pair], point, self.in_arity)
         out = []
         for nv, dv in zip(values[::2], values[1::2]):
             if dv.is_zero:
@@ -776,25 +780,9 @@ class RationalMap:
         return tuple(out)
 
     def compose(self, inner) -> "RationalMap":
-        """self after inner.
-
-        Each component p/q becomes N_p/N_q: p and q are made homogeneous to
-        one degree vector over the variables whose inner denominator is
-        not 1, so their cleared denominators are equal and cancel.  After a
-        polynomial inner map that vector is empty and this is plain
-        substitution.  One power cache serves every component.
-        """
+        """self after inner, each component substituted by _substitute."""
         inner = RationalMap.coerce(inner)
-        if inner.out_arity != self.in_arity:
-            raise ArityMismatch(
-                f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"
-            )
-        nums = [n for n, _ in inner.components]
-        dens = [d for _, d in inner.components]
-        cleared, at = _at_fractions(inner.field, inner.in_arity, nums, dens)
-        comps = tuple(tuple(map(at, _homogeneous(pair, cleared)[0])) for pair in self.components)
-        if any(den.is_zero for _, den in comps):
-            raise IdenticallyZeroDenominator("denominator vanishes identically after composition")
+        comps = _substitute(self.components, inner, self.in_arity)
         return RationalMap(self.field, inner.in_arity, comps)
 
     def permute_inputs(self, new_index_of_old: Sequence[int]) -> "RationalMap":
@@ -813,15 +801,14 @@ class RationalMap:
         return RationalMap(self.field, new_arity, comps)
 
     def equiv(self, other: "RationalMap") -> bool:
-        """Componentwise equality: of numerators over equal denominators,
-        else by cross multiplication."""
+        """Equality as maps, by _equal_pairs; maps over different fields or
+        of different arities are not equal."""
         other = RationalMap.coerce(other)
-        if self.out_arity != other.out_arity or self.in_arity != other.in_arity:
+        if self.field != other.field or self.in_arity != other.in_arity:
             return False
-        for (n1, d1), (n2, d2) in zip(self.components, other.components):
-            if not (n1 == n2 if d1 == d2 else (n1 * d2 - n2 * d1).is_zero):
-                return False
-        return True
+        if self.out_arity != other.out_arity:
+            return False
+        return _equal_pairs(self.components, other.components)
 
 
 def map_product(f, g):

@@ -390,6 +390,27 @@ def test_projective_space_atlas(n):
         assert check_cocycle(out).ok
 
 
+def test_passing_check_cocycle_reduces_no_composite(monkeypatch):
+    """check_cocycle compares each composite with the stored transition
+    unreduced: on P^3 and its tau atlas nothing is brought to canonical
+    form."""
+    import prolong.poly as poly_module
+
+    m = projective_space(3)
+    prolonged = tau_atlas(m).atlas
+    calls = []
+    real = poly_module.reduce_fraction
+
+    def counted(num, den):
+        calls.append((num, den))
+        return real(num, den)
+
+    monkeypatch.setattr(poly_module, "reduce_fraction", counted)
+    for atlas in (m, prolonged):
+        assert check_cocycle(atlas).ok
+    assert calls == []
+
+
 def test_projective_space_chart_coordinates():
     # chart 1 has x1 = X1/X0, x2 = X2/X0; chart 3 has X0/X2, X1/X2
     m = projective_space(2)

@@ -19,7 +19,7 @@ from prolong import (
     poly_gcd,
 )
 import prolong.poly as poly_module
-from prolong.poly import _subst_rational, reduce_fraction
+from prolong.poly import _substitute, reduce_fraction
 
 from helpers import (
     pmap,
@@ -154,11 +154,19 @@ def test_zero_polynomial_evaluates_to_zero():
     assert image.is_zero and image.nvars == 3
 
 
+def substitute_one(p, nums, dens):
+    """p at nums/dens through _substitute, as the pair (p, 1); the pairs of
+    the inner map are taken as they are, uncancelled."""
+    inner = RationalMap._of(nums[0].field, nums[0].nvars, tuple(zip(nums, dens)))
+    ((N, D),) = _substitute([(p, MultiPoly.const(p.field, p.nvars, 1))], inner, p.nvars)
+    return N, D
+
+
 def test_subst_rational_clears_denominators(rng):
     p = poly("x^2*y - 3*y^2 + t*x + 1", XY, QT)
     nums = (poly("x + t", XY, QT), poly("y", XY, QT))
     dens = (poly("y - 1", XY, QT), poly("x^2 + 1", XY, QT))
-    N, D = _subst_rational(p, nums, dens)
+    N, D = substitute_one(p, nums, dens)
     # degree 2 in x and in y
     assert D == dens[0] ** 2 * dens[1] ** 2
     for _ in range(10):
@@ -270,8 +278,8 @@ def compose_by_subst_rational(outer, inner):
     dens = [d for _, d in inner.components]
     comps = []
     for pnum, pden in outer.components:
-        n1, d1 = _subst_rational(pnum, nums, dens)
-        n2, d2 = _subst_rational(pden, nums, dens)
+        n1, d1 = subst_rational_clearing_all(pnum, nums, dens)
+        n2, d2 = subst_rational_clearing_all(pden, nums, dens)
         comps.append((n1 * d2, d1 * n2))
     return RationalMap(outer.field, inner.in_arity, tuple(comps))
 
@@ -372,6 +380,14 @@ def test_equiv_over_equal_denominators():
     assert not f.equiv(rmap(QT, XY, ["(x + 1)/(y + t)", "x*y"]))
     assert not f.equiv(rmap(QT, XY, ["x/(y + t)", "x*y + 1"]))
     assert f.equiv(rmap(QT, XY, ["x*(x + 1)/((y + t)*(x + 1))", "x*y"]))
+
+
+def test_equiv_over_different_fields_is_false():
+    f = rmap(Q, XY, ["x/(y + 1)", "x*y"])
+    g = rmap(QT, XY, ["x/(y + 1)", "x*y"])
+    assert f.equiv(rmap(Q, XY, ["x/(y + 1)", "y*x"]))
+    assert not f.equiv(g)
+    assert not g.equiv(f)
 
 
 def test_reduce_fraction_zero_denominator():
@@ -501,6 +517,13 @@ def test_arity_mismatch():
         f.evaluate((Q.one,))
 
 
+def test_maps_with_no_components_check_the_point_length():
+    for f in (PolyMap(Q, 2, ()), RationalMap(Q, 2, ())):
+        assert f.evaluate((Q.one, Q.one)) == ()
+        with pytest.raises(ArityMismatch):
+            f.evaluate((Q.one,))
+
+
 def test_total_degree_and_degree_in():
     p = poly("x^2*y + y^2", XY, Q)
     assert p.total_degree() == 3
@@ -519,7 +542,8 @@ def test_substitute_rational_points_match_evaluate(rng):
 
 
 def subst_rational_clearing_all(p, nums, dens):
-    """_subst_rational's reference: every denominator cleared, 1 included."""
+    """Reference for substituting nums/dens into p: every denominator
+    cleared, 1 included."""
     target = nums[0]
     degs = [max(p.degree_in(i), 0) for i in range(p.nvars)]
     D = MultiPoly.const(target.field, target.nvars, 1)
@@ -548,7 +572,7 @@ def test_subst_rational_with_mixed_denominators(rng):
                 for _ in range(3)
             ]
             dens[rng.randrange(3)] = one
-            N, D = _subst_rational(p, nums, dens)
+            N, D = substitute_one(p, nums, dens)
             assert (N, D) == subst_rational_clearing_all(p, nums, dens)
             checked += 1
     assert checked == 24
@@ -556,4 +580,11 @@ def test_subst_rational_with_mixed_denominators(rng):
     p = poly("x^2*y + t*y^2 + 3", XY, QT)
     nums = [poly("x + y", XY, QT), poly("t*x", XY, QT)]
     ones = [MultiPoly.const(QT, 2, 1)] * 2
-    assert _subst_rational(p, nums, ones) == (p.substitute(nums), ones[0])
+    assert substitute_one(p, nums, ones) == (p.substitute(nums), ones[0])
+    # a pair whose denominator is zero at the inner map
+    inner = rmap(QT, XY, ["x/(y + t)", "x/(y + t)"])
+    with pytest.raises(IdenticallyZeroDenominator, match="vanishes identically"):
+        _substitute([(p, poly("x - y", XY, QT))], inner, 2)
+    # the arity is checked also when there is no pair to substitute
+    with pytest.raises(ArityMismatch):
+        _substitute((), inner, 3)
