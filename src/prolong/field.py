@@ -65,6 +65,8 @@ def _mul(a, b):
         a, b = b, a
     if len(a) == 1:
         c = a[0]
+        if len(b) == 1:
+            return (c * b[0],)
         return b if c == 1 else tuple([c * x for x in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -133,8 +135,22 @@ def _gcd(a, b):
     """gcd of nonzero a and b in Z[t], with a positive leading coefficient."""
     if len(a) == 1 or len(b) == 1:
         return (gcd(*a, *b),)
+    if len(a) == 2:
+        a, b = b, a
     ca, cb = gcd(*a), gcd(*b)
     c = gcd(ca, cb)
+    if len(b) == 2:
+        # A linear b = cb * (s*t - r), gcd(r, s) = 1, shares a factor of
+        # positive degree with a only if r/s is a root of a (Gauss's
+        # lemma), that is, if s^deg(a) * a(r/s) = 0: one Horner pass.
+        r, s = -b[0] // cb, b[1] // cb
+        v, w = a[-1], 1
+        for k in range(len(a) - 2, -1, -1):
+            w *= s
+            v = v * r + a[k] * w
+        if v:
+            return (c,)
+        return (-c * r, c * s) if s > 0 else (c * r, -c * s)
     if ca != 1:
         a = [x // ca for x in a]
     if cb != 1:
@@ -402,10 +418,15 @@ class FieldElement:
         n1, d1, n2, d2 = self.n, self.d, o.n, o.d
         if not n1 or not n2:
             return self.field.zero
-        if len(n1) == 1 and len(n2) == 1 and len(d1) == 1 and len(d2) == 1:
-            x1, y1, x2, y2 = n1[0], d1[0], n2[0], d2[0]
-            g1, g2 = gcd(x1, y2), gcd(x2, y1)
-            return FieldElement(self.field, (x1 // g1 * (x2 // g2),), (y1 // g2 * (y2 // g1),))
+        if len(d1) == 1 and len(d2) == 1:
+            # Integer denominators: only the contents of n1 and n2 can cancel
+            # against them.
+            y1, y2 = d1[0], d2[0]
+            g1, g2 = gcd(y2, *n1), gcd(y1, *n2)
+            num, g = _mul(n1, n2), g1 * g2
+            if g != 1:
+                num = tuple([x // g for x in num])
+            return FieldElement(self.field, num, (y1 // g2 * (y2 // g1),))
         # Cross-cancel: gcd(n1, d2) and gcd(n2, d1) are all that n1*n2 and
         # d1*d2 can share.  Both gcds have positive leading coefficients, so
         # the denominator keeps one.
@@ -466,13 +487,23 @@ class FieldElement:
             if h != 1:
                 dn, c = tuple([x // h for x in dn]), c // h
             return FieldElement(field, dn, (c,))
-        # (n/d)' = (n'd - nd')/d^2.  The numerator is nonzero, since n/d is
-        # not a constant, and d^2 over a gcd with positive lead keeps one.
-        num = _sub(_mul(dn, d), _mul(n, _deriv(d)))
-        den = _mul(d, d)
-        g = _gcd(num, den)
-        if g != _UNIT:
-            num, den = _exquo(num, g), _exquo(den, g)
+        # With g = gcd(d, d') and e = d/g, (n/d)' = (n'e - n d'/g) / (d e).
+        # An irreducible p of multiplicity k in d has multiplicity k - 1 in
+        # d' (Yun 1976), so p divides e once and divides neither n nor d'/g:
+        # it divides n'e but not n d'/g, hence not the numerator.  Only
+        # integer content can cancel.  The numerator is nonzero, since n/d
+        # is not a constant, and lc(d) and lc(e) are positive.
+        dd = _deriv(d)
+        g = _gcd(d, dd)
+        if g == _UNIT:
+            e = d
+        else:
+            e, dd = _exquo(d, g), _exquo(dd, g)
+        num = _sub(_mul(dn, e), _mul(n, dd))
+        den = _mul(d, e)
+        h = gcd(*num, *den)
+        if h != 1:
+            num, den = tuple([x // h for x in num]), tuple([x // h for x in den])
         return FieldElement(field, num, den)
 
     @property

@@ -46,7 +46,7 @@ class MultiPoly:
                 if c.is_zero:
                     continue
                 mono = tuple(mono)
-                if len(mono) != nvars or any(e < 0 for e in mono):
+                if len(mono) != nvars or any(type(e) is not int or e < 0 for e in mono):
                     raise ValueError(f"bad monomial {mono} for {nvars} variables")
                 prev = clean.get(mono)
                 c = c if prev is None else prev + c
@@ -161,6 +161,13 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._check(other)
+            ta, tb = self.terms, other.terms
+            if len(ta) > len(tb):
+                ta, tb = tb, ta
+            if len(ta) == 1 and len(tb) > 1 and not any(next(iter(ta))):
+                # a constant factor scales the other term by term
+                (k,) = ta.values()
+                return MultiPoly._of(self.field, self.nvars, {m: c * k for m, c in tb.items()})
             out: dict[Monomial, FieldElement] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
@@ -191,18 +198,22 @@ class MultiPoly:
         """Partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise IndexOutOfRange(f"variable index {i} out of range for {self.nvars} variables")
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            m2 = mono[:i] + (e - 1,) + mono[i + 1 :]
-            out[m2] = c * e if m2 not in out else out[m2] + c * e
-        return MultiPoly(self.field, self.nvars, out)
+        # x_i^e -> e x_i^(e-1) is one-to-one on the terms with e > 0
+        out = {
+            mono[:i] + (mono[i] - 1,) + mono[i + 1 :]: c * mono[i]
+            for mono, c in self.terms.items()
+            if mono[i]
+        }
+        return MultiPoly._of(self.field, self.nvars, out)
 
     def coeff_derive(self) -> "MultiPoly":
         """Apply the field derivation to every coefficient."""
-        return MultiPoly(self.field, self.nvars, {m: c.derive() for m, c in self.terms.items()})
+        out = {}
+        for m, c in self.terms.items():
+            c = c.derive()
+            if c:
+                out[m] = c
+        return MultiPoly._of(self.field, self.nvars, out)
 
     def total_degree(self) -> int:
         if self.is_zero:
@@ -242,7 +253,8 @@ class MultiPoly:
             for i, e in enumerate(mono):
                 m2[index_map[i]] = e
             out[tuple(m2)] = c
-        return MultiPoly(self.field, new_nvars, out)
+        # an injective index map keeps the monomials distinct
+        return MultiPoly._of(self.field, new_nvars, out)
 
     def lead(self, key=grevlex_key) -> tuple[Monomial, FieldElement]:
         if self.is_zero:
@@ -605,8 +617,6 @@ def _homogeneous(ps: Sequence[MultiPoly], cleared: Sequence[int]) -> list[MultiP
     after p's own.  Each p at x_i = n_i/d_i is then its value at (n, d)
     over the product of the d_i^deg_k, one denominator for all of ps.
     """
-    if not cleared:
-        return ps
     deg = [0] * len(cleared)
     for p in ps:
         if p.terms:
@@ -627,8 +637,9 @@ def _substitute(pairs, inner: "RationalMap", arity: int) -> tuple:
     homogeneous to one degree vector over the variables whose inner
     denominator is not 1, so their cleared denominators are equal and
     cancel; for q = 1, N_q is that cleared denominator.  After a polynomial
-    inner map the vector is empty and this is plain substitution.  One
-    power cache serves every pair, and a value 1 adds no factor.
+    inner map the vector is empty and this is plain substitution, where a
+    constant q is N_q as it is.  One power cache serves every pair, and a
+    value 1 adds no factor.
     """
     if inner.out_arity != arity:
         raise ArityMismatch(f"inner map produces {inner.out_arity} values, outer expects {arity}")
@@ -637,10 +648,17 @@ def _substitute(pairs, inner: "RationalMap", arity: int) -> tuple:
     values += [inner.components[i][1] for i in cleared]
     lift = partial(MultiPoly.const, inner.field, inner.in_arity)
     powers = {}
-    out = tuple(
-        tuple(evaluate_at(p, values, lift, powers) for p in _homogeneous(pair, cleared))
-        for pair in pairs
-    )
+
+    def value(q):
+        if not cleared and len(q.terms) == 1:
+            ((m, c),) = q.terms.items()
+            if not any(m):
+                return lift(c)
+        return evaluate_at(q, values, lift, powers)
+
+    if cleared:
+        pairs = (_homogeneous(pair, cleared) for pair in pairs)
+    out = tuple((evaluate_at(p, values, lift, powers), value(q)) for p, q in pairs)
     if any(den.is_zero for _, den in out):
         raise IdenticallyZeroDenominator("denominator vanishes identically after composition")
     return out

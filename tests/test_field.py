@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from prolong import Q, QT, DivisionByZero, MultiPoly, format_element, parse_element
-from prolong.field import decimal, power, read_int
+from prolong.field import _gcd, _mul, decimal, power, read_int
 
 from helpers import int_str_limit, random_element, random_fraction, random_point, random_unit
 
@@ -243,6 +243,10 @@ def _ref(e):
     return list(e.num), list(e.den)
 
 
+def _ref_derive(n, d):
+    return _canon(_padd(_pmul(_pderiv(n), d), _pneg(_pmul(n, _pderiv(d)))), _pmul(d, d))
+
+
 def _ref_binary(op, a, b):
     (n1, d1), (n2, d2) = _ref(a), _ref(b)
     if op == "+":
@@ -257,11 +261,21 @@ def _ref_binary(op, a, b):
 def _operands(rng, field):
     """Zero, one, a constant and, over Q(t), t-polynomials and true
     rational functions, including pairs of denominators with a common
-    factor and a factor that cancels against a numerator."""
+    factor and a factor that cancels against a numerator, denominators
+    with repeated linear and quadratic factors or with integer content,
+    and linear factors whose leading coefficient is not +-1."""
     out = [field.zero, field.one, field.elem(random_fraction(rng)), -field.one]
     if field.has_t:
         u, v = random_unit(rng, field, 2), random_unit(rng, field)
+        w = field.t**2 * random_fraction(rng, 1, 5) + random_unit(rng, field)
+        s = field.t * 2 + 3
         out += [
+            u**3 / v**2,
+            random_element(rng, field) / (u * w) ** 2,
+            (field.t + 1) / (field.t * 4 + 6),
+            field.one / ((field.t + 1) ** 2 * 2),
+            random_element(rng, field) / (s**3 * 5),
+            (s * w + 1) / (s**2 * v),
             field.t,
             random_element(rng, field),
             random_point(rng, field, 1)[0],
@@ -289,8 +303,7 @@ def test_fast_paths_match_reference_canonical_form(rng):
             for a in pool:
                 n, d = _ref(a)
                 _assert_stored(a, _canon(n, d))
-                dn = _padd(_pmul(_pderiv(n), d), _pneg(_pmul(n, _pderiv(d))))
-                _assert_stored(a.derive(), _canon(dn, _pmul(d, d)))
+                _assert_stored(a.derive(), _ref_derive(n, d))
                 if not a.is_zero:
                     _assert_stored(a.inverse(), _canon(d, n))
                 for k in range(-3 if not a.is_zero else 0, 4):
@@ -303,6 +316,72 @@ def test_fast_paths_match_reference_canonical_form(rng):
                         if name == "/" and b.is_zero:
                             continue
                         _assert_stored(op(a, b), _ref_binary(name, a, b))
+
+
+def _coprime(a, b, p=2**61 - 1):
+    """Whether a and b in Z[t] share no factor of positive degree, by their
+    Euclidean gcd mod the prime p: a common factor divides both leading
+    coefficients, so if p divides neither it keeps its degree mod p."""
+    assert a[-1] % p and b[-1] % p
+    a, b = [c % p for c in a], [c % p for c in b]
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, k = a[-1] * inv % p, len(a) - len(b)
+            a = _ptrim((x - c * b[j - k] if j >= k else x) % p for j, x in enumerate(a))
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_iterated_derive_matches_reference(rng):
+    # The canonical form is unique, so a derivative is the reference's when
+    # it has the reference's value and is canonical.  _ref_derive checks the
+    # first steps whole; past them its gcds in Q[t] take seconds, so each
+    # step is checked against the quotient rule of the step before by cross
+    # multiplication, and for coprime parts by _coprime.
+    for a in _operands(rng, QT):
+        n, d = _ref(a)
+        for k in range(12):
+            b = a.derive()
+            if k < 3:
+                n, d = _ref_derive(n, d)
+                _assert_stored(b, (n, d))
+            dn, dd = _ref(b)
+            n0, d0 = _ref(a)
+            rule = _padd(_pmul(_pderiv(n0), d0), _pneg(_pmul(n0, _pderiv(d0))))
+            assert _pmul(dn, _pmul(d0, d0)) == _pmul(rule, dd)
+            assert b.d[-1] > 0 and gcd(*b.n, *b.d) == 1
+            assert _coprime(b.n, b.d) if b.n else b.d == (1,)
+            a = b
+
+
+def _ref_zgcd(a, b):
+    """The gcd in Z[t]: the gcd of the contents times the primitive part of
+    the monic gcd over Q."""
+    g = _pgcd([Fraction(c) for c in a], [Fraction(c) for c in b])
+    g = [c * lcm(*(x.denominator for x in g)) for c in g]
+    h = gcd(*(int(c) for c in g))
+    return tuple(gcd(*a, *b) * int(c) // h for c in g)
+
+
+def test_gcd_with_a_linear_operand_matches_reference(rng):
+    # 6 (2t + 3)(t^2 + t + 1) and -3 (2t + 3): the root -3/2 is shared
+    a = _mul((6,), _mul((3, 2), (1, 1, 1)))
+    assert _gcd(a, (-9, -6)) == _gcd((-9, -6), a) == (9, 6)
+    # t^2 + 1 has no rational root
+    assert _gcd((1, 0, 1), (6, 4)) == (1,)
+    assert _gcd((2, 0, 2), (6, 4)) == (2,)
+    # the root 0, with a negative leading coefficient
+    assert _gcd((0, 4, -2), (0, -6)) == (0, 2)
+    contents = (1, -1, 2, 6, -4, 9)
+    for _ in range(400):
+        r, s = rng.randint(-9, 9), rng.choice((-6, -3, -2, -1, 1, 2, 5))
+        b = _mul((rng.choice(contents),), (-r, s))
+        a = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5))) + (rng.choice(contents),)
+        for _ in range(rng.randint(0, 3)):
+            a = _mul(a, (-r, s))
+        a = _mul(a, (rng.choice(contents),))
+        assert _gcd(a, b) == _gcd(b, a) == _ref_zgcd(a, b), (a, b)
 
 
 # The stored form: n and d in Z[t], coprime (no common integer content and

@@ -195,6 +195,52 @@ def test_coeff_derive_over_q_is_zero(rng):
         assert p.coeff_derive().is_zero
 
 
+def test_coeff_derive_over_qt_drops_zero_derivatives():
+    p = poly("3*x^2*y - y + 1/2", XY, QT)
+    d = p.coeff_derive()
+    assert d.is_zero and d.terms == {}
+    assert d == MultiPoly(QT, 2, [(m, c.derive()) for m, c in p.terms.items()])
+
+
+def test_embed_partial_and_coeff_derive_match_the_public_constructor(rng):
+    for field in (Q, QT):
+        for _ in range(20):
+            p = random_poly(rng, field, 3)
+            index_map = rng.sample(range(5), 3)
+            moved = [(tuple(m[index_map.index(j)] if j in index_map else 0 for j in range(5)), c)
+                     for m, c in p.terms.items()]
+            assert p.embed(5, index_map).terms == MultiPoly(field, 5, moved).terms
+            for i in range(3):
+                lowered = [(m[:i] + (m[i] - 1,) + m[i + 1 :], c * m[i])
+                           for m, c in p.terms.items() if m[i]]
+                assert p.partial(i).terms == MultiPoly(field, 3, lowered).terms
+            derived = [(m, c.derive()) for m, c in p.terms.items()]
+            assert p.coeff_derive().terms == MultiPoly(field, 3, derived).terms
+
+
+def _double_loop(a, b):
+    return MultiPoly(a.field, a.nvars, [
+        (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+        for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
+    ])
+
+
+def test_product_by_a_constant_equals_the_double_loop(rng):
+    for field in (Q, QT):
+        for _ in range(20):
+            p = random_poly(rng, field, 3)
+            c = MultiPoly.const(field, 3, random_point(rng, field, 1)[0])
+            for a, b in ((p, c), (c, p), (c, c), (p, MultiPoly.zero(field, 3))):
+                assert (a * b).terms == _double_loop(a, b).terms
+
+
+def test_constructor_refuses_exponents_that_are_not_ints():
+    for mono in ((1.5,), (True,), (Fraction(1),), ("1",), (-1,)):
+        with pytest.raises(ValueError, match="bad monomial"):
+            MultiPoly(Q, 1, {mono: 1})
+    assert MultiPoly(Q, 1, {(2,): 1}).total_degree() == 2
+
+
 def test_evaluate_and_substitute(rng):
     p = poly("x^2 - y", XY, QT)
     a = (QT.t, QT.t ** 2)
