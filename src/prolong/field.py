@@ -521,7 +521,7 @@ class FieldElement:
         o = self._coerce(other) if not isinstance(other, FieldElement) else other
         if o is None or not isinstance(o, FieldElement):
             return NotImplemented
-        return self.field == o.field and self.n == o.n and self.d == o.d
+        return (self.field is o.field or self.field == o.field) and self.n == o.n and self.d == o.d
 
     def __hash__(self):
         # Equal values hash alike: a constant equals its Fraction (and the

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd
 from typing import Sequence
 
@@ -277,7 +277,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return (
-            self.field == other.field and self.nvars == other.nvars and self.terms == other.terms
+            (self.field is other.field or self.field == other.field)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
         )
 
     def __hash__(self):
@@ -643,9 +645,7 @@ def _substitute(pairs, inner: "RationalMap", arity: int) -> tuple:
     """
     if inner.out_arity != arity:
         raise ArityMismatch(f"inner map produces {inner.out_arity} values, outer expects {arity}")
-    cleared = [i for i, (_, d) in enumerate(inner.components) if not d.is_one]
-    values = [None if n.is_one else n for n, _ in inner.components]
-    values += [inner.components[i][1] for i in cleared]
+    values, cleared = inner._substitution
     lift = partial(MultiPoly.const, inner.field, inner.in_arity)
     powers = {}
 
@@ -767,6 +767,20 @@ class RationalMap:
     @property
     def out_arity(self) -> int:
         return len(self.components)
+
+    @cached_property
+    def _substitution(self) -> tuple[tuple, tuple[int, ...]]:
+        """What _substitute puts in for the variables of an outer map, from
+        one scan of the components: the values (each numerator, None for 1,
+        then each denominator that is not 1) and the indices of those
+        denominators."""
+        values, cleared, dens = [], [], []
+        for i, (n, d) in enumerate(self.components):
+            values.append(None if n.is_one else n)
+            if not d.is_one:
+                cleared.append(i)
+                dens.append(d)
+        return tuple(values + dens), tuple(cleared)
 
     @classmethod
     def identity(cls, field: BaseField, n: int) -> "RationalMap":

@@ -8,12 +8,15 @@ remainders, the same bases, and the same exceptions with the same messages.
 Over Q the kernel is fraction-free, so its S-polynomials are nonzero
 constant multiples of the reference ones: they are compared once monic.
 The kernel keeps S-polynomials and divisors packed; unpacked() reads them
-as MultiPolys.
+as MultiPolys.  reference_divide is the kernel's division as it was with
+the content taken after every step that scaled: taking it by growth must
+give the same remainders.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 import pytest
@@ -70,6 +73,85 @@ def reference_reduce_full(p, gens, order, degree_cap=None):
             remainder = remainder + term
             h = h - term
     return remainder
+
+
+def reference_divide(ring, h, records, degree_cap, unit):
+    """groebner._divide with the content of h and r taken out after every
+    step that scaled them."""
+    integral = not ring.field.has_t
+    lex, mask, guard, digits = ring.lex, ring.mask, ring.guard, ring.digits
+    heap = list(h)
+    heapify(heap)
+    r = {}
+    rcont = 0
+    while heap:
+        hk = heappop(heap)
+        hc = h.pop(hk, None)
+        if hc is None:
+            continue
+        eh = -hk if lex else hk & mask
+        for eg, gk, gc, tail, reach in records:
+            if not (eh - eg) & guard:
+                break
+        else:
+            r[hk] = hc
+            if integral:
+                rcont = gcd(rcont, hc)
+            continue
+        if reach and degree_cap is not None:
+            top = eh % digits + reach
+            if top > degree_cap:
+                raise DegreeCapExceeded(f"intermediate degree {top} exceeds cap {degree_cap}")
+        if integral:
+            g0 = gcd(gc, hc) if gc > 0 else -gcd(gc, hc)
+            scale, nq = gc // g0, -(hc // g0)
+            if scale != 1:
+                for k in h:
+                    h[k] *= scale
+                if r:
+                    for k in r:
+                        r[k] *= scale
+                    rcont *= abs(scale)
+                if unit is not None:
+                    unit /= scale
+        else:
+            scale, nq = 1, -hc
+        for k, tc in tail:
+            k += hk
+            d = nq * tc
+            old = h.get(k)
+            if old is None:
+                h[k] = d
+                heappush(heap, k)
+                if (-k if lex else k) & guard:
+                    raise groebner._Overflow
+            else:
+                d = old + d
+                if d:
+                    h[k] = d
+                else:
+                    del h[k]
+        if scale != 1 and h:
+            cont = gcd(*h.values())
+            if rcont:
+                cont = gcd(cont, rcont)
+            if cont != 1:
+                for k in h:
+                    h[k] //= cont
+                if r:
+                    for k in r:
+                        r[k] //= cont
+                    rcont //= cont
+                if unit is not None:
+                    unit *= cont
+    if not integral:
+        return r, None
+    if unit is None:
+        if rcont > 1:
+            for k in r:
+                r[k] //= rcont
+        return r, 1
+    return r, unit
 
 
 def reference_s_polynomial(f, g, order):
@@ -219,16 +301,16 @@ HARD_COEFFS = (
 )
 
 
-def hard_poly(rng, terms, deg=3):
-    """A nonzero polynomial over Q in 3 variables with HARD_COEFFS coefficients."""
+def hard_poly(rng, terms, deg=3, nvars=3):
+    """A nonzero polynomial over Q with HARD_COEFFS coefficients."""
     while True:
         out = {}
         for _ in range(terms):
-            mono = [0, 0, 0]
+            mono = [0] * nvars
             for _ in range(rng.randint(0, deg)):
-                mono[rng.randrange(3)] += 1
+                mono[rng.randrange(nvars)] += 1
             out[tuple(mono)] = rng.choice(HARD_COEFFS)
-        p = MultiPoly(Q, 3, out)
+        p = MultiPoly(Q, nvars, out)
         if not p.is_zero:
             return p
 
@@ -289,6 +371,144 @@ def test_reduce_full_matches_reference_division():
             else:
                 fired += got[0] is DegreeCapExceeded
     assert fired >= 5 and kept >= 20
+
+
+def packed_division(p, gens, order, cap):
+    """The packed division reduce_full makes of p by gens: the ring, p's
+    terms, the divisors' records and the unit."""
+    divisors = groebner._Divisors(gens)
+    bits = groebner._bits(max(p.total_degree(), divisors.degree, cap or 0))
+    ring, basis = divisors.at(p.field, p.nvars, order, bits)
+    terms, unit = groebner._pack(ring, p)
+    return ring, terms, basis.records, unit
+
+
+def divided(divide, ring, terms, records, cap, unit):
+    """What divide gives on a copy of terms: the remainder's terms in their
+    order, over Q made primitive with their content moved into the factor
+    (which a zero remainder does not have), or the type and message of what
+    it raises."""
+    try:
+        r, factor = divide(ring, dict(terms), records, cap, unit)
+    except (DegreeCapExceeded, groebner._Overflow) as exc:
+        return type(exc), str(exc)
+    if not r:
+        return "value", [], None
+    if factor is not None:
+        cont = gcd(*r.values())
+        r = {k: c // cont for k, c in r.items()}
+        factor *= cont
+    return "value", list(r.items()), factor
+
+
+def assert_divisions_agree(p, gens, order, slack=None):
+    """_divide and reference_divide agree on p by gens, with the unit of p's
+    packing and without one, under the cap deg(p) + slack (reduce_full
+    raises on a p above the cap itself); returns the kind of the outcome."""
+    cap = None if slack is None else p.total_degree() + slack
+    ring, terms, records, unit = packed_division(p, gens, order, cap)
+    for u in {unit, None}:
+        want = divided(reference_divide, ring, terms, records, cap, u)
+        assert divided(groebner._divide, ring, terms, records, cap, u) == want
+    return want[0]
+
+
+def katsura(n):
+    """Katsura-n over Q in u0, ..., u(n-1)."""
+    names = tuple(f"u{i}" for i in range(n))
+
+    def u(i):
+        return names[abs(i)] if abs(i) < n else None
+
+    texts = [" + ".join([names[0]] + [f"2*{x}" for x in names[1:]]) + " - 1"]
+    for m in range(n - 1):
+        pairs = [f"{u(i)}*{u(m - i)}" for i in range(1 - n, n) if u(i) and u(m - i)]
+        texts.append(" + ".join(pairs) + f" - {names[m]}")
+    return [parse_poly(t, names, Q) for t in texts]
+
+
+def cyclic_texts(names):
+    """The cyclic-n generators in the n variables names."""
+    n = len(names)
+    sums = [
+        " + ".join("*".join(names[(i + k) % n] for k in range(d)) for i in range(n))
+        for d in range(1, n)
+    ]
+    return tuple(sums) + ("*".join(names) + " - 1",)
+
+
+SLACKS = (None, 0, 0, 1)
+
+
+@pytest.mark.parametrize("content_bits", [None, 0, 16])
+def test_divide_matches_per_step_content_reference(monkeypatch, content_bits):
+    """Taking the content by growth changes no remainder, unit factor or
+    DegreeCapExceeded message: on seeded divisions, and on normal forms
+    modulo katsura-4/5 and cyclic-4 under grevlex, lex and priorities.
+    Small thresholds take the content in these small divisions too."""
+    if content_bits is not None:
+        monkeypatch.setattr(groebner, "CONTENT_BITS", content_bits)
+    rng = random.Random(2602)
+    kinds = []
+    for order in ORDERS:
+        for _ in range(15):
+            gens = [hard_poly(rng, rng.randint(2, 3)) for _ in range(rng.randint(1, 3))]
+            p = hard_poly(rng, 6, deg=5)
+            kinds.append(assert_divisions_agree(p, gens, order, rng.choice(SLACKS)))
+        for _ in range(10):
+            # Under lex the tails go above the leads' degree, by 2.
+            c = [rng.choice(HARD_COEFFS) for _ in range(5)]
+            gens = [
+                MultiPoly(Q, 3, {(1, 0, 0): c[0], (0, 2, 1): c[1], (0, 0, 0): c[2]}),
+                MultiPoly(Q, 3, {(0, 1, 0): c[3], (0, 0, 3): c[4]}),
+            ]
+            p = hard_poly(rng, 6, deg=5)
+            kinds.append(assert_divisions_agree(p, gens, order, rng.choice(SLACKS)))
+        for field in (Q, QT):
+            for _ in range(5):
+                gens = [
+                    random_nonzero_poly(rng, field, 3, deg=3, terms=3, tdeg=1) for _ in range(2)
+                ]
+                p = random_nonzero_poly(rng, field, 3, deg=4, terms=5, tdeg=1)
+                kinds.append(assert_divisions_agree(p, gens, order, rng.choice(SLACKS)))
+    assert kinds.count("value") >= 100 and kinds.count(DegreeCapExceeded) >= 8
+
+    k4, k5 = katsura(4), katsura(5)
+    assert k5 == [parse_poly(g, KATSURA5_NAMES, Q) for g in KATSURA5]
+    c4 = [parse_poly(g, KATSURA5_NAMES[:4], Q) for g in cyclic_texts(KATSURA5_NAMES[:4])]
+    cases = [(k4, TermOrder()), (k4, TermOrder("grevlex", priority=(3, 1, 0, 2)))]
+    cases += [(k5, TermOrder()), (c4, TermOrder()), (c4, TermOrder("lex"))]
+    cases += [(c4, TermOrder("lex", priority=(1, 3, 2, 0)))]
+    bases = []
+    for gens, order in cases:
+        gb = buchberger(gens, order)
+        bases.append(gb)
+        for _ in range(6):
+            p = hard_poly(rng, 8, deg=6, nvars=gens[0].nvars)
+            assert assert_divisions_agree(p, gb.gens, order) == "value"
+            assert_divisions_agree(p, gb.gens, order, 0)
+    # Every division inside buchberger as well.
+    monkeypatch.setattr(groebner, "_divide", reference_divide)
+    assert [buchberger(gens, order) for gens, order in cases] == bases
+
+
+# Katsura-4 under lex fails the degree cap 15.  The largest integer its
+# divisions meet, read at the gcds they take, has 37179 bits with the content
+# taken by growth, and 87695 bits when the content is never taken.
+KATSURA4_LEX_BITS = 50000
+
+
+def test_division_takes_the_content_of_grown_coefficients(monkeypatch):
+    largest = [0]
+
+    def logged_gcd(*args):
+        largest[0] = max(largest[0], *(abs(a).bit_length() for a in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(groebner, "gcd", logged_gcd)
+    with pytest.raises(DegreeCapExceeded, match="^intermediate degree 16 exceeds cap 15$"):
+        buchberger(katsura(4), TermOrder("lex"), 15)
+    assert 30000 < largest[0] <= KATSURA4_LEX_BITS
 
 
 XYZ = ("x", "y", "z")
@@ -418,10 +638,7 @@ def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
 
 
 CYCLIC5_NAMES = ("u0", "u1", "u2", "u3", "u4")
-CYCLIC5 = tuple(
-    " + ".join("*".join(CYCLIC5_NAMES[(i + k) % 5] for k in range(d)) for i in range(5))
-    for d in range(1, 5)
-) + ("u0*u1*u2*u3*u4 - 1",)
+CYCLIC5 = cyclic_texts(CYCLIC5_NAMES)
 # Without the chain criterion and redundant-pair deletion, 827 of cyclic-5's
 # S-polynomials reduced to zero (grevlex, "normal"); the bound is a fifth.
 CYCLIC5_ZERO_REDUCTIONS = 165
@@ -465,23 +682,55 @@ def test_arithmetic_results_are_clean():
 
 def test_packed_key_reverses_key():
     """Ascending packed keys are descending monomials, keys add under
-    products, and each key unpacks to its monomial."""
-    for nvars in range(1, 5):
-        monos = [
-            m for m in itertools.product(range(5), repeat=nvars) if sum(m) <= 4
-        ]
-        perms = list(itertools.permutations(range(nvars)))
-        orders = [TermOrder(), TermOrder("lex")]
-        orders += [TermOrder(kind, priority=perms[-1]) for kind in ("grevlex", "lex")]
-        orders += [TermOrder("lex", priority=perms[len(perms) // 2])]
-        for order in orders:
-            ring = groebner._Ring(Q, nvars, order, 8)
-            assert sorted(monos, key=ring.key) == sorted(monos, key=order.key, reverse=True)
-            a, b = monos[-1], monos[len(monos) // 2]
-            ab = tuple(x + y for x, y in zip(a, b))
-            assert ring.key(ab) == ring.key(a) + ring.key(b)
-            assert all(ring.mono(ring.key(m)) == m for m in monos)
-            assert all(ring.degree(ring.key(m)) == sum(m) for m in monos)
+    products, and each key unpacks to its monomial, at every width: fields
+    of 1, 2, 4 and 8 bytes, and wider ones, up to the largest exponent that
+    _bits allows."""
+    for bits in (8, 16, 32, 64, 128):
+        top = (1 << (bits - 2)) - 1
+        for nvars in range(1, 5):
+            monos = [
+                m for m in itertools.product(range(5), repeat=nvars) if sum(m) <= 4
+            ]
+            monos += [(top,) * nvars, tuple(top >> i for i in range(nvars))]
+            monos += [tuple(top if i == j else 1 for i in range(nvars)) for j in range(nvars)]
+            perms = list(itertools.permutations(range(nvars)))
+            orders = [TermOrder(), TermOrder("lex")]
+            orders += [TermOrder(kind, priority=perms[-1]) for kind in ("grevlex", "lex")]
+            orders += [TermOrder("lex", priority=perms[len(perms) // 2])]
+            for order in orders:
+                ring = groebner._Ring(Q, nvars, order, bits)
+                assert sorted(monos, key=ring.key) == sorted(monos, key=order.key, reverse=True)
+                a, b = monos[-1], monos[len(monos) // 2]
+                ab = tuple(x + y for x, y in zip(a, b))
+                assert ring.key(ab) == ring.key(a) + ring.key(b)
+                assert not ring.word(ring.key(ab)) & ring.guard
+                assert all(ring.mono(ring.key(m)) == m for m in monos)
+                assert all(ring.degree(ring.key(m)) == sum(m) for m in monos)
+
+
+def test_packing_at_the_degree_63_64_switch():
+    """Degree 63 packs in one byte a field, 64 in two: the product of two
+    exponents 63 stays below a byte's guard bit, of two exponents 64 not."""
+    assert groebner._bits(63) == 8 and groebner._bits(64) == 16
+    for order in ORDERS:
+        ring = groebner._Ring(Q, 3, order, 8)
+        for m in ((63, 0, 0), (0, 0, 63), (21, 21, 21), (0, 31, 32)):
+            k = ring.key(m)
+            assert ring.mono(k) == m and ring.degree(k) == 63
+            assert ring.mono(2 * k) == tuple(2 * e for e in m)
+            assert not ring.word(2 * k) & ring.guard
+        assert ring.word(2 * ring.key((64, 0, 0))) & ring.guard
+        wide = groebner._Ring(Q, 3, order, 16)
+        k = wide.key((64, 0, 0))
+        assert wide.mono(2 * k) == (128, 0, 0) and not wide.word(2 * k) & wide.guard
+    x, y, z = (parse_poly(v, XYZ, Q) for v in XYZ)
+    for n in (63, 64):
+        p = 3 * x**n + y ** (n - 1) * z - 5 * x**2 * z ** (n - 2)
+        gens = [2 * x * y - z, 3 * y * z - 1, x**2 - 7]
+        for order in ORDERS:
+            want = reference_reduce_full(p, gens, order)
+            assert reduce_full(p, gens, order) == want
+            assert normal_form(p, GroebnerBasis(order, 3, tuple(gens))) == want
 
 
 def test_wrong_length_priority_raises_from_normal_form():

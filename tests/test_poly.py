@@ -4,6 +4,7 @@ import pytest
 
 from prolong import (
     ArityMismatch,
+    BaseField,
     DenominatorVanishes,
     IdenticallyZeroDenominator,
     MultiPoly,
@@ -434,6 +435,39 @@ def test_equiv_over_different_fields_is_false():
     assert f.equiv(rmap(Q, XY, ["x/(y + 1)", "y*x"]))
     assert not f.equiv(g)
     assert not g.equiv(f)
+
+
+def test_equality_across_equal_field_objects():
+    """Equality compares fields by identity first, then by value: an equal
+    field object that is not the same one still compares equal."""
+    q = BaseField("Q")
+    assert q is not Q and q == Q
+    p = poly("x + 2", XY, Q)
+    assert p == MultiPoly(q, 2, {(1, 0): 1, (0, 0): 2}) == p
+    assert Q.elem(Fraction(2, 3)) == q.elem(Fraction(2, 3))
+    assert p != poly("x + 2", XY, QT) and Q.elem(2) != QT.elem(2)
+
+
+def test_substitute_scans_an_inner_map_once(monkeypatch):
+    """_substitute finds the values 1 and the denominators to clear in one
+    scan of the inner map's components, made once per map."""
+    inner = rmap(QT, XY, ["x/(y + t)", "1", "y"])
+    x, y = poly("x", XY, QT), poly("y", XY, QT)
+    assert inner._substitution == ((x, None, y, poly("y + t", XY, QT)), (0,))
+    # A fresh map, so that its one scan is counted.
+    inner = rmap(QT, XY, ["x/(y + t)", "1", "y"])
+    parts = [q for pair in inner.components for q in pair]
+    scanned = []
+    is_one = MultiPoly.is_one
+    monkeypatch.setattr(
+        MultiPoly, "is_one", property(lambda p: scanned.append(p) or is_one.fget(p))
+    )
+    one = MultiPoly.const(QT, 3, 1)
+    outer = [(poly("x*y + z", XYZ, QT), one), (poly("z", XYZ, QT), poly("x + 1", XYZ, QT))]
+    first = _substitute(outer, inner, 3)
+    assert sum(any(p is q for q in parts) for p in scanned) == len(parts)
+    assert _substitute(outer, inner, 3) == first
+    assert sum(any(p is q for q in parts) for p in scanned) == len(parts)
 
 
 def test_reduce_fraction_zero_denominator():
