@@ -222,12 +222,9 @@ def sample_point(field: BaseField, rng: random.Random, dim: int) -> tuple[FieldE
     out = []
     for _ in range(dim):
         if field.has_t:
-            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)]
-            e = field.zero
-            tpow = field.one
-            for c in coeffs:
-                e = e + tpow * c
-                tpow = tpow * field.t
+            c0, c1, c2 = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)]
+            t = field.t
+            e = (t * c2 + c1) * t + c0
         else:
             e = field.elem(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
         out.append(e)

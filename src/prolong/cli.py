@@ -34,14 +34,15 @@ from .dgroup import (
 from .errors import DenominatorVanishes, ProlongError, UsageError
 from .expr import (
     MAX_LITERAL_DIGITS,
+    decimal,
     format_element,
     format_poly,
     format_rational,
     parse_point,
     parse_poly,
     parse_rational,
+    read_int,
 )
-from .field import decimal, read_int
 from .groebner import TermOrder, buchberger, normal_form
 from .model import load_model_file
 from .prolongation import (

@@ -123,10 +123,10 @@ def _compare_components(
         )
 
 
-def check_group_axioms(
-    g: AffineAlgGroup, degree_cap: int = 40, order: TermOrder = DEFAULT_ORDER
-) -> CheckReport:
-    """Identity, inverse, and associativity modulo the stacked variety ideals."""
+def _axioms(
+    g: AffineAlgGroup, degree_cap: int, order: TermOrder
+) -> tuple[CheckReport, GroebnerBasis]:
+    """The report of check_group_axioms, and the basis of the variety it built."""
     v = g.variety
     n = v.nvars
     report = CheckReport()
@@ -147,7 +147,14 @@ def check_group_axioms(
     _compare_components(
         report, "associativity", left_assoc, right_assoc, gb3, names3, degree_cap
     )
-    return report
+    return report, gb1
+
+
+def check_group_axioms(
+    g: AffineAlgGroup, degree_cap: int = 40, order: TermOrder = DEFAULT_ORDER
+) -> CheckReport:
+    """Identity, inverse, and associativity modulo the stacked variety ideals."""
+    return _axioms(g, degree_cap, order)[0]
 
 
 class GroupAxiomViolation(ValueError):
@@ -159,10 +166,12 @@ class GroupAxiomViolation(ValueError):
         self.report = report
 
 
-def _require_axioms(g: AffineAlgGroup, degree_cap: int, order: TermOrder) -> None:
-    report = check_group_axioms(g, degree_cap, order)
+def _require_axioms(g: AffineAlgGroup, degree_cap: int, order: TermOrder) -> GroebnerBasis:
+    """The basis of g's variety; GroupAxiomViolation when the axioms fail."""
+    report, gb1 = _axioms(g, degree_cap, order)
     if not report.ok:
         raise GroupAxiomViolation(g, report)
+    return gb1
 
 
 @dataclass(eq=False)
@@ -252,7 +261,7 @@ def check_dgroup(
     """
     from .expr import format_poly
 
-    _require_axioms(g, degree_cap, order)
+    gb1 = _require_axioms(g, degree_cap, order)
     v = g.variety
     n = v.nvars
     sigma = RationalMap.coerce(s.sigma)
@@ -264,7 +273,6 @@ def check_dgroup(
         report.add("sigma defined at identity", True)
     except DenominatorVanishes:
         report.add("sigma defined at identity", False, "denominator vanishes at e")
-    gb1 = _stacked_gb(v, 1, order, degree_cap)
     # s = (x, sigma(x)) into tau(V), with its denominators cleared: reducing
     # the fractions first could cancel one that vanishes on the variety.
     graph = _fan_out(RationalMap.identity(v.field, n), sigma)
@@ -288,8 +296,9 @@ def check_dgroup(
     lhs = sigma.compose(g.mult)
     # (x, y) -> (x, y, sigma(x), sigma(y)), the input layout of tau(m)
     send = _fan_out(RationalMap.identity(v.field, 2 * n), map_product(sigma, sigma))
-    full = tau_map(g.mult).compose(send)
-    rhs = RationalMap._of(v.field, 2 * n, full.components[n:])
+    # only the fibre half of tau(m) is compared, so only it meets send
+    tmult = tau_map(g.mult)
+    rhs = RationalMap._of(v.field, 4 * n, tmult.components[n:]).compose(send)
     _compare_components(report, "homomorphism", lhs, rhs, gb2, names2, degree_cap)
     return report
 

@@ -29,12 +29,19 @@ expression's faults now and its polynomial later).  Both modes raise the
 same first fault, except that a check leaves out the faults of the expanded
 values.  parse_point reads each element in place, so a fault's offset
 indexes the whole text.
+
+The module is also the one writer of the syntax.  A field element n/d is
+displayed over the monic denominator, each coefficient c as c/lc(d) in
+lowest terms by one integer gcd.  Every sum is joined by _join, and every
+numeral is read by read_int and written by _int_decimal, at any length.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -43,7 +50,7 @@ from .errors import (
     TInQField,
     UnknownVariable,
 )
-from .field import BaseField, FieldElement, read_int
+from .field import BaseField, FieldElement
 from .poly import MultiPoly, reduce_fraction
 
 # A variable name as the tokenizer reads it; is_name tests the same rule for
@@ -67,10 +74,51 @@ MAX_DEGREE = 40
 # products, counting one per pair of t-coefficients: about a second of work.
 MAX_WORK = 500_000
 # Most digits of one integer literal: int() takes time quadratic in the
-# digits, and this is Python's default limit on reading one (field.read_int
-# reads it under a lower limit too).  The CLI puts the same bound on the
-# integers of a series file.
+# digits, and this is Python's default limit on reading one (read_int reads
+# it under a lower limit too).  The CLI puts the same bound on the integers
+# of a series file.
 MAX_LITERAL_DIGITS = 4300
+
+# Python refuses int() of a numeral, and str() of an int, with more digits
+# than sys.get_int_max_str_digits() (4300 by default, 0 for no limit, and
+# at least 640 otherwise).  read_int and decimal convert a longer numeral in
+# pieces within the limit; the process-wide setting is never changed.
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def read_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits, of any length."""
+    limit = _int_str_limit()
+    if not limit or len(text) <= limit:
+        return int(text)
+    if text[0] == "-":
+        return -read_int(text[1:])
+    k = len(text) // 2
+    return read_int(text[:-k]) * 10**k + read_int(text[-k:])
+
+
+def _int_decimal(n: int) -> str:
+    bits = n.bit_length()
+    limit = _int_str_limit()
+    # 2^(3 * limit) < 10^limit
+    if not limit or bits <= 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + _int_decimal(-n)
+    # n has more than 2k digits, so the high part is not zero
+    k = ((bits - 1) * 1233 >> 12) // 2
+    hi, lo = divmod(n, 10**k)
+    return _int_decimal(hi) + _int_decimal(lo).zfill(k)
+
+
+def _quotient(n: int, d: int) -> str:
+    """n/d for d > 0, or n when d is 1, of any length."""
+    return _int_decimal(n) if d == 1 else f"{_int_decimal(n)}/{_int_decimal(d)}"
+
+
+def decimal(q) -> str:
+    """str(q) for an int or a Fraction q, of any length."""
+    return _quotient(q.numerator, q.denominator)
 
 
 def _size(p: MultiPoly) -> int:
@@ -363,43 +411,79 @@ def parse_point(src: str, field: BaseField) -> tuple[FieldElement, ...]:
     return tuple(point)
 
 
-_BARE_DENOM_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*(\^\d+)?$")
+def _join(terms) -> str:
+    """The sum of signed terms (negative, text): a '-' before a negative
+    first term, ' + ' or ' - ' before each later one, and 0 for no terms."""
+    out = []
+    for neg, body in terms:
+        out.append((" - " if neg else " + ") if out else ("-" if neg else ""))
+        out.append(body)
+    return "".join(out) or "0"
 
 
-def _term_body(coeff: FieldElement, mono, names: Sequence[str]) -> str:
-    vparts = []
-    for i, e in enumerate(mono):
-        if e == 1:
-            vparts.append(names[i])
-        elif e > 1:
-            vparts.append(f"{names[i]}^{e}")
-    if not vparts:
-        return coeff.format(as_factor=True)
-    if coeff.is_one:
-        return "*".join(vparts)
-    return coeff.format(as_factor=True) + "*" + "*".join(vparts)
+def _t_term(k: int, mag: str) -> str:
+    """The term mag*t^k, from the text of a positive coefficient."""
+    if not k:
+        return mag
+    tk = "t" if k == 1 else f"t^{k}"
+    return tk if mag == "1" else f"{mag}*{tk}"
+
+
+def _ratio(c: int, lc: int) -> str:
+    """|c|/lc in lowest terms, for lc > 0."""
+    g = gcd(c, lc)
+    return _quotient(abs(c) // g, lc // g)
+
+
+def _upoly(a, lc: int) -> str:
+    """a/lc in t, highest degree first, for a tuple a lowest degree first."""
+    terms = [(c < 0, _t_term(k, _ratio(c, lc))) for k, c in enumerate(a) if c]
+    return _join(reversed(terms))
+
+
+def _term_count(a) -> int:
+    """The nonzero entries of a tuple: terms in t, or a monomial's variables."""
+    return sum(1 for c in a if c)
+
+
+def _element_text(e: FieldElement, as_factor: bool) -> str:
+    """e over its monic denominator; as_factor puts a numerator of several
+    terms and no denominator in parentheses, for use inside a product."""
+    n, d = e.n, e.d
+    lc = d[-1]
+    num = _upoly(n, lc)
+    several = _term_count(n) > 1
+    if len(d) == 1:
+        return f"({num})" if as_factor and several else num
+    # a numerator of one term is bare unless its coefficient has a denominator
+    if several or n[-1] % lc:
+        num = f"({num})"
+    den = _upoly(d, lc)
+    if _term_count(d) > 1:
+        den = f"({den})"
+    return f"{num}/{den}"
 
 
 def format_poly(p: MultiPoly, names: Sequence[str]) -> str:
     """Deterministic rendering: grevlex-descending terms, signs extracted."""
     if len(names) != p.nvars:
         raise ValueError(f"{len(names)} names for {p.nvars} variables")
-    if p.is_zero:
-        return "0"
-    pieces = []
+    terms = []
     for mono, coeff in p.sorted_terms():
         neg = coeff.is_negative_leading
         mag = -coeff if neg else coeff
-        body = _term_body(mag, mono, names)
-        if not pieces:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e]
+        if not (factors and mag.is_one):
+            factors.insert(0, _element_text(mag, as_factor=True))
+        terms.append((neg, "*".join(factors)))
+    return _join(terms)
 
 
 def format_rational(num: MultiPoly, den: MultiPoly, names: Sequence[str]) -> str:
-    """Render num/den; assumes the canonical form from reduce_fraction."""
+    """Render num/den; assumes the canonical form from reduce_fraction.
+
+    The denominator is written bare when it is one monic term in one
+    variable, such as x or x^3, and in parentheses otherwise."""
     if den.is_constant:
         c = den.constant_value()
         p = num if c.is_one else num * c.inverse()
@@ -408,10 +492,17 @@ def format_rational(num: MultiPoly, den: MultiPoly, names: Sequence[str]) -> str
     if len(num.terms) > 1:
         num_s = f"({num_s})"
     den_s = format_poly(den, names)
-    if not _BARE_DENOM_RE.match(den_s):
+    (mono, c), *rest = den.terms.items()
+    if rest or not c.is_one or _term_count(mono) != 1:
         den_s = f"({den_s})"
     return f"{num_s}/{den_s}"
 
 
 def format_element(e: FieldElement) -> str:
-    return e.format()
+    return _element_text(e, as_factor=False)
+
+
+def format_series(s) -> str:
+    """A TruncSeries as c0 + c1*t + ... + O(t^(order + 1))."""
+    terms = ((c < 0, _t_term(k, decimal(abs(c)))) for k, c in enumerate(s.coeffs) if c)
+    return f"{_join(terms)} + O(t^{s.order + 1})"

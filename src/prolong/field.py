@@ -16,15 +16,14 @@ denominators are integers, add and multiply with integer gcds alone.
 Polynomial gcds run by primitive pseudo-remainder sequences (TAOCP vol. 2,
 4.6.1).
 
-The displayed form divides n and d by the leading coefficient of d: Fraction
-coefficients over a monic denominator.  The num and den properties compute
-it, for format and for readers outside the arithmetic.
+The module computes and holds no text: expr reads and writes the expression
+syntax.  The num and den properties give the displayed form, Fraction
+coefficients over the monic denominator, to readers outside the package.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -173,72 +172,6 @@ def _gcd(a, b):
 
 def _deriv(a):
     return _trim([k * a[k] for k in range(1, len(a))])
-
-
-def _term_count(a) -> int:
-    return sum(1 for c in a if c != 0)
-
-
-# Python refuses int() of a numeral, and str() of an int, with more digits
-# than sys.get_int_max_str_digits() (4300 by default, 0 for no limit, and
-# at least 640 otherwise).  read_int and decimal convert a longer numeral in
-# pieces within the limit; the process-wide setting is never changed.
-_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-def read_int(text: str) -> int:
-    """int(text) for an optional '-' and ASCII digits, of any length."""
-    limit = _int_str_limit()
-    if not limit or len(text) <= limit:
-        return int(text)
-    if text[0] == "-":
-        return -read_int(text[1:])
-    k = len(text) // 2
-    return read_int(text[:-k]) * 10**k + read_int(text[-k:])
-
-
-def _int_decimal(n: int) -> str:
-    bits = n.bit_length()
-    limit = _int_str_limit()
-    # 2^(3 * limit) < 10^limit
-    if not limit or bits <= 3 * limit:
-        return str(n)
-    if n < 0:
-        return "-" + _int_decimal(-n)
-    # n has more than 2k digits, so the high part is not zero
-    k = ((bits - 1) * 1233 >> 12) // 2
-    hi, lo = divmod(n, 10**k)
-    return _int_decimal(hi) + _int_decimal(lo).zfill(k)
-
-
-def decimal(q) -> str:
-    """str(q) for an int or a Fraction q, of any length."""
-    if type(q) is int:
-        return _int_decimal(q)
-    n, d = q.numerator, q.denominator
-    return _int_decimal(n) if d == 1 else f"{_int_decimal(n)}/{_int_decimal(d)}"
-
-
-def _fmt_upoly(a) -> str:
-    if not a:
-        return "0"
-    parts: list[str] = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        if k == 0:
-            body = decimal(mag)
-        else:
-            var = "t" if k == 1 else f"t^{k}"
-            body = var if mag == 1 else f"{decimal(mag)}*{var}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
 
 
 def power(x, k: int, mul=operator.mul):
@@ -534,27 +467,9 @@ class FieldElement:
         return hash((n, d))
 
     def __str__(self) -> str:
-        return self.format()
+        from .expr import format_element
 
-    def format(self, as_factor: bool = False) -> str:
-        """Render in expression syntax, over the monic denominator.
-
-        as_factor guards the string for use inside a product: multi-term
-        numerators get parentheses so operator precedence is preserved.
-        """
-        num = self.num
-        num_s = _fmt_upoly(num)
-        if len(self.d) == 1:
-            if as_factor and _term_count(num) > 1:
-                return f"({num_s})"
-            return num_s
-        if _term_count(num) > 1 or "/" in num_s:
-            num_s = f"({num_s})"
-        den = self.den
-        den_s = _fmt_upoly(den)
-        if _term_count(den) > 1:
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+        return format_element(self)
 
     def __repr__(self) -> str:
         return f"FieldElement({self.field}, {self})"

@@ -13,7 +13,7 @@ from .errors import (
     NonUnitConstantTerm,
     PointNotOnVariety,
 )
-from .field import FieldElement, decimal, power
+from .field import FieldElement, power
 from .poly import PolyMap, RationalMap, evaluate_at
 from .reporting import CheckReport
 
@@ -296,24 +296,9 @@ class TruncSeries:
         return hash(self.coeffs)
 
     def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                body = decimal(c)
-            else:
-                tk = "t" if k == 1 else f"t^{k}"
-                body = tk if abs(c) == 1 else f"{decimal(abs(c))}*{tk}"
-                if not parts:
-                    body = body if c > 0 else "-" + body
-                else:
-                    body = ("+ " if c > 0 else "- ") + body
-                parts.append(body)
-                continue
-            parts.append(body)
-        head = " ".join(parts) if parts else "0"
-        return f"{head} + O(t^{self.order + 1})"
+        from .expr import format_series
+
+        return format_series(self)
 
     def __repr__(self):
         return f"TruncSeries({self.coeffs!r})"

@@ -11,7 +11,7 @@ import pytest
 import prolong
 from prolong import MultiPoly, cli, errors
 from prolong.cli import MAX_NABLA_ORDER, MAX_SAMPLES, MAX_SERIES_ORDER, UsageError, main
-from prolong.expr import MAX_DEGREE, MAX_LITERAL_DIGITS
+from prolong.expr import MAX_DEGREE, MAX_LITERAL_DIGITS, read_int
 from prolong.model import MAX_ATLAS_CHARTS, MAX_ATLAS_DIM
 
 from helpers import int_str_limit
@@ -627,7 +627,7 @@ def test_reports_render_values_past_the_int_string_limit(capsys, tmp_path):
     # 6000- and 8600-digit values: more than Python's default limit of 4300
     # digits on str(), which the reports' renderer writes in pieces.
     sevens = "7" * 3000
-    big = int(sevens) ** 2
+    big = read_int(sevens) ** 2
     code, report, _ = run(capsys, "parse", "-i", MODEL_Q, "--expr", f"{sevens}^2 + x",
                           "--vars", "x")
     assert code == 0
@@ -641,7 +641,7 @@ def test_reports_render_values_past_the_int_string_limit(capsys, tmp_path):
     ]
     assert report["details"]["coefficients"]["w"][0] == "1/" + _str_unlimited(big)
     longest = "7" * MAX_LITERAL_DIGITS
-    n = int(longest)
+    n = read_int(longest)
     path = tmp_path / "series.json"
     path.write_text('{"coefficients": {"x": [%s, "%s"], "w": ["%s", "0"]}}' % ((longest,) * 3))
     code, report, _ = run(capsys, "verify-series", "-i", MODEL_Q, "-v", "GmV",

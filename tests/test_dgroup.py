@@ -340,3 +340,26 @@ def test_canonical_components_are_not_reduced_again(monkeypatch, sigma, witnesse
     assert [e.witness for e in report.entries] == witnesses
     assert [e.ok for e in report.entries] == [w is None for w in witnesses]
     assert len(calls) <= max_gcds
+
+
+def test_check_dgroup_builds_each_basis_once(monkeypatch):
+    """The axiom check's bases of one and three copies of the variety, and
+    the homomorphism's of two: the section check reuses the first."""
+    import prolong.dgroup as dgroup_module
+
+    g = triangular_group(Q)
+    s = section(g, ["0", "y + 2*(1 - x)", "0"])
+    sizes = []
+    real = dgroup_module.buchberger
+
+    def counted(gens, *args, **kwargs):
+        basis = real(gens, *args, **kwargs)
+        sizes.append(basis.nvars)
+        return basis
+
+    monkeypatch.setattr(dgroup_module, "buchberger", counted)
+    assert check_dgroup(g, s).ok
+    assert sizes == [3, 9, 6]
+    sizes.clear()
+    assert check_group_axioms(g).ok
+    assert sizes == [3, 9]

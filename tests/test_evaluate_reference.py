@@ -43,6 +43,7 @@ from helpers import (
     random_unit,
     rmap,
 )
+from prolong.expr import decimal
 from prolong.poly import _pack, _unpack
 
 SEEDS = range(60)
@@ -217,15 +218,17 @@ def test_signed_digits_read_back(bits):
 
 def test_negative_digits_and_long_coefficients():
     big = 10**999 + 7
+    # the numerals written within any integer-string limit
+    b, b2, b3 = (decimal(k * big) for k in (1, 2, 3))
     names = ("x", "y", "z")
-    x = parse_element(f"({big} - {3 * big}*t + t^2)/({2 * big} - t)", QT)
-    y = parse_element(f"(-5 + 7*t - 3*t^2)/(1 - {big}*t)", QT)
-    z = parse_element(f"-{big}*t^3 + 2", QT)
-    over_t = parse_element(f"-{big}/(t + 1)", QT)
-    over_quadratic = parse_element(f"({big}*t - 1)/(t^2 + {big})", QT)
+    x = parse_element(f"({b} - {b3}*t + t^2)/({b2} - t)", QT)
+    y = parse_element(f"(-5 + 7*t - 3*t^2)/(1 - {b}*t)", QT)
+    z = parse_element(f"-{b}*t^3 + 2", QT)
+    over_t = parse_element(f"-{b}/(t + 1)", QT)
+    over_quadratic = parse_element(f"({b}*t - 1)/(t^2 + {b})", QT)
     for p in (
-        poly(f"-{big}*x^2*y + 3*x - 5*y^3 + {big}", names, QT),
-        poly(f"x^3 - y*z + {big}*z^2 - t*x*y*z", names, QT),
+        poly(f"-{b}*x^2*y + 3*x - 5*y^3 + {b}", names, QT),
+        poly(f"x^3 - y*z + {b}*z^2 - t*x*y*z", names, QT),
         poly("-x*y^2*z^3", names, QT) + poly("y", names, QT) * over_t,
         poly("x^2*z", names, QT) * over_quadratic - poly("y^2", names, QT),
     ):

@@ -29,6 +29,7 @@ from prolong.expr import (
     check_poly,
     check_rational,
     is_name,
+    read_int,
 )
 
 from helpers import poly, random_poly
@@ -381,7 +382,7 @@ def test_integer_literals_are_ascii_digits(src, pos):
 
 def test_integer_literal_length_is_capped():
     longest = "7" * MAX_LITERAL_DIGITS
-    assert parse_poly(longest, XY, Q).constant_value() == Q.elem(int(longest))
+    assert parse_poly(longest, XY, Q).constant_value() == Q.elem(read_int(longest))
     check_poly(f"x + {longest}", XY, Q)
     cases = [
         (f"x + {longest}1", 4),

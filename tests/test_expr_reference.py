@@ -32,8 +32,8 @@ from prolong.expr import (
     _size,
     _tokenize,
     _var_index,
+    read_int,
 )
-from prolong.field import read_int
 
 
 class _Descent:

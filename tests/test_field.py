@@ -5,7 +5,8 @@ from math import gcd, lcm
 import pytest
 
 from prolong import Q, QT, DivisionByZero, MultiPoly, format_element, parse_element
-from prolong.field import _gcd, _mul, decimal, power, read_int
+from prolong.expr import decimal, read_int
+from prolong.field import _gcd, _mul, power
 
 from helpers import int_str_limit, random_element, random_fraction, random_point, random_unit
 
@@ -418,7 +419,7 @@ def test_shared_integer_content_cancels():
     assert (e.n, e.d) == ((1, 1), (3, 2))
     assert e.num == (Fraction(1, 2), Fraction(1, 2))
     assert e.den == (Fraction(3, 2), Fraction(1))
-    assert e.format() == "(1/2*t + 1/2)/(t + 3/2)"
+    assert str(e) == "(1/2*t + 1/2)/(t + 3/2)"
     h = qt("(6*t + 4) / 10")
     assert (h.n, h.d) == ((2, 3), (5,))
     assert (Q.elem(Fraction(-6, 4)).n, Q.elem(Fraction(-6, 4)).d) == ((-3,), (2,))
