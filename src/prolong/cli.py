@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import random
-import re
 import sys
 import time
 from fractions import Fraction
@@ -42,6 +41,7 @@ from .expr import (
     parse_poly,
     parse_rational,
     read_int,
+    read_rational,
 )
 from .groebner import TermOrder, buchberger, normal_form
 from .model import load_model_file
@@ -456,13 +456,6 @@ def _load_series_file(path, variety):
     return SeriesPoint(components)
 
 
-# What solve-series writes: an integer, or a quotient of integers.  Each has
-# at most MAX_LITERAL_DIGITS digits, the bound of an integer literal in an
-# expression; at order 1000 the denominators near 1000! have 2568.
-_DIGITS = "[0-9]{1,%d}" % MAX_LITERAL_DIGITS
-_RATIONAL = re.compile(f"-?{_DIGITS}(/{_DIGITS})?")
-
-
 def _json_integer(text: str) -> int:
     """A JSON integer of a series file, refused past MAX_LITERAL_DIGITS."""
     if len(text) - text.startswith("-") > MAX_LITERAL_DIGITS:
@@ -476,9 +469,8 @@ def _series_coefficient(c) -> Fraction:
     float, and Fraction expands an exponent to all its digits."""
     if type(c) is int:
         return Fraction(c)
-    if isinstance(c, str) and _RATIONAL.fullmatch(c):
-        num, _, den = c.partition("/")
-        return Fraction(read_int(num), read_int(den) if den else 1)
+    if isinstance(c, str) and (value := read_rational(c)) is not None:
+        return value
     shown = json.dumps(c)
     if len(shown) > 40:
         shown = shown[:37] + "..."

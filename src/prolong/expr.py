@@ -33,7 +33,8 @@ indexes the whole text.
 The module is also the one writer of the syntax.  A field element n/d is
 displayed over the monic denominator, each coefficient c as c/lc(d) in
 lowest terms by one integer gcd.  Every sum is joined by _join, and every
-numeral is read by read_int and written by _int_decimal, at any length.
+numeral is read by read_int and written by _int_decimal, at any length;
+read_rational reads a rational numeral outside an expression.
 """
 
 from __future__ import annotations
@@ -119,6 +120,23 @@ def _quotient(n: int, d: int) -> str:
 def decimal(q) -> str:
     """str(q) for an int or a Fraction q, of any length."""
     return _quotient(q.numerator, q.denominator)
+
+
+# A rational numeral: an integer, or a quotient of integers, each of at most
+# MAX_LITERAL_DIGITS digits.  This is what solve-series writes (at order
+# 1000 the denominators near 1000! have 2568 digits), what a series file
+# holds and what BaseField.elem reads from a string.
+_DIGITS = "[0-9]{1,%d}" % MAX_LITERAL_DIGITS
+_RATIONAL = re.compile(f"-?{_DIGITS}(/{_DIGITS})?")
+
+
+def read_rational(text: str) -> Fraction | None:
+    """The value of a rational numeral, or None for any other text.  A zero
+    denominator raises ZeroDivisionError."""
+    if not _RATIONAL.fullmatch(text):
+        return None
+    num, _, den = text.partition("/")
+    return Fraction(read_int(num), read_int(den) if den else 1)
 
 
 def _size(p: MultiPoly) -> int:

@@ -205,8 +205,12 @@ class BaseField:
     def elem(self, value) -> "FieldElement":
         """The element value: an element of this field, or an exact rational.
 
-        Exact rationals are int, Fraction, or a string Fraction parses, such
-        as "-3/4".  Floats are refused: they would carry binary rounding.
+        Exact rationals are int, Fraction, or a rational numeral string such
+        as "-3/4": an optional '-', ASCII digits, and an optional '/' and
+        digits, each run at most MAX_LITERAL_DIGITS long (expr.read_rational).
+        Other strings, such as "1.5", "1e3" or " 3", are a ValueError; a zero
+        denominator is a ZeroDivisionError.  Floats are refused: they would
+        carry binary rounding.
         """
         if isinstance(value, FieldElement):
             if value.field is not self and value.field != self:
@@ -216,7 +220,15 @@ class BaseField:
             return FieldElement(self, (value,), _UNIT) if value else self.zero
         if not isinstance(value, (int, Fraction, str)):
             raise TypeError(f"field elements are exact rationals, not {type(value).__name__}")
-        c = value if type(value) is Fraction else Fraction(value)
+        if isinstance(value, str):
+            from .expr import read_rational
+
+            c = read_rational(value)
+            if c is None:
+                shown = value if len(value) <= 40 else value[:37] + "..."
+                raise ValueError(f"{shown!r} is not a rational numeral such as '-3/4'")
+        else:
+            c = value if type(value) is Fraction else Fraction(value)
         if not c:
             return self.zero
         return FieldElement(self, (c.numerator,), (c.denominator,))

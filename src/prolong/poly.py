@@ -700,8 +700,10 @@ class PolyMap:
     def evaluate(self, point: Sequence) -> tuple[FieldElement, ...]:
         return tuple(_at_point(self.components, point, self.in_arity))
 
-    def compose(self, inner: "PolyMap") -> "PolyMap":
-        """self after inner."""
+    def compose(self, inner: "PolyMap | RationalMap") -> "PolyMap | RationalMap":
+        """self after inner: a PolyMap after a PolyMap, else a RationalMap."""
+        if isinstance(inner, RationalMap):
+            return self.as_rational().compose(inner)
         if inner.out_arity != self.in_arity:
             raise ArityMismatch(
                 f"inner map produces {inner.out_arity} values, outer expects {self.in_arity}"

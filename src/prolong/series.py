@@ -89,10 +89,7 @@ def _scaled(den, members):
 
 def _pairs(coeffs):
     """The Fractions coeffs as (numerator, denominator) pairs, trailing zeros dropped."""
-    return _trimmed([(c.numerator, c.denominator) for c in coeffs])
-
-
-def _trimmed(pairs):
+    pairs = [(c.numerator, c.denominator) for c in coeffs]
     while pairs and not pairs[-1][0]:
         pairs.pop()
     return pairs
@@ -126,8 +123,30 @@ def _quotient(n, d, d0, tail, qs):
     n/d is n_k; d0 is the pair d_0, tail the pairs d_1, d_2, ... and qs the
     pairs q_0, ..., q_(k-1).
     """
-    n, d = _sum_of_products(-n, d, ((tail, qs),))
-    return Fraction(-n * d0[1], d * d0[0])
+    if qs:
+        n, d = _sum_of_products(-n, d, ((tail, qs),))
+        n = -n
+    return Fraction(n * d0[1], d * d0[0])
+
+
+def _check_order(order):
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
+def _divided(ns, ds, order):
+    """Coefficients 0..order of n/d by _quotient, as Fractions and as pairs,
+    for ns and ds the pairs of n and d (see _pairs), at most order + 1 in ns,
+    d_0 nonzero.  Past ns a quotient by a constant is zero; its pairs stop."""
+    d0, *tail = ds
+    if tail:
+        ns = ns + [(0, 1)] * (order + 1 - len(ns))
+    out = [_ZERO] * (order + 1)
+    qs = []
+    for k, (n, d) in enumerate(ns):
+        q = out[k] = _quotient(n, d, d0, tail, qs)
+        qs.append((q.numerator, q.denominator))
+    return out, qs
 
 
 class TruncSeries:
@@ -150,6 +169,7 @@ class TruncSeries:
 
     @classmethod
     def const(cls, value, order):
+        _check_order(order)
         c = _coerce_fraction(value)
         return cls._of((c,) + (_ZERO,) * order)
 
@@ -175,6 +195,7 @@ class TruncSeries:
         return self.coeffs[k]
 
     def truncate(self, order):
+        _check_order(order)
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncSeries._of(self.coeffs[: order + 1])
@@ -251,27 +272,18 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inverse(self):
-        """The online quotient (see _quotient) with numerator 1."""
-        if not self.coeffs[0]:
-            raise NonUnitConstantTerm("series has zero constant term")
-        d0, *tail = _pairs(self.coeffs)
-        out = []
-        qs = []
-        n = 1
-        for _ in self.coeffs:
-            q = _quotient(n, 1, d0, tail, qs)
-            out.append(q)
-            qs.append((q.numerator, q.denominator))
-            n = 0
-        return TruncSeries._of(tuple(out))
+        """1 / self, by _divided."""
+        return 1 / self
 
     def __truediv__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(other, self.order)
-        return self * other.inverse()
+        """The quotient, by _divided at the lesser order."""
+        a, b = self._pair(other)
+        if not b.coeffs[0]:
+            raise NonUnitConstantTerm("series has zero constant term")
+        return TruncSeries._of(tuple(_divided(_pairs(a.coeffs), _pairs(b.coeffs), a.order)[0]))
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return TruncSeries.const(other, self.order) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -357,21 +369,20 @@ def _fractions(f):
 
 
 def element_to_series(elem, order):
-    """Expand a base-field element in Q[[t]]; the denominator must be a unit."""
+    """Expand a base-field element n/d in Q[[t]]; d(0) must be nonzero."""
+    _check_order(order)
+    return TruncSeries._of(tuple(_expansion(elem, order)[0]))
+
+
+def _expansion(elem, order):
+    """The coefficients of element_to_series(elem, order), by _divided on
+    the integer tuples n and d."""
     n, d = elem.n, elem.d
-    pad = (_ZERO,) * (order + 1 - len(n))
-    if len(d) == 1:
-        c = d[0]
-        if c == 1:
-            return TruncSeries._of(tuple([Fraction(x) for x in n[: order + 1]]) + pad)
-        return TruncSeries._of(tuple([Fraction(x, c) for x in n[: order + 1]]) + pad)
     if d[0] == 0:
         raise DenominatorVanishesAtInitialPoint(
             "coefficient denominator vanishes at t = 0"
         )
-    num = tuple([Fraction(x) for x in n[: order + 1]]) + pad
-    den = tuple([Fraction(x) for x in d[: order + 1]]) + (_ZERO,) * (order + 1 - len(d))
-    return TruncSeries._of(num) * TruncSeries._of(den).inverse()
+    return _divided([(x, 1) for x in n[: order + 1]], [(x, 1) for x in d[: order + 1]], order)
 
 
 def poly_on_series(p, point):
@@ -399,7 +410,7 @@ def map_on_series(f, point):
             raise DenominatorVanishesAtInitialPoint(
                 "map denominator vanishes at the series base point"
             )
-        out.append(n * d.inverse())
+        out.append(n / d)
     return SeriesPoint(tuple(out))
 
 
@@ -479,11 +490,7 @@ class _OnlineMap:
         const = []
         terms = []
         for mono, c in p.terms.items():
-            n, d = c.n, c.d
-            if len(d) == 1:
-                cs = _trimmed([_reduced(x, d[0]) for x in n[: order + 1]])
-            else:
-                cs = _pairs(element_to_series(c, order).coeffs)
+            cs = _expansion(c, order)[1]
             if any(mono):
                 terms.append((cs, self._node(mono)))
             else:
@@ -533,8 +540,7 @@ def solve_dpoint(variety, sigma, initial, order):
     a0 = tuple(_coerce_fraction(v) for v in initial)
     if len(a0) != n:
         raise ArityMismatch(f"expected {n} initial values, got {len(a0)}")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_order(order)
 
     start = SeriesPoint.constant(a0, 0)
     for gen in variety.gens:

@@ -30,6 +30,7 @@ from prolong.expr import (
     check_rational,
     is_name,
     read_int,
+    read_rational,
 )
 
 from helpers import poly, random_poly
@@ -414,6 +415,19 @@ def test_integer_literal_length_is_capped():
             sys.set_int_max_str_digits(limit)
     with pytest.raises(ExprSyntaxError, match="unexpected character 'é'"):
         check_poly(f"é + {longest}1", XY, Q)
+
+
+def test_rational_numerals_are_read_within_the_literal_cap():
+    longest = "7" * MAX_LITERAL_DIGITS
+    assert read_rational("-3/4") == Fraction(-3, 4)
+    assert read_rational("0") == 0
+    assert read_rational(f"-{longest}/{longest[1:]}3") == Fraction(
+        -read_int(longest), read_int(longest[1:] + "3"))
+    for text in ("", "-", "3/", "/4", "3/-4", "+3", " 3", "3 ", "1.5", "1e3", "1_000",
+                 "١", f"{longest}1", f"1/{longest}1", "1e10000000"):
+        assert read_rational(text) is None, text
+    with pytest.raises(ZeroDivisionError):
+        read_rational("1/0")
 
 
 def test_tokenizing_is_linear_in_long_whitespace():

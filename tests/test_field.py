@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -178,6 +179,20 @@ def test_elem_rejects_floats():
         MultiPoly.var(Q, 1, 0).evaluate((0.5,))
     assert Q.elem(True) == Q.one
     assert Q.elem("-3/4") == Q.elem(Fraction(-3, 4))
+
+
+def test_elem_reads_strings_as_rational_numerals_only():
+    for field in (Q, QT):
+        assert field.elem("-3/4") == field.elem(Fraction(-3, 4))
+        assert field.elem("12") == field.elem(12)
+        # Fraction would expand the exponent to a 33219281-bit integer
+        start = time.perf_counter()
+        for text in ("1e10000000", "1.5", " 3/4", "3/-4", "t"):
+            with pytest.raises(ValueError, match="not a rational numeral"):
+                field.elem(text)
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(ZeroDivisionError):
+            field.elem("1/0")
 
 
 # Reference canonical form, kept apart from the kernel: polynomials are

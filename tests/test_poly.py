@@ -485,6 +485,28 @@ def test_polymap_compose_and_jacobian():
     assert jac[1][0] == poly("3*x^2", ("x",), Q)
 
 
+def test_polymap_after_rational_map_is_the_rational_composite(rng):
+    evaluated = 0
+    for field in (Q, QT):
+        outer = pmap(field, XY, ["x^2*y + t*x - 1" if field.has_t else "x^2*y + 3*x - 1",
+                                 "x*y^2 - y"])
+        inner = rmap(field, XY, ["(x + 1)/(y - 2)", "x*y/(x^2 + 1)"])
+        composed = outer.compose(inner)
+        assert isinstance(composed, RationalMap)
+        assert composed.components == outer.as_rational().compose(inner).components
+        for _ in range(5):
+            a = random_point(rng, field, 2)
+            try:
+                inner_value = inner.evaluate(a)
+            except DenominatorVanishes:
+                continue
+            assert composed.evaluate(a) == outer.evaluate(inner_value)
+            evaluated += 1
+    assert evaluated >= 8
+    # a PolyMap after a PolyMap stays a PolyMap
+    assert isinstance(outer.compose(pmap(QT, XY, ["x + y", "x*y"])), PolyMap)
+
+
 def test_polymap_identity_and_permute():
     idmap = PolyMap.identity(Q, 3)
     assert idmap.evaluate(tuple(Q.elem(v) for v in (1, 2, 3))) == tuple(

@@ -154,6 +154,22 @@ def test_element_to_series():
         element_to_series(parse_element("1/t", QT), 3)
 
 
+NEGATIVE_ORDERS = {
+    "element_to_series": lambda: element_to_series(parse_element("1/(1 - t)", QT), -1),
+    "element_to_series of a constant": lambda: element_to_series(Q.elem(3), -1),
+    "truncate": lambda: series(1, 2, 3).truncate(-1),
+    "const": lambda: TruncSeries.const(1, -1),
+    "zero": lambda: TruncSeries.zero(-2),
+    "SeriesPoint.constant": lambda: SeriesPoint.constant((Fraction(2), Fraction(1)), -1),
+}
+
+
+@pytest.mark.parametrize("entry", NEGATIVE_ORDERS)
+def test_negative_order_is_refused(entry):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        NEGATIVE_ORDERS[entry]()
+
+
 def test_poly_on_series():
     p = poly("x^2 + y - 1", XY, Q)
     pt = SeriesPoint((series(1, 1, 0), series(0, 0, 1)))

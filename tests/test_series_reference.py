@@ -14,6 +14,14 @@ The solver (solve_dpoint), the online quotient behind TruncSeries.inverse
 and the sums skip Fraction arithmetic too: they add integer products over a
 running lcm denominator and reduce each stored coefficient once.  Each is
 checked against its recurrence written out in plain Fraction arithmetic.
+
+Every division in Q[[t]] (a / b, c / a, inverse, negative powers,
+element_to_series, map_on_series) now runs the online quotient at each
+coefficient.  reference_divide and the reference_* functions after it are
+how division used to work: the divisor inverted by a loop of its own (here
+the Fraction loop), then multiplied by the dividend, and a Q(t) element n/d
+expanded as the series n times the inverse of the series d.  The two must agree exactly, and raise
+the same faults with the same messages.
 """
 
 import random
@@ -28,17 +36,21 @@ from prolong import (
     AffineVariety,
     DenominatorVanishesAtInitialPoint,
     MultiPoly,
+    NonUnitConstantTerm,
     Q,
     RationalMap,
     SeriesPoint,
     TruncSeries,
+    element_to_series,
+    map_on_series,
     parse_poly,
     parse_rational,
     solve_dpoint,
     variety_residuals,
 )
 from prolong.model import load_model_file
-from prolong.series import RUN_BITS
+from prolong.poly import evaluate_at
+from prolong.series import RUN_BITS, _fractions
 
 from helpers import random_element, random_fraction, random_poly, random_unit
 
@@ -437,3 +449,210 @@ def test_sums_against_fraction_loop(seed):
     ):
         assert list(got.coeffs) == want
         assert_canonical(got.coeffs)
+
+
+def reference_inverse(s):
+    """TruncSeries.inverse as it was: a quotient with numerator 1 in a loop of
+    its own, written here in Fraction arithmetic."""
+    if not s.coeffs[0]:
+        raise NonUnitConstantTerm("series has zero constant term")
+    one = [Fraction(1)] + [Fraction(0)] * s.order
+    return TruncSeries(reference_quotient(one, list(s.coeffs)))
+
+
+def reference_divide(a, b):
+    """a / b as it was, for a series a: a times the inverse of b."""
+    if not isinstance(b, TruncSeries):
+        b = TruncSeries.const(b, a.order)
+    return a * reference_inverse(b)
+
+
+def reference_element_to_series(elem, order):
+    """element_to_series as it was: n/d as the series n times the inverse of
+    the series d, with a constant d divided term by term."""
+    n, d = elem.n, elem.d
+    pad = (Fraction(0),) * (order + 1 - len(n))
+    if len(d) == 1:
+        return TruncSeries([Fraction(x, d[0]) for x in n[: order + 1]] + list(pad))
+    if d[0] == 0:
+        raise DenominatorVanishesAtInitialPoint(
+            "coefficient denominator vanishes at t = 0"
+        )
+    num = [Fraction(x) for x in n[: order + 1]] + list(pad)
+    den = [Fraction(x) for x in d[: order + 1]] + [Fraction(0)] * (order + 1 - len(d))
+    return TruncSeries(num) * reference_inverse(TruncSeries(den))
+
+
+def reference_map_on_series(f, point):
+    """map_on_series as it was: each numerator times the inverse of its
+    denominator."""
+    order = point.order
+
+    def on_series(p):
+        return evaluate_at(p, point.components,
+                           lambda c: reference_element_to_series(c, order), {})
+
+    out = []
+    for num, den in _fractions(f):
+        n = on_series(num)
+        if den is None:
+            out.append(n)
+            continue
+        d = on_series(den)
+        if d.coefficient(0) == 0:
+            raise DenominatorVanishesAtInitialPoint(
+                "map denominator vanishes at the series base point"
+            )
+        out.append(n * reference_inverse(d))
+    return SeriesPoint(tuple(out))
+
+
+def outcome(run):
+    """What run() gives: its coefficients, or its fault's type and message."""
+    try:
+        value = run()
+    except (NonUnitConstantTerm, DenominatorVanishesAtInitialPoint) as exc:
+        return type(exc), str(exc)
+    series = value.components if isinstance(value, SeriesPoint) else (value,)
+    for c in series:
+        assert_canonical(c.coeffs)
+    return [c.coeffs for c in series]
+
+
+def assert_same(run, reference):
+    got = outcome(run)
+    assert got == outcome(reference)
+    return got
+
+
+def random_divisor(rng, order, kind):
+    b = random_series(rng, order, kind)
+    if rng.random() < 0.5:
+        b = with_zeros(rng, b)
+    if rng.random() < 0.15:
+        return b - b.coeffs[0]  # no unit: both raise NonUnitConstantTerm
+    return b if b.coeffs[0] else b + 1
+
+
+def division_order(rng, kinds):
+    # quotients of 200-digit coefficients have about 200*k digits at t^k
+    return rng.randint(0, 12 if "wide" in kinds else 60)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_division_against_invert_then_multiply(seed):
+    rng = random.Random(seed)
+    kinds = (rng.choice(("integer", "wide", "small")), rng.choice(("integer", "small")))
+    order = (0, 1, 60)[seed] if seed < 3 else division_order(rng, kinds)
+    a = random_series(rng, order, kinds[1])
+    if rng.random() < 0.3:
+        a = with_zeros(rng, a)
+    b = random_divisor(rng, rng.choice((order, rng.randint(0, order))), kinds[0])
+    c = random_fraction(rng, -9, 9, 12)
+    assert_same(lambda: a / b, lambda: reference_divide(a, b))
+    assert_same(lambda: b / a, lambda: reference_divide(b, a))
+    assert_same(lambda: c / b, lambda: reference_inverse(b) * c)
+    assert_same(lambda: a / c, lambda: reference_divide(a, c))
+    assert_same(b.inverse, lambda: reference_inverse(b))
+    assert_same(lambda: 1 / b, lambda: reference_inverse(b))
+    for k in (1, 2, 3):
+        assert_same(lambda: b**-k, lambda: reference_inverse(b) ** k)
+
+
+def test_division_faults():
+    a = TruncSeries([1, 2, 3])
+    zero_constant = TruncSeries([0, 1, 5])
+    cases = [
+        (lambda: a / zero_constant, lambda: reference_divide(a, zero_constant)),
+        (lambda: a / 0, lambda: reference_divide(a, 0)),
+        (lambda: 3 / zero_constant, lambda: reference_inverse(zero_constant) * 3),
+        (zero_constant.inverse, lambda: reference_inverse(zero_constant)),
+        (lambda: TruncSeries.zero(4) ** -2, lambda: reference_inverse(TruncSeries.zero(4)) ** 2),
+    ]
+    for run, reference in cases:
+        assert assert_same(run, reference) == (NonUnitConstantTerm, "series has zero constant term")
+
+
+def integer_poly(rng, degree, constant=True):
+    """A random polynomial in t over Z, of the given degree, nonzero at t = 0
+    when constant is set."""
+    cs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    cs[-1] = cs[-1] or 1
+    if constant:
+        cs[0] = cs[0] or rng.choice((-3, 2, 5))
+    e = QT.zero
+    for c in reversed(cs):
+        e = e * QT.t + c
+    return e
+
+
+def random_qt_element(rng):
+    """n/d over Q(t) with d a product of non-monic factors, some repeated."""
+    n = integer_poly(rng, rng.randint(0, 4), constant=False)
+    d = QT.elem(rng.randint(1, 7))
+    for _ in range(rng.randint(0, 3)):
+        d = d * integer_poly(rng, rng.randint(1, 2)) ** rng.randint(1, 3)
+    if rng.random() < 0.1:
+        d = d * QT.t  # vanishes at t = 0
+    return n / d if not n.is_zero else QT.zero
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_element_to_series_against_invert_then_multiply(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        e = random_qt_element(rng)
+        order = rng.randint(0, 60)
+        assert_same(lambda: element_to_series(e, order),
+                    lambda: reference_element_to_series(e, order))
+    elements = [Q.elem(random_fraction(rng, -9, 9, 12)), Q.zero, QT.t ** 3,
+                QT.elem(Fraction(5, 3)) * QT.t]
+    for e in elements:
+        assert_same(lambda: element_to_series(e, 2), lambda: reference_element_to_series(e, 2))
+
+
+def test_element_to_series_of_repeated_non_monic_factors():
+    d = (QT.t * 2 - 3) ** 3 * (QT.t ** 2 * 5 + QT.t + 7) ** 2
+    e = (QT.t ** 4 - QT.t * 6 + 1) / d
+    assert e.d[0] != 0 and e.d[-1] not in (1, -1)
+    for order in (0, 1, 7, 60):
+        assert_same(lambda: element_to_series(e, order),
+                    lambda: reference_element_to_series(e, order))
+    assert_same(lambda: element_to_series(1 / (QT.t * d), 5),
+                lambda: reference_element_to_series(1 / (QT.t * d), 5))
+
+
+def random_rational_map(rng, field, n):
+    comps = []
+    for _ in range(n):
+        num = random_poly(rng, field, n, deg=2, terms=3)
+        den = random_poly(rng, field, n, deg=2, terms=2)
+        if rng.random() < 0.8:
+            den = den + MultiPoly.const(field, n, true_series_coefficient(rng, field))
+        comps.append((num, den if not den.is_zero else MultiPoly.const(field, n, 1)))
+    return RationalMap(field, n, tuple(comps))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_map_on_series_against_invert_then_multiply(seed):
+    rng = random.Random(seed)
+    field = (Q, QT)[seed % 2]
+    n = rng.randint(1, 3)
+    f = random_rational_map(rng, field, n)
+    order = rng.randint(0, 60 if n == 1 else 30)
+    point = SeriesPoint(tuple(random_series(rng, order, "small") for _ in range(n)))
+    assert_same(lambda: map_on_series(f, point), lambda: reference_map_on_series(f, point))
+
+
+def test_map_on_series_faults():
+    names = ("x",)
+    at_zero = SeriesPoint((TruncSeries([0, 1, 2, 0]),))
+    for text, message in (
+        ("1/x", "map denominator vanishes at the series base point"),
+        ("x/(x^2 + t*x)", "map denominator vanishes at the series base point"),
+        ("(1/t)*x + 1", "coefficient denominator vanishes at t = 0"),
+    ):
+        f = RationalMap(QT, 1, (parse_rational(text, names, QT),))
+        got = assert_same(lambda: map_on_series(f, at_zero),
+                          lambda: reference_map_on_series(f, at_zero))
+        assert got == (DenominatorVanishesAtInitialPoint, message)
