@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import itemgetter, le
+from operator import le
 from struct import Struct
 from typing import Sequence
 
@@ -34,32 +34,17 @@ from .poly import Monomial, MultiPoly, grevlex_key
 
 @dataclass(frozen=True)
 class TermOrder:
-    """Monomial order: grevlex or lex, after an optional variable priority.
-
-    priority lists variable indices from most to least significant; when
-    given, exponents are permuted into that significance order before the
-    base comparison applies.
-    """
+    """Monomial order: grevlex or lex, with the first variable the most
+    significant.  To rank the variables otherwise, rename them (by
+    MultiPoly.embed) before computing and back after."""
 
     kind: str = "grevlex"
-    priority: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown term order {self.kind!r}")
-        if self.priority is not None:
-            object.__setattr__(self, "priority", tuple(self.priority))
-            if sorted(self.priority) != list(range(len(self.priority))):
-                raise ValueError("priority must be a permutation of the variable indices")
-
-    def _permuted(self, mono: Monomial) -> Monomial:
-        if len(self.priority) != len(mono):
-            raise ArityMismatch("priority permutation length differs from variable count")
-        return tuple(mono[i] for i in self.priority)
 
     def key(self, mono: Monomial):
-        if self.priority is not None:
-            mono = self._permuted(mono)
         if self.kind == "lex":
             return mono
         return grevlex_key(mono)
@@ -148,25 +133,23 @@ class _Ring:
     Each variable has a field of bits bits, whose top bit is a guard bit.
     The word E of a monomial holds its exponents in those fields, the least
     significant variable in the highest field for grevlex and the most
-    significant for lex, after the priority.  The key is
+    significant for lex.  The key is
     E - deg * 2^(bits * nvars) for grevlex and -E for lex.  So
     key(a * b) = key(a) + key(b), ascending keys are descending monomials,
     a divides b when E_b - E_a has no guard bit set, and a product whose
     word has a guard bit set has an exponent too large for the fields.
 
     bits is a multiple of 8 (_bits), so every field is whole bytes: E is
-    read and written as bytes, the fields in priority order, little-endian
+    read and written as bytes, the fields in variable order, little-endian
     for grevlex and big-endian for lex.
     """
 
     __slots__ = (
         "field", "nvars", "bits", "lex", "width", "mask", "guard", "digits",
-        "byteorder", "size", "pack", "unpack", "permute", "unpermute",
+        "byteorder", "size", "pack", "unpack",
     )
 
     def __init__(self, field: BaseField, nvars: int, order: TermOrder, bits: int):
-        # A priority of the wrong length raises ArityMismatch here.
-        perm = order._permuted(tuple(range(nvars))) if order.priority is not None else None
         self.field, self.nvars, self.bits = field, nvars, bits
         self.lex = order.kind == "lex"
         self.width = bits * nvars
@@ -177,21 +160,9 @@ class _Ring:
         self.size = self.width // 8
         fields = _fields(bits // 8, nvars, self.byteorder)
         self.pack, self.unpack = fields.pack, fields.unpack
-        # No permutation for the identity, which is also the only one of a
-        # single variable: itemgetter of one index returns an item, not a tuple.
-        if perm is None or perm == tuple(range(nvars)):
-            self.permute = self.unpermute = None
-        else:
-            inverse = [0] * nvars
-            for k, i in enumerate(perm):
-                inverse[i] = k
-            self.permute, self.unpermute = itemgetter(*perm), itemgetter(*inverse)
 
     def key(self, mono: Monomial) -> int:
-        if self.permute is None:
-            e = int.from_bytes(self.pack(*mono), self.byteorder)
-        else:
-            e = int.from_bytes(self.pack(*self.permute(mono)), self.byteorder)
+        e = int.from_bytes(self.pack(*mono), self.byteorder)
         return -e if self.lex else e - (sum(mono) << self.width)
 
     def word(self, key: int) -> int:
@@ -199,8 +170,7 @@ class _Ring:
 
     def mono(self, key: int) -> Monomial:
         e = -key if self.lex else key & self.mask
-        fields = self.unpack(e.to_bytes(self.size, self.byteorder))
-        return fields if self.unpermute is None else self.unpermute(fields)
+        return self.unpack(e.to_bytes(self.size, self.byteorder))
 
     def degree(self, key: int) -> int:
         """The total degree of key's monomial: the digit sum of its word,
@@ -347,8 +317,7 @@ class _Divisors(list):
         self.packed: dict[tuple[TermOrder, int], tuple[_Ring, _Basis]] = {}
 
     def at(self, field: BaseField, nvars: int, order: TermOrder, bits: int):
-        """The ring (a priority of the wrong length raises ArityMismatch
-        here) and the _Basis of the nonzero elements in it."""
+        """The ring and the _Basis of the nonzero elements in it."""
         packed = self.packed.get((order, bits))
         if packed is None:
             ring = _Ring(field, nvars, order, bits)
@@ -491,9 +460,6 @@ def reduce_full(
         gens = _Divisors(gens)
     degree = p.total_degree()
     bits = _bits(max(degree, gens.degree, degree_cap or 0))
-    if gens.nonzero:
-        # A priority of the wrong length raises here, as a division by them would.
-        gens.at(field, nvars, order, bits)
     if degree_cap is not None and p.terms and degree > degree_cap:
         raise DegreeCapExceeded(f"intermediate degree {degree} exceeds cap {degree_cap}")
     if not p.terms:
@@ -683,10 +649,12 @@ def buchberger(
 
 
 def normal_form(p: MultiPoly, gb: GroebnerBasis, degree_cap: int | None = None) -> MultiPoly:
+    """p's remainder modulo gb, by reduce_full.  An empty basis divides
+    nothing: p is returned as it is, with no degree check, unlike reduce_full,
+    which checks p against degree_cap whatever it divides by."""
     if p.nvars != gb.nvars:
         raise ArityMismatch(f"polynomial in {p.nvars} variables, basis in {gb.nvars}")
     if not gb.gens:
-        gb.order.key((0,) * gb.nvars)  # a priority of the wrong length raises ArityMismatch
         return p
     return reduce_full(p, gb._divisors, gb.order, degree_cap)
 
@@ -701,6 +669,7 @@ def is_groebner(gens: Sequence[MultiPoly], order: TermOrder = DEFAULT_ORDER) -> 
     polys = divisors.nonzero
     if len(polys) < 2:
         return True
+    _check_ring(polys, polys[0].nvars)
     bits = _bits(divisors.degree)
     while True:
         _, basis = divisors.at(polys[0].field, polys[0].nvars, order, bits)
