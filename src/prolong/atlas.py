@@ -25,14 +25,6 @@ from .prolongation import FiberPoint, derive_point, fiber_names, tangent_map, ta
 from .reporting import CheckReport
 
 
-def _check_chart_pair(i: int, j: int, charts) -> None:
-    """The key (i, j) of a stored transition: two distinct known charts."""
-    if i not in charts or j not in charts:
-        raise ValueError(f"transition ({i},{j}) references an unknown chart")
-    if i == j:
-        raise ValueError("the identity transition (i,i) is implicit; do not store it")
-
-
 @dataclass
 class AtlasManifold:
     """Gluing data: chart ids and rational transitions phi_(i,j): chart i to chart j."""
@@ -53,7 +45,10 @@ class AtlasManifold:
             raise ValueError("duplicate chart ids")
         known = set(self.charts)
         for (i, j), m in self.transitions.items():
-            _check_chart_pair(i, j, known)
+            if i not in known or j not in known:
+                raise ValueError(f"transition ({i},{j}) references an unknown chart")
+            if i == j:
+                raise ValueError("the identity transition (i,i) is implicit; do not store it")
             if m.in_arity != self.dim or m.out_arity != self.dim:
                 raise ArityMismatch(f"transition ({i},{j}) is not an endomap of dimension {self.dim}")
             if m.field != self.field:

@@ -32,7 +32,6 @@ from .dgroup import (
 )
 from .errors import DenominatorVanishes, ProlongError, UsageError
 from .expr import (
-    MAX_LITERAL_DIGITS,
     decimal,
     format_element,
     format_poly,
@@ -40,11 +39,10 @@ from .expr import (
     parse_point,
     parse_poly,
     parse_rational,
-    read_int,
     read_rational,
 )
-from .groebner import TermOrder, buchberger, normal_form
-from .model import load_model_file
+from .groebner import IdealBasis, TermOrder, buchberger, normal_form
+from .model import load_model_file, read_file, read_json
 from .prolongation import (
     check_nabla_in_tau,
     correspondence_transfer,
@@ -114,12 +112,6 @@ def _named_section(model, args):
     return section
 
 
-def _variety_basis(variety, order, cap):
-    if not variety.gens:
-        return None
-    return buchberger(variety.gens, order, degree_cap=cap)
-
-
 def _cmd_parse(args, model):
     if args.variety is not None:
         names = model.variety(args.variety).var_names
@@ -141,10 +133,9 @@ def _cmd_parse(args, model):
 def _cmd_gb(args, model):
     variety = model.variety(args.variety)
     order = _term_order(args)
-    basis = _variety_basis(variety, order, args.degree_cap)
-    gens = [] if basis is None else [
-        format_poly(g, variety.var_names) for g in basis.gens
-    ]
+    ideal = IdealBasis.make(variety.gens, variety.nvars)
+    basis = buchberger(ideal, order, degree_cap=args.degree_cap)
+    gens = [format_poly(g, variety.var_names) for g in basis.gens]
     details = {
         "basis": gens,
         "size": len(gens),
@@ -158,8 +149,9 @@ def _cmd_nf(args, model):
     variety = model.variety(args.variety)
     order = _term_order(args)
     p = parse_poly(args.expr, variety.var_names, model.field)
-    basis = _variety_basis(variety, order, args.degree_cap)
-    nf = p if basis is None else normal_form(p, basis, degree_cap=args.degree_cap)
+    ideal = IdealBasis.make(variety.gens, variety.nvars)
+    basis = buchberger(ideal, order, degree_cap=args.degree_cap)
+    nf = normal_form(p, basis, degree_cap=args.degree_cap)
     details = {
         "expression": args.expr,
         "is_zero": nf.is_zero,
@@ -415,15 +407,8 @@ def _cmd_solve_series(args, model):
 
 
 def _load_series_file(path, variety):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle, parse_int=_json_integer)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read series file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"series file {path} is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise UsageError(f"series file {path} is not valid JSON: nested too deeply") from None
+    text = read_file(path, UsageError, "series file")
+    doc = read_json(text, UsageError, f"series file {path}")
     if isinstance(doc, dict) and "details" in doc and isinstance(doc["details"], dict):
         doc = doc["details"]
     if not isinstance(doc, dict) or "coefficients" not in doc:
@@ -454,13 +439,6 @@ def _load_series_file(path, variety):
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational coefficient: {exc}") from exc
     return SeriesPoint(components)
-
-
-def _json_integer(text: str) -> int:
-    """A JSON integer of a series file, refused past MAX_LITERAL_DIGITS."""
-    if len(text) - text.startswith("-") > MAX_LITERAL_DIGITS:
-        raise UsageError(f"series file has an integer of more than {MAX_LITERAL_DIGITS} digits")
-    return read_int(text)
 
 
 def _series_coefficient(c) -> Fraction:

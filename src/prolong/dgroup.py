@@ -19,7 +19,7 @@ from .errors import (
     ProlongError,
 )
 from .field import FieldElement
-from .groebner import DEFAULT_ORDER, GroebnerBasis, TermOrder, buchberger, normal_form
+from .groebner import DEFAULT_ORDER, GroebnerBasis, IdealBasis, TermOrder, buchberger, normal_form
 from .poly import MultiPoly, RationalMap, _equal_pairs, _substitute, map_product
 from .prolongation import (
     AffineVariety,
@@ -47,9 +47,7 @@ def _stacked_gb(
     for k in range(copies):
         offset = k * n
         gens.extend(g.embed(total, list(range(offset, offset + n))) for g in v.gens)
-    if not gens:
-        return GroebnerBasis(order, total, ())
-    return buchberger(gens, order, degree_cap)
+    return buchberger(IdealBasis.make(gens, total), order, degree_cap)
 
 
 @dataclass(eq=False)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Sequence
 
@@ -51,7 +52,7 @@ from .errors import (
     TInQField,
     UnknownVariable,
 )
-from .field import BaseField, FieldElement
+from .field import BaseField, FieldElement, power
 from .poly import MultiPoly, reduce_fraction
 
 # A variable name as the tokenizer reads it; is_name tests the same rule for
@@ -251,17 +252,6 @@ def _read(
                 )
             return a * b
 
-        def power(base: MultiPoly, e: int, pos: int) -> MultiPoly:
-            """base**e by square-and-multiply through mul, so the budget sees it."""
-            out = one
-            while e:
-                if e & 1:
-                    out = mul(out, base, pos)
-                e >>= 1
-                if e:
-                    base = mul(base, base, pos)
-            return out
-
     # The open parentheses, innermost last.  Around the operand being read:
     # the sum so far, and whether its term is subtracted, at the offset of
     # its operator; the product so far, and whether its factor divides, at
@@ -328,7 +318,9 @@ def _read(
                     num, den = value
                     if e * max(num.total_degree(), den.total_degree()) > MAX_DEGREE:
                         raise ExprSyntaxError(f"power of degree above {MAX_DEGREE}", pos)
-                    value = power(num, e, pos), power(den, e, pos)
+                    # square-and-multiply through mul, so the budget sees it
+                    step = partial(mul, pos=pos)
+                    value = (power(num, e, step), power(den, e, step)) if e else (one, one)
                 kind, text, pos = tokens[i + 1]
                 i += 2
             # after a factor

@@ -179,8 +179,8 @@ def power(x, k: int, mul=operator.mul):
 
     There is no product by one and no square after the top bit, so the cost
     is bit_length(k) - 1 squares and popcount(k) - 1 products: x**e costs
-    e - 1 for e <= 3.  x is a field element, a polynomial or a series, or,
-    with mul=_mul, a polynomial of Z[t] as a tuple.
+    e - 1 for e <= 3.  x is a field element, a polynomial or a series; the
+    expression parser passes a mul that charges each product to its budget.
     """
     out = None
     while True:

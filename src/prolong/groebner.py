@@ -477,7 +477,7 @@ def reduce_full(
         return _unpack(ring, r, unit.numerator, unit.denominator)
 
 
-def _s_polynomial(f: _Packed, g: _Packed, order: TermOrder) -> _Packed:
+def _s_polynomial(f: _Packed, g: _Packed) -> _Packed:
     """S-polynomial of two divisors, up to a nonzero constant factor.
 
     It is built from their records: with leads x^a and x^b and lcm x^l, a
@@ -615,7 +615,7 @@ def buchberger(
             _, i, j = heappop(queue)
         if live.pop((i, j), None) is None:
             continue
-        s = _s_polynomial(basis[i], basis[j], order)
+        s = _s_polynomial(basis[i], basis[j])
         h = reduce_full(s, basis, order, degree_cap)
         if not h.is_zero:
             insert(_element(ring, h.terms))
@@ -676,7 +676,7 @@ def is_groebner(gens: Sequence[MultiPoly], order: TermOrder = DEFAULT_ORDER) -> 
         try:
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    s = _s_polynomial(basis[i], basis[j], order)
+                    s = _s_polynomial(basis[i], basis[j])
                     if not reduce_full(s, basis, order).is_zero:
                         return False
             return True

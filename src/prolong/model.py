@@ -27,6 +27,9 @@ a divisor that is identically zero, a product or power of degree above the
 cap, and the parse work budget.  They are ModelErrors located at where[k],
 as the load time faults are.  An expression with a fault of both kinds
 reports its syntax fault, at load time.
+
+read_file and read_json are the one reader of outside documents: the CLI
+reads a series file by them too, under its own error class.
 """
 
 from __future__ import annotations
@@ -35,16 +38,18 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .atlas import AtlasManifold, _check_chart_pair
+from .atlas import AtlasManifold
 from .dgroup import AffineAlgGroup, DGroupSection, stacked_names
 from .errors import ExprSyntaxError, IdenticallyZeroDenominator, ModelError
 from .expr import (
+    MAX_LITERAL_DIGITS,
     check_poly,
     check_rational,
     is_name,
     parse_element,
     parse_poly,
     parse_rational,
+    read_int,
 )
 from .field import Q, QT, BaseField
 from .poly import RationalMap
@@ -169,13 +174,41 @@ def _show(value):
     return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
 
 
-def _reject_duplicates(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ModelError(f"duplicate key {key!r}")
-        seen[key] = value
-    return seen
+def read_file(path, error, what):
+    """The text of a UTF-8 file; a fault reading it raises error, naming what
+    and path."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(text, error, what):
+    """The JSON document text, read as every outside document is: a repeated
+    key, an integer of more than MAX_LITERAL_DIGITS digits (refused before
+    it is converted, whatever Python's integer-string limit is), invalid
+    JSON and nesting too deep to decode each raise error, naming what."""
+
+    def pairs(items):
+        doc = {}
+        for key, value in items:
+            if key in doc:
+                raise error(f"duplicate key {key!r} in {what}")
+            doc[key] = value
+        return doc
+
+    def integer(numeral):
+        if len(numeral) - numeral.startswith("-") > MAX_LITERAL_DIGITS:
+            raise error(f"{what} has an integer of more than {MAX_LITERAL_DIGITS} digits")
+        return read_int(numeral)
+
+    try:
+        return json.loads(text, object_pairs_hook=pairs, parse_int=integer)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON in {what}: {exc}") from exc
+    except RecursionError:
+        raise error(f"invalid JSON in {what}: nested too deeply") from None
 
 
 def _expect_object(value, where):
@@ -365,14 +398,14 @@ def _check_atlas(name, spec, field):
                     f"valid charts are 1..{count}"
                 )
         where = f"atlas {name!r} transition {key!r}"
+        if i == j:
+            raise ModelError(f"{where}: the identity transition is implicit; do not store it")
         comps = _expect_strings(exprs, where)
         if len(comps) != dim:
             raise ModelError(f"{where} needs {dim} components")
         _each(check_rational, comps, coords, field, where)
         transitions.append(((i, j), comps, where))
     charts = tuple(range(1, count + 1))
-    for (i, j), _, _ in transitions:
-        _check_chart_pair(i, j, charts)
 
     def build():
         maps = {ij: _parse_map(comps, coords, field, where) for ij, comps, where in transitions}
@@ -407,13 +440,7 @@ def _check_correspondence(name, spec, field, varieties):
 def load_model(text):
     """Check a model document given as a JSON string; its objects are built
     on first use (see the module docstring)."""
-    try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicates)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise ModelError("invalid JSON: nested too deeply") from None
-    doc = _expect_object(doc, "model document")
+    doc = _expect_object(read_json(text, ModelError, "model document"), "model document")
     for key in doc:
         if key not in _TOP_KEYS:
             raise ModelError(f"unknown top-level key {key!r}")
@@ -447,9 +474,4 @@ def load_model(text):
 
 def load_model_file(path):
     """Read and check a model document from a file path."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelError(f"cannot read model file {path}: {exc}") from exc
-    return load_model(text)
+    return load_model(read_file(path, ModelError, "model file"))

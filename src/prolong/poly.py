@@ -724,8 +724,7 @@ class PolyMap:
         return PolyMap(self.field, self.in_arity, tuple(c.coeff_derive() for c in self.components))
 
     def permute_inputs(self, new_index_of_old: Sequence[int]) -> "PolyMap":
-        comps = tuple(c.embed(self.in_arity, new_index_of_old) for c in self.components)
-        return PolyMap(self.field, self.in_arity, comps)
+        return self.embed_inputs(self.in_arity, new_index_of_old)
 
     def embed_inputs(self, new_arity: int, index_map: Sequence[int]) -> "PolyMap":
         """View the map as a function of a larger variable tuple."""
@@ -820,11 +819,7 @@ class RationalMap:
         return RationalMap(self.field, inner.in_arity, comps)
 
     def permute_inputs(self, new_index_of_old: Sequence[int]) -> "RationalMap":
-        comps = tuple(
-            (n.embed(self.in_arity, new_index_of_old), d.embed(self.in_arity, new_index_of_old))
-            for n, d in self.components
-        )
-        return RationalMap(self.field, self.in_arity, comps)
+        return self.embed_inputs(self.in_arity, new_index_of_old)
 
     def embed_inputs(self, new_arity: int, index_map: Sequence[int]) -> "RationalMap":
         """View the map as a function of a larger variable tuple."""

@@ -414,6 +414,47 @@ def test_check_dgroup_section_group_mismatch(capsys):
     assert "belongs to group" in err
 
 
+def _gm_doc(tmp_path, **groups):
+    """A model on Gm's variety x*w - 1 with the given groups, each with the
+    zero section "<group>_zero"."""
+    doc = {
+        "basefield": "Q",
+        "varieties": {"GmV": {"vars": ["x", "w"], "gens": ["x*w - 1"]}},
+        "groups": {
+            name: {"variety": "GmV", "mult": mult, "inv": inv, "identity": ["1", "1"]}
+            for name, (mult, inv) in groups.items()
+        },
+        "sections": {f"{name}_zero": {"group": name, "sigma": ["0", "0"]} for name in groups},
+    }
+    path = tmp_path / "gm.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_tau_group_and_check_dgroup_report_failed_axioms(capsys, tmp_path):
+    # inv = identity is no inverse on Gm: x*x = 1 fails off x = +-1.
+    path = _gm_doc(tmp_path, Bad=(["x1*x2", "w1*w2"], ["x", "w"]))
+    for argv in (("tau-group", "-g", "Bad"), ("check-dgroup", "-g", "Bad", "-s", "Bad_zero")):
+        code, report, err = run(capsys, argv[0], "-i", path, *argv[1:])
+        assert code == 1 and err == "", argv
+        details = report["details"]
+        assert details["ok"] is False
+        failed = {c["name"]: c["witness"] for c in details["checks"] if not c["ok"]}
+        assert failed == {"inverse: component 0": "-x^2 + 1", "inverse: component 1": "-w^2 + 1"}
+
+
+def test_check_group_denominator_vanishing_on_the_variety(capsys, tmp_path):
+    # At x1 = w1 = 1 the first component is x2/(x2*w2 - 1): its denominator
+    # vanishes on Gm.
+    path = _gm_doc(tmp_path, Div=(["x1*x2/(x2*w2 - x1)", "w1*w2"], ["w", "x"]))
+    code, report, _ = run(capsys, "check-group", "-i", path, "-g", "Div")
+    assert code == 1
+    assert report["details"] == {
+        "error": "IndeterminateOnVariety",
+        "message": "left identity: a cleared denominator vanishes identically on the variety",
+    }
+
+
 def test_check_dpoint(capsys):
     code, report, _ = run(
         capsys, "check-dpoint", "-i", MODEL_QT, "-g", "Ga", "-s", "ga_ct",
@@ -604,6 +645,34 @@ def test_series_coefficient_digit_bound_holds_without_interpreter_limit(capsys, 
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "no-limit"])
+def test_outside_documents_cap_integers_in_one_short_report(capsys, tmp_path, limit):
+    # A 5000-digit integer in a model or a series file is refused before it
+    # is converted, whatever Python's integer-string limit is, and the
+    # report does not echo it.
+    huge = "7" * 5000
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"basefield": "Q", "atlases": {"A": {"dim": 1, "charts": %s, "transitions": {}}}}'
+        % huge
+    )
+    series = tmp_path / "series.json"
+    series.write_text('{"coefficients": {"x": [%s], "y": ["0"], "w": ["1"]}}' % huge)
+    cases = [
+        (("check-cocycle", "-i", str(model), "-a", "A"), "ModelError",
+         f"model document has an integer of more than {MAX_LITERAL_DIGITS} digits"),
+        (("verify-series", "-i", MODEL_Q, "-v", "BV", "--series", str(series)), "UsageError",
+         f"series file {series} has an integer of more than {MAX_LITERAL_DIGITS} digits"),
+    ]
+    with int_str_limit(limit):
+        for argv, error, message in cases:
+            code = main(list(argv))
+            out = capsys.readouterr().out
+            assert code == 2
+            assert len(out) < 1024
+            assert json.loads(out)["details"] == {"error": error, "message": message}
 
 
 def test_series_coefficients_read_integers_and_rational_strings(capsys, tmp_path):
@@ -804,8 +873,10 @@ def test_deeply_nested_model_is_model_error(capsys, tmp_path):
         ("[" * 100000 + "]" * 100000, "nested too deeply"),
         ('{"coefficients": {"x": 5, "y": 5, "w": 5}}', "must map variable names to arrays"),
         ('{"coefficients": {"x": [[1]], "y": ["0"], "w": ["1"]}}', "strings or numbers"),
+        ('{"coefficients": {"x": ["2"], "y": ["0"], "w": ["1/2"], "x": ["3"]}}',
+         "duplicate key 'x' in series file"),
     ],
-    ids=["deep", "not-arrays", "nested-coefficient"],
+    ids=["deep", "not-arrays", "nested-coefficient", "repeated-key"],
 )
 def test_malformed_series_file_is_usage_error(capsys, tmp_path, text, message):
     path = tmp_path / "series.json"

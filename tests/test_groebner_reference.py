@@ -539,8 +539,8 @@ def test_buchberger_matches_reference(monkeypatch):
     spolys = []
     s_polynomial = groebner._s_polynomial
 
-    def logged_s_polynomial(f, g, order):
-        s = s_polynomial(f, g, order)
+    def logged_s_polynomial(f, g):
+        s = s_polynomial(f, g)
         spolys.append(s)
         return s
 
@@ -610,8 +610,8 @@ def test_katsura5_coefficients_stay_small_primitive_integers(monkeypatch):
     spolys, divisor_lists, useful = [], [], [0]
     s_polynomial, reduce = groebner._s_polynomial, groebner.reduce_full
 
-    def logged_s_polynomial(f, g, order):
-        s = s_polynomial(f, g, order)
+    def logged_s_polynomial(f, g):
+        s = s_polynomial(f, g)
         spolys.append(s)
         return s
 
@@ -657,8 +657,8 @@ def test_cyclic5_pair_criteria_cut_zero_reductions(monkeypatch):
     last, zeros = [None], [0]
     s_polynomial, reduce = groebner._s_polynomial, groebner.reduce_full
 
-    def logged_s_polynomial(f, g, order):
-        last[0] = s_polynomial(f, g, order)
+    def logged_s_polynomial(f, g):
+        last[0] = s_polynomial(f, g)
         return last[0]
 
     def logged_reduce_full(p, gens, *args):

@@ -325,8 +325,11 @@ def test_shape_faults_are_found_at_load():
             load_model(doc)
         assert str(info.value) == message
     atlas = {"dim": 1, "charts": 2, "transitions": {"1,1": ["x"], "1,2": ["1/x"]}}
-    with pytest.raises(ValueError, match=r"the identity transition \(i,i\) is implicit"):
+    with pytest.raises(ModelError) as info:
         load_model(minimal(atlases={"M": atlas}))
+    assert str(info.value) == (
+        "atlas 'M' transition '1,1': the identity transition is implicit; do not store it"
+    )
 
 
 def test_each_object_is_built_once_on_first_use(monkeypatch):
