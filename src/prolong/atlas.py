@@ -114,30 +114,25 @@ def _map_str(m: RationalMap, names: Sequence[str]) -> str:
     return "(" + ", ".join(format_rational(n, d, names) for n, d in m.components) + ")"
 
 
-@dataclass
-class ProlongedAtlas:
-    """Tangent or tau gluing data over a base atlas."""
+def _prolong_atlas(m: AtlasManifold, kind: str) -> AtlasManifold:
+    """The tangent or tau atlas of m, whose cocycle is checked first.
 
-    base: AtlasManifold
-    kind: str  # "tangent" or "tau"
-    atlas: AtlasManifold
-
-
-def _prolong_atlas(m: AtlasManifold, kind: str) -> ProlongedAtlas:
+    The prolonged atlas is not checked again: prolongation is a functor,
+    tau(g . f) = tau(g) . tau(f) and tau(id) = id, so every inverse and
+    triple identity of the base transitions holds for their prolongations.
+    """
     check_cocycle(m).require(CocycleViolation, "base atlas fails cocycle checks")
     prolong = tangent_map if kind == "tangent" else tau_map
     transitions = {key: prolong(phi) for key, phi in m.transitions.items()}
     names = m.coord_names + fiber_names(m.coord_names)
-    out = AtlasManifold(f"{kind}({m.name})", m.field, 2 * m.dim, m.charts, names, transitions)
-    check_cocycle(out).require(CocycleViolation, "prolonged atlas fails cocycle checks")
-    return ProlongedAtlas(m, kind, out)
+    return AtlasManifold(f"{kind}({m.name})", m.field, 2 * m.dim, m.charts, names, transitions)
 
 
-def tangent_atlas(m: AtlasManifold) -> ProlongedAtlas:
+def tangent_atlas(m: AtlasManifold) -> AtlasManifold:
     return _prolong_atlas(m, "tangent")
 
 
-def tau_atlas(m: AtlasManifold) -> ProlongedAtlas:
+def tau_atlas(m: AtlasManifold) -> AtlasManifold:
     return _prolong_atlas(m, "tau")
 
 
@@ -246,13 +241,16 @@ def verify_chartwise_map(f: ChartwiseMap) -> CheckReport:
 
 
 def prolong_map_between_atlases(f: ChartwiseMap, kind: str = "tau") -> ChartwiseMap:
-    """Chartwise tangent/tau prolongation, certified well defined before and after."""
+    """Chartwise tangent/tau prolongation of a map certified well defined.
+
+    Only f is verified: psi . f_(i,j) . phi = f_(i2,j2) gives
+    tau(psi) . tau(f_(i,j)) . tau(phi) = tau(f_(i2,j2)) by functoriality,
+    so the prolonged map is well defined too.
+    """
     if kind not in ("tau", "tangent"):
         raise ValueError(f"unknown prolongation kind {kind!r}")
     verify_chartwise_map(f).require(ChartIncompatibility, "chartwise map is not well defined")
     prolong = tangent_map if kind == "tangent" else tau_map
-    src = _prolong_atlas(f.source, kind).atlas
-    dst = _prolong_atlas(f.target, kind).atlas
-    out = ChartwiseMap(src, dst, {key: prolong(piece) for key, piece in f.pieces.items()})
-    verify_chartwise_map(out).require(ChartIncompatibility, "prolonged map failed verification")
-    return out
+    src = _prolong_atlas(f.source, kind)
+    dst = _prolong_atlas(f.target, kind)
+    return ChartwiseMap(src, dst, {key: prolong(piece) for key, piece in f.pieces.items()})

@@ -284,7 +284,7 @@ def _cmd_tau_atlas(args, model):
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise UsageError(f"--samples must be between 1 and {MAX_SAMPLES}, got {args.samples}")
     atlas = model.atlas(args.atlas)
-    prolonged = tau_atlas(atlas).atlas
+    prolonged = tau_atlas(atlas)
     rng = random.Random(args.seed)
     compat = []
     all_ok = True
@@ -343,7 +343,7 @@ def _cmd_tau_group(args, model):
     details = {
         "group": args.group,
         "identity": _fmt_point(prolonged.identity),
-        "inv": _fmt_map(prolonged.group.inv, total.var_names),
+        "inv": _fmt_map(prolonged.inv, total.var_names),
         "mult": _fmt_map(prolonged.mult, mult_names),
         "mult_variables": list(mult_names),
         "variables": list(total.var_names),

@@ -35,6 +35,7 @@ reads a series file by them too, under its own error class.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ from .expr import (
     MAX_LITERAL_DIGITS,
     check_poly,
     check_rational,
+    decimal,
     is_name,
     parse_element,
     parse_poly,
@@ -169,9 +171,23 @@ def _lookup(table, name, category):
 
 
 def _show(value):
-    """repr of a JSON scalar; a list or object only by its type, since it may
-    nest too deeply to print."""
-    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
+    """repr of a JSON scalar, an integer as _show_int does; a list or object
+    only by its type, since it may nest too deeply to print."""
+    if isinstance(value, (list, dict)):
+        return type(value).__name__
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _show_int(value)
+    return repr(value)
+
+
+def _show_int(n):
+    """n in decimal, or by its ends and digit count when it has more than 20
+    digits: a fault never prints a long integer whole, whatever Python's
+    integer-string limit is."""
+    sign, text = "-" * (n < 0), decimal(abs(n))
+    if len(text) > 20:
+        text = f"{text[:8]}...{text[-8:]} ({len(text)} digits)"
+    return sign + text
 
 
 def read_file(path, error, what):
@@ -365,15 +381,23 @@ def _default_coords(dim):
     return tuple(f"x{k}" for k in range(1, dim + 1))
 
 
+# Two chart ids in ASCII decimal with no leading zero, so that each
+# transition has one key: int() would also read " 1", "1_0", "01" and "١".
+_TRANSITION_KEY = re.compile("(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+
+
 def _check_atlas(name, spec, field):
     _expect_keys(spec, f"atlas {name!r}", ("dim", "charts", "transitions"), ("coords",))
     dim = _expect_positive_int(spec["dim"], f"atlas {name!r} dim")
     count = _expect_positive_int(spec["charts"], f"atlas {name!r} charts")
     if dim > MAX_ATLAS_DIM:
-        raise ModelError(f"atlas {name!r} dim must be at most {MAX_ATLAS_DIM}, got {dim}")
+        raise ModelError(
+            f"atlas {name!r} dim must be at most {MAX_ATLAS_DIM}, got {_show_int(dim)}"
+        )
     if count > MAX_ATLAS_CHARTS:
         raise ModelError(
-            f"atlas {name!r} charts must be at most {MAX_ATLAS_CHARTS}, got {count}"
+            f"atlas {name!r} charts must be at most {MAX_ATLAS_CHARTS}, "
+            f"got {_show_int(count)}"
         )
     if "coords" in spec:
         coords = _expect_names(spec["coords"], f"atlas {name!r} coords")
@@ -384,19 +408,18 @@ def _check_atlas(name, spec, field):
     raw = _expect_object(spec["transitions"], f"atlas {name!r} transitions")
     transitions = []
     for key, exprs in raw.items():
-        parts = key.split(",")
-        try:
-            i, j = (int(p) for p in parts)
-        except ValueError:
+        ids = _TRANSITION_KEY.fullmatch(key)
+        if ids is None:
             raise ModelError(
                 f"atlas {name!r} transition key {key!r} is not of the form \"i,j\""
-            ) from None
-        for c in (i, j):
-            if not 1 <= c <= count:
+            )
+        for c in ids.groups():
+            if len(c) > len(str(count)) or not 1 <= int(c) <= count:
                 raise ModelError(
                     f"atlas {name!r} transition {key!r} references chart {c}, "
                     f"valid charts are 1..{count}"
                 )
+        i, j = (int(c) for c in ids.groups())
         where = f"atlas {name!r} transition {key!r}"
         if i == j:
             raise ModelError(f"{where}: the identity transition is implicit; do not store it")

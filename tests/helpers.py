@@ -73,6 +73,18 @@ def random_polymap(rng, field, n_in, n_out, deg=3, tdeg=2):
     )
 
 
+def random_rational_map(rng, field, n_in, n_out, deg=2, tdeg=1):
+    """Components p/q: p of degree at most deg, q nonzero of degree at most 1
+    with rational coefficients, so that composites over Q(t) stay small
+    enough for poly_gcd."""
+    comps = []
+    for _ in range(n_out):
+        num = random_poly(rng, field, n_in, deg, 3, tdeg)
+        den = random_nonzero_poly(rng, field, n_in, 1, 2, 0)
+        comps.append((num, den))
+    return RationalMap(field, n_in, tuple(comps))
+
+
 def poly(text, names, field):
     return parse_poly(text, names, field)
 

@@ -302,8 +302,8 @@ def test_criterion_10_atlas_suite():
     assert check_cocycle(p1).ok
     tangent = tangent_atlas(p1)
     twisted = tau_atlas(p1)
-    assert check_cocycle(tangent.atlas).ok
-    assert check_cocycle(twisted.atlas).ok
+    assert check_cocycle(tangent).ok
+    assert check_cocycle(twisted).ok
 
     rng = random.Random(1010)
     checked = 0

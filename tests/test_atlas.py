@@ -136,8 +136,7 @@ def test_cocycle_zero_denominator():
     ]
 
 def test_tau_atlas_of_projective_line():
-    pro = tau_atlas(projective_line(QT))
-    atlas = pro.atlas
+    atlas = tau_atlas(projective_line(QT))
     assert atlas.dim == 2
     assert atlas.coord_names == ("x", "u_x")
     assert sorted(atlas.transitions) == [(1, 2), (2, 1)]
@@ -152,8 +151,8 @@ def test_tau_differs_from_tangent_for_t_transitions():
     t_inv = rmap(QT, ("x",), ["t/x"])
     m = AtlasManifold("M", QT, 1, (1, 2), ("x",), {(1, 2): t_inv, (2, 1): t_inv})
     assert check_cocycle(m).ok
-    tau_piece = tau_atlas(m).atlas.transition(1, 2)
-    tan_piece = tangent_atlas(m).atlas.transition(1, 2)
+    tau_piece = tau_atlas(m).transition(1, 2)
+    tan_piece = tangent_atlas(m).transition(1, 2)
     names = ("x", "u_x")
     assert format_rational(*tau_piece.components[1], names) == "(x - t*u_x)/x^2"
     assert format_rational(*tan_piece.components[1], names) == "-t*u_x/x^2"
@@ -300,6 +299,8 @@ def test_prolong_map_between_atlases():
     names = ("x", "u_x")
     assert format_rational(*piece.components[0], names) == "x^2"
     assert format_rational(*piece.components[1], names) == "2*x*u_x"
+    # only the input is verified; functoriality makes the output well defined
+    assert verify_chartwise_map(out).ok
 
 
 def test_prolong_map_rejects_ill_defined():
@@ -383,7 +384,7 @@ def test_projective_space_atlas(n):
     assert len(m.transitions) == (n + 1) * n
     assert check_cocycle(m).ok
     for kind, prolong in (("tau", tau_atlas), ("tangent", tangent_atlas)):
-        out = prolong(m).atlas
+        out = prolong(m)
         assert out.dim == 2 * n
         for key, phi in m.transitions.items():
             assert out.transitions[key] == reference_prolong(phi, kind == "tau")
@@ -397,7 +398,7 @@ def test_passing_check_cocycle_reduces_no_composite(monkeypatch):
     import prolong.poly as poly_module
 
     m = projective_space(3)
-    prolonged = tau_atlas(m).atlas
+    prolonged = tau_atlas(m)
     calls = []
     real = poly_module.reduce_fraction
 

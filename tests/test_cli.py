@@ -377,6 +377,19 @@ def test_tau_group(capsys):
     assert d["variety_generators"] == ["x*w - 1", "w*u_x + x*u_w"]
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_tau_group_degree_cap_bounds_only_the_check_of_the_input(capsys, order):
+    # Gm's axioms hold within degree 2; tau(Gm) is not checked, so the cap
+    # never meets the degree-3 bases of the prolonged variety.
+    reports = []
+    for cap in ("2", "3"):
+        argv = ("tau-group", "-i", MODEL_Q, "-g", "Gm", "--degree-cap", cap, "--term-order", order)
+        code, report, _ = run(capsys, *argv)
+        assert code == 0 and report["status"] == "pass", report
+        reports.append(report["details"])
+    assert reports[0] == reports[1]
+
+
 def test_check_dgroup_pass(capsys):
     for group, sect in (("Ga", "ga_cm2"), ("B", "b_s01"), ("B", "b_s2m3")):
         code, report, _ = run(
@@ -673,6 +686,34 @@ def test_outside_documents_cap_integers_in_one_short_report(capsys, tmp_path, li
             assert code == 2
             assert len(out) < 1024
             assert json.loads(out)["details"] == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "least-limit"])
+def test_model_faults_print_a_long_integer_by_its_digit_count(capsys, tmp_path, limit):
+    # An integer within MAX_LITERAL_DIGITS is read, and a fault that names
+    # it gives its ends and digit count, whatever Python's integer-string
+    # limit is.
+    huge = "7" * MAX_LITERAL_DIGITS
+    shown = f"77777777...77777777 ({MAX_LITERAL_DIGITS} digits)"
+    cases = [
+        ('{"basefield": "Q", "atlases": {"A": {"dim": 1, "charts": %s, "transitions": {}}}}',
+         ("check-cocycle", "-a", "A"),
+         f"atlas 'A' charts must be at most {MAX_ATLAS_CHARTS}, got {shown}"),
+        ('{"basefield": %s}', ("gb", "-v", "V"),
+         f'basefield must be "Q" or "Qt", got {shown}'),
+        ('{"basefield": "Q", "varieties": {"V": {"vars": ["x"], "gens": [-%s]}}}',
+         ("gb", "-v", "V"),
+         f"variety 'V' gens contains a non-string entry -{shown}"),
+    ]
+    model = tmp_path / "model.json"
+    with int_str_limit(limit):
+        for text, (command, *argv), message in cases:
+            model.write_text(text % huge)
+            code = main([command, "-i", str(model), *argv])
+            out = capsys.readouterr().out
+            assert code == 2
+            assert len(out) < 1024
+            assert json.loads(out)["details"] == {"error": "ModelError", "message": message}
 
 
 def test_series_coefficients_read_integers_and_rational_strings(capsys, tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from prolong import (
     dpoint_check,
     format_poly,
     format_rational,
+    load_model_file,
     nabla_hom_check,
     parse_point,
     stacked_names,
@@ -155,23 +157,47 @@ def test_identity_off_variety_reported():
 
 def test_tau_group_structure():
     tg = tau_group(multiplicative_group(QT))
-    total = tg.group.variety
+    total = tg.variety
     assert total.var_names == ("x", "w", "u_x", "u_w")
     assert [format_poly(g, total.var_names) for g in total.gens] == [
         "x*w - 1",
         "w*u_x + x*u_w",
     ]
-    assert tg.group.identity == parse_point("1, 1, 0, 0", QT)
+    assert tg.identity == parse_point("1, 1, 0, 0", QT)
     names2 = stacked_names(total.var_names, 2)
-    rendered = [format_rational(n, d, names2) for n, d in tg.group.mult.components]
+    rendered = [format_rational(n, d, names2) for n, d in tg.mult.components]
     assert rendered == [
         "x1*x2",
         "w1*w2",
         "u_x1*x2 + x1*u_x2",
         "u_w1*w2 + w1*u_w2",
     ]
-    # the prolonged group passes the axioms again (tau_group re-verifies)
-    assert check_group_axioms(tg.group).ok
+    # the prolonged group passes the axioms again
+    assert check_group_axioms(tg).ok
+
+
+def scaled_group(field, c):
+    """Gm on the line with the rational inverse 1/(c^2*x): the law c*x1*x2
+    with identity 1/c."""
+    v = AffineVariety("GaV", field, ("x",), ())
+    mult = rmap(field, ("x1", "x2"), [f"{c}*x1*x2"])
+    inv = rmap(field, ("x",), [f"1/({c}^2*x)"])
+    return AffineAlgGroup("S", v, mult, inv, parse_point(f"1/{c}", field))
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex"])
+def test_tau_group_passes_the_axioms(kind):
+    # tau_group checks only its input, since tau of a group is a group by
+    # functoriality; this is the oracle for that lemma.
+    order = TermOrder(kind)
+    data = Path(__file__).parent / "data"
+    groups = [scaled_group(Q, "2"), scaled_group(QT, "t")]
+    for name in ("model_q.json", "model_qt.json"):
+        model = load_model_file(data / name)
+        groups += [model.group(g) for g in model.groups]
+    assert len(groups) == 6
+    for g in groups:
+        assert check_group_axioms(tau_group(g, order=order), order=order).ok, g.name
 
 
 def test_tau_group_rejects_broken_law():

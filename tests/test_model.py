@@ -200,6 +200,22 @@ def test_atlas_transition_key_format():
         load_model(minimal(atlases={"M": base}))
 
 
+@pytest.mark.parametrize("transitions", [
+    {"1,2": ["1/x"], " 1,2": ["2/x"], "2,1": ["1/x"]},
+    {"01,2": ["1/x"], "1,2": ["2/x"], "2,1": ["1/x"]},
+    {"١,2": ["1/x"], "2,1": ["1/x"]},
+    {"1,2": ["1/x"], "2,1_0": ["1/x"]},
+], ids=["space", "leading-zero", "arabic-indic-digit", "underscore"])
+def test_atlas_transition_key_is_ascii_decimal(transitions):
+    # int() reads each of these keys, so two of them could name one
+    # transition and the last would silently win
+    atlas = {"dim": 1, "charts": 10, "transitions": transitions}
+    bad = next(k for k in transitions if k not in ("1,2", "2,1"))
+    with pytest.raises(ModelError) as info:
+        load_model(minimal(atlases={"M": atlas}))
+    assert str(info.value) == f"atlas 'M' transition key {bad!r} is not of the form \"i,j\""
+
+
 def test_atlas_dim_and_charts_validation():
     with pytest.raises(ModelError, match="dim must be a positive integer"):
         load_model(minimal(atlases={"M": {"dim": 0, "charts": 1, "transitions": {}}}))

@@ -5,6 +5,7 @@ import pytest
 from prolong import (
     AffineVariety,
     ArityMismatch,
+    IdenticallyZeroDenominator,
     MultiPoly,
     Correspondence,
     PointNotOnVariety,
@@ -32,7 +33,15 @@ from prolong import (
 
 from prolong.prolongation import _fiber_generator
 
-from helpers import pmap, poly, random_point, random_poly, random_polymap, rmap
+from helpers import (
+    pmap,
+    poly,
+    random_point,
+    random_poly,
+    random_polymap,
+    random_rational_map,
+    rmap,
+)
 
 XY = ("x", "y")
 
@@ -160,6 +169,30 @@ def test_chain_rule_rational(rng):
     right = tau_map(f).compose(tau_map(g))
     a = parse_point("t, t^2, 1, 2*t", QT)
     assert left.evaluate(a) == right.evaluate(a)
+
+
+@pytest.mark.parametrize("prolong", [tau_map, tangent_map], ids=["tau", "tangent"])
+@pytest.mark.parametrize("field, deg", [(Q, 2), (QT, 1)], ids=["Q", "Qt"])
+def test_prolongation_is_a_functor_on_rational_maps(rng, field, deg, prolong):
+    # The atlas, chartwise-map and group constructions check only their
+    # input and rest on this: prolong(g . f) = prolong(g) . prolong(f) and
+    # prolong(id) = id, as rational maps.
+    for n in (1, 2, 3):
+        ident = RationalMap.identity(field, n)
+        assert prolong(ident).equiv(RationalMap.identity(field, 2 * n))
+    checked = rational = 0
+    while checked < 20:
+        mid = rng.randint(1, 2)
+        inner = random_rational_map(rng, field, rng.randint(1, 2), mid, deg)
+        outer = random_rational_map(rng, field, mid, rng.randint(1, 2), deg)
+        try:
+            composed = outer.compose(inner)
+        except IdenticallyZeroDenominator:
+            continue
+        assert prolong(composed).equiv(prolong(outer).compose(prolong(inner)))
+        checked += 1
+        rational += not composed.is_polynomial()
+    assert rational >= 10
 
 
 def test_prolonged_variety_generators():
