@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     CocycleViolation,
     IdenticallyZeroDenominator,
 )
-from .field import BaseField, FieldElement
+from .field import BaseField, FieldElement, _trim
 from .poly import RationalMap, _equal_pairs, _substitute
 from .prolongation import FiberPoint, derive_point, fiber_names, tangent_map, tau_map
 from .reporting import CheckReport
@@ -156,13 +157,19 @@ def _sigma_compatible(
     phi: RationalMap, tangent: RationalMap, tau: RationalMap, pa: tuple, pu: tuple
 ) -> bool:
     """check_sigma_compatibility with D(phi) and tau(phi) built by the caller,
-    once per transition; pa and pu are field elements of the right length."""
+    once per transition; pa and pu are field elements of the right length.
+
+    The base halves of D(phi)(a, u) and tau(phi)(a, u + da) are both
+    phi(a), the image computed first, so only the fibre halves are
+    evaluated and compared.  Their denominators divide the squares of
+    phi's, so a point where one vanishes has already raised at phi(a).
+    """
+    n = len(pa)
     image = phi.evaluate(pa)
-    v = tangent.evaluate(pa + pu)[len(pa) :]
+    v = RationalMap._of(tangent.field, 2 * n, tangent.components[n:]).evaluate(pa + pu)
     sheared = tuple(x + dx for x, dx in zip(pu, derive_point(pa)))
-    tau_image = tau.evaluate(pa + sheared)
-    expected = image + tuple(x + dx for x, dx in zip(v, derive_point(image)))
-    return tau_image == expected
+    tau_fibre = RationalMap._of(tau.field, 2 * n, tau.components[n:]).evaluate(pa + sheared)
+    return tau_fibre == tuple(x + dx for x, dx in zip(v, derive_point(image)))
 
 
 def sigma_pointwise(
@@ -212,9 +219,12 @@ def sample_point(field: BaseField, rng: random.Random, dim: int) -> tuple[FieldE
     out = []
     for _ in range(dim):
         if field.has_t:
-            c0, c1, c2 = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)]
-            t = field.t
-            e = (t * c2 + c1) * t + c0
+            # c0 + c1*t + c2*t^2 over the lcm of the denominators, in lowest terms
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3)]
+            den = lcm(*[c.denominator for c in cs])
+            num = [c.numerator * (den // c.denominator) for c in cs]
+            g = gcd(den, *num)
+            e = FieldElement(field, _trim([x // g for x in num]), (den // g,))
         else:
             e = field.elem(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
         out.append(e)

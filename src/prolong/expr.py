@@ -42,9 +42,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import (
     ExprSyntaxError,
@@ -141,7 +142,10 @@ def read_rational(text: str) -> Fraction | None:
 
 
 def _size(p: MultiPoly) -> int:
-    return sum(len(c.n) + len(c.d) for c in p.terms.values())
+    """The integers of p's coefficients as field elements: two a term over Q."""
+    if p.ring.integral:
+        return 2 * len(p.coeffs)
+    return sum([len(c.n) + len(c.d) for c in p.coeffs.values()])
 
 
 def _tokenize(src: str, start: int, stop: int) -> list[tuple[str, str, int]]:
@@ -188,8 +192,17 @@ def is_name(text: str) -> bool:
     return text.isascii() and text.isidentifier()
 
 
-def _var_index(var_names: Sequence[str]) -> dict[str, int]:
-    """Each variable name's index; a ValueError if the names cannot be read."""
+def _var_index(var_names: Sequence[str]) -> Mapping[str, int]:
+    """Each variable name's index; a ValueError if the names cannot be read.
+
+    A model entry parses each of its expressions under one coordinate list,
+    so each list is checked once and its index kept, read-only.
+    """
+    return _checked_index(tuple(var_names))
+
+
+@lru_cache(maxsize=64)
+def _checked_index(var_names: tuple[str, ...]) -> Mapping[str, int]:
     index = {name: i for i, name in enumerate(var_names)}
     if len(index) != len(var_names):
         raise ValueError(f"duplicate variable names in {list(var_names)}")
@@ -200,7 +213,7 @@ def _var_index(var_names: Sequence[str]) -> dict[str, int]:
         raise ValueError(
             f"variable names must be identifiers of ASCII letters, digits and _, not {bad}"
         )
-    return index
+    return MappingProxyType(index)
 
 
 def _read(
@@ -499,7 +512,7 @@ def format_rational(num: MultiPoly, den: MultiPoly, names: Sequence[str]) -> str
         p = num if c.is_one else num * c.inverse()
         return format_poly(p, names)
     num_s = format_poly(num, names)
-    if len(num.terms) > 1:
+    if len(num.coeffs) > 1:
         num_s = f"({num_s})"
     den_s = format_poly(den, names)
     (mono, c), *rest = den.terms.items()

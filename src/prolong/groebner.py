@@ -6,14 +6,16 @@ computations.  Resulting bases are reduced, monic, and sorted by leading
 monomial, so equal ideals yield identical bases for a fixed term order.
 
 Division and Buchberger's loop run on one internal form, _Packed: a dict
-from packed monomials, each one int (_Ring) read and written as bytes, to
-coefficients, which are primitive integers over Q and field elements over
-Q(t).  Every basis element, S-polynomial and remainder of buchberger stays
-in that form from input to output.  MultiPolys are built only at the edges:
-the output basis, and the results of reduce_full and normal_form.  Over Q
-the work is fraction-free: a division takes the content of its working
-polynomial only once the coefficients have grown (CONTENT_BITS), and only
-the output is made monic.
+from packed monomials, each one int (poly._Ring, the layout a MultiPoly
+holds), to coefficients, which are primitive integers over Q and field
+elements over Q(t).  Every basis element, S-polynomial and remainder of
+buchberger stays in that form from input to output.  Under grevlex a
+MultiPoly's own dict and content are that form, so MultiPolys go in and
+come out (the output basis, and the results of reduce_full and
+normal_form) with no work per term; lex packs on entry and unpacks on
+exit.  Over Q the work is fraction-free: a division takes the content of
+its working polynomial only once the coefficients have grown
+(CONTENT_BITS), and only the output is made monic.
 """
 
 from __future__ import annotations
@@ -22,35 +24,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import le
-from struct import Struct
 from typing import Sequence
 
 from .errors import ArityMismatch, DegreeCapExceeded
-from .field import _UNIT, BaseField, FieldElement
-from .poly import Monomial, MultiPoly, grevlex_key
-
-
-@dataclass(frozen=True)
-class TermOrder:
-    """Monomial order: grevlex or lex, with the first variable the most
-    significant.  To rank the variables otherwise, rename them (by
-    MultiPoly.embed) before computing and back after."""
-
-    kind: str = "grevlex"
-
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown term order {self.kind!r}")
-
-    def key(self, mono: Monomial):
-        if self.kind == "lex":
-            return mono
-        return grevlex_key(mono)
-
-
-DEFAULT_ORDER = TermOrder()
+from .field import BaseField
+from .poly import (
+    DEFAULT_ORDER,
+    Monomial,
+    MultiPoly,
+    TermOrder,
+    _normal,
+    _Ring,
+    _ring,
+)
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:
@@ -127,82 +115,6 @@ def _bits(degree: int) -> int:
     return bits
 
 
-class _Ring:
-    """Monomials in nvars variables packed into one int each, for order.
-
-    Each variable has a field of bits bits, whose top bit is a guard bit.
-    The word E of a monomial holds its exponents in those fields, the least
-    significant variable in the highest field for grevlex and the most
-    significant for lex.  The key is
-    E - deg * 2^(bits * nvars) for grevlex and -E for lex.  So
-    key(a * b) = key(a) + key(b), ascending keys are descending monomials,
-    a divides b when E_b - E_a has no guard bit set, and a product whose
-    word has a guard bit set has an exponent too large for the fields.
-
-    bits is a multiple of 8 (_bits), so every field is whole bytes: E is
-    read and written as bytes, the fields in variable order, little-endian
-    for grevlex and big-endian for lex.
-    """
-
-    __slots__ = (
-        "field", "nvars", "bits", "lex", "width", "mask", "guard", "digits",
-        "byteorder", "size", "pack", "unpack",
-    )
-
-    def __init__(self, field: BaseField, nvars: int, order: TermOrder, bits: int):
-        self.field, self.nvars, self.bits = field, nvars, bits
-        self.lex = order.kind == "lex"
-        self.width = bits * nvars
-        self.mask = (1 << self.width) - 1
-        self.guard = sum(1 << (bits * k + bits - 1) for k in range(nvars))
-        self.digits = (1 << bits) - 1
-        self.byteorder = "big" if self.lex else "little"
-        self.size = self.width // 8
-        fields = _fields(bits // 8, nvars, self.byteorder)
-        self.pack, self.unpack = fields.pack, fields.unpack
-
-    def key(self, mono: Monomial) -> int:
-        e = int.from_bytes(self.pack(*mono), self.byteorder)
-        return -e if self.lex else e - (sum(mono) << self.width)
-
-    def word(self, key: int) -> int:
-        return -key if self.lex else key & self.mask
-
-    def mono(self, key: int) -> Monomial:
-        e = -key if self.lex else key & self.mask
-        return self.unpack(e.to_bytes(self.size, self.byteorder))
-
-    def degree(self, key: int) -> int:
-        """The total degree of key's monomial: the digit sum of its word,
-        exact while that is below 2^bits - 1."""
-        return self.word(key) % self.digits
-
-
-class _WideFields:
-    """Struct's pack and unpack for fields wider than 8 bytes."""
-
-    __slots__ = ("width", "byteorder")
-
-    def __init__(self, width: int, byteorder: str):
-        self.width, self.byteorder = width, byteorder
-
-    def pack(self, *values: int) -> bytes:
-        return b"".join([v.to_bytes(self.width, self.byteorder) for v in values])
-
-    def unpack(self, data: bytes) -> tuple[int, ...]:
-        w, order = self.width, self.byteorder
-        return tuple([int.from_bytes(data[i : i + w], order) for i in range(0, len(data), w)])
-
-
-def _fields(width: int, count: int, byteorder: str):
-    """A packer of count unsigned fields of width bytes each, the first
-    field most significant for byteorder "big" and least for "little"."""
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width)
-    if code is None:
-        return _WideFields(width, byteorder)
-    return Struct(f"{'>' if byteorder == 'big' else '<'}{count}{code}")
-
-
 class _Packed:
     """A polynomial in the internal form: terms maps keys of ring to nonzero
     coefficients, integers over Q and field elements over Q(t).
@@ -238,41 +150,33 @@ class _Packed:
         return _unpack(self.ring, self.terms)
 
 
-def _pack(ring: _Ring, p: MultiPoly) -> tuple[dict, Fraction | None]:
-    """p's terms keyed by ring.  Over Q they are the primitive integer part
-    of p, given with p's content; over Q(t) they are p's own, with None."""
-    key = ring.key
-    if ring.field.has_t:
-        return {key(m): c for m, c in p.terms.items()}, None
-    # A nonzero element of Q is the integer quotient n[0] / d[0].
-    vals = p.terms.values()
-    den = lcm(*[c.d[0] for c in vals])
-    if den == 1:
-        ints = [c.n[0] for c in vals]
+def _pack(ring: _Ring, p: MultiPoly) -> tuple[dict, Fraction | int | None]:
+    """p's terms keyed by ring, a new dict.  Over Q they are the primitive
+    integer part of p, given with p's content; over Q(t) they are p's own,
+    with None.  Under grevlex at p's bits they are p's keys as they are."""
+    terms = p.coeffs
+    if ring is p.ring:
+        terms = dict(terms)
     else:
-        ints = [c.n[0] * (den // c.d[0]) for c in vals]
-    cont = gcd(*ints)
-    if cont != 1:
-        ints = [c // cont for c in ints]
-    return dict(zip(map(key, p.terms), ints)), Fraction(cont, den)
+        key, mono = ring.key, p.ring.mono
+        terms = {key(mono(k)): c for k, c in terms.items()}
+    return terms, None if ring.field.has_t else p.content
 
 
-def _unpack(ring: _Ring, terms: dict, num: int = 1, den: int = 1) -> MultiPoly:
-    """The MultiPoly with these terms, times num/den over Q."""
-    field, mono = ring.field, ring.mono
-    if field.has_t or (num == 1 and den == 1):
-        elem = field.elem
-        return MultiPoly._of(field, ring.nvars, {mono(k): elem(c) for k, c in terms.items()})
-    out = {}
-    for k, c in terms.items():
-        n, d = c * num, den
-        g = gcd(n, d)
-        if d < 0:
-            g = -g
-        if g != 1:
-            n, d = n // g, d // g
-        out[mono(k)] = FieldElement(field, (n,), _UNIT if d == 1 else (d,))
-    return MultiPoly._of(field, ring.nvars, out)
+def _unpack(ring: _Ring, terms: dict, content=1) -> MultiPoly:
+    """The MultiPoly with these terms, times the nonzero rational content
+    over Q."""
+    if content < 0:
+        terms = {k: -c for k, c in terms.items()}
+        content = -content
+    if type(content) is not int and content.denominator == 1:
+        content = content.numerator
+    if ring.lex:
+        target = _ring(ring.field, ring.nvars, ring.bits)
+        key, mono = target.key, ring.mono
+        terms = {key(mono(k)): c for k, c in terms.items()}
+        ring = target
+    return _normal(ring, terms, content)
 
 
 def _element(ring: _Ring, terms: dict) -> _Packed:
@@ -320,7 +224,7 @@ class _Divisors(list):
         """The ring and the _Basis of the nonzero elements in it."""
         packed = self.packed.get((order, bits))
         if packed is None:
-            ring = _Ring(field, nvars, order, bits)
+            ring = _ring(field, nvars, bits, order)
             basis = _Basis([_element(ring, _pack(ring, g)[0]) for g in self.nonzero])
             packed = self.packed[order, bits] = ring, basis
         return packed
@@ -460,9 +364,9 @@ def reduce_full(
         gens = _Divisors(gens)
     degree = p.total_degree()
     bits = _bits(max(degree, gens.degree, degree_cap or 0))
-    if degree_cap is not None and p.terms and degree > degree_cap:
+    if degree_cap is not None and p.coeffs and degree > degree_cap:
         raise DegreeCapExceeded(f"intermediate degree {degree} exceeds cap {degree_cap}")
-    if not p.terms:
+    if not p.coeffs:
         return MultiPoly.zero(field, nvars)
     while True:
         ring, basis = gens.at(field, nvars, order, bits)
@@ -472,9 +376,7 @@ def reduce_full(
         except _Overflow:
             bits *= 2
             continue
-        if unit is None:
-            return _unpack(ring, r)
-        return _unpack(ring, r, unit.numerator, unit.denominator)
+        return _unpack(ring, r, 1 if unit is None else unit)
 
 
 def _s_polynomial(f: _Packed, g: _Packed) -> _Packed:
@@ -564,7 +466,7 @@ def buchberger(
             raise DegreeCapExceeded(
                 f"generator degree {g.total_degree()} exceeds cap {degree_cap}"
             )
-    ring = _Ring(polys[0].field, nvars, order, _bits(degree_cap))
+    ring = _ring(polys[0].field, nvars, _bits(degree_cap), order)
     fifo = strategy == "fifo"
     basis = _Basis()
     leads: list[Monomial] = []
@@ -639,7 +541,7 @@ def buchberger(
         reduced.append(_element(ring, reduce_full(basis[i], others, order, degree_cap).terms))
     reduced.sort(key=lambda g: g.record[1], reverse=True)
     # Over Q the record holds the lead coefficient, and over Q(t) None.
-    monic = tuple(_unpack(ring, g.terms, 1, g.record[2] or 1) for g in reduced)
+    monic = tuple(_unpack(ring, g.terms, Fraction(1, g.record[2] or 1)) for g in reduced)
     gb = GroebnerBasis(order, nvars, monic)
     # Normal forms modulo gb divide by these records: gb.gens are their
     # elements made monic.  A cached_property is set in the instance dict.

@@ -25,7 +25,7 @@ from .linalg import (
     rref,
     solve_affine,
 )
-from .poly import MultiPoly, PolyMap, RationalMap
+from .poly import MultiPoly, PolyMap, RationalMap, _normal, _ring
 
 
 @dataclass(frozen=True)
@@ -128,22 +128,28 @@ def _fiber_generator(p: MultiPoly, with_del: bool) -> MultiPoly:
 
     A term c.x^m gives c.m_i.x^(m - e_i).u_i for each m_i > 0, and c_del.x^m;
     these monomials are all distinct, so the terms are written, not summed.
+    On the packed keys x^(m - e_i).u_i moves one from field i to field n + i
+    and keeps the degree.
     """
     n = p.nvars
-    zeros = (0,) * n
+    ring = p.ring
+    bits, width, mask, digits = ring.bits, ring.width, ring.mask, ring.digits
+    target = _ring(p.field, 2 * n, bits)
+    high = target.width
     terms = {}
     for i in range(n):
-        unit = zeros[:i] + (1,) + zeros[i + 1 :]
-        for mono, c in p.terms.items():
-            e = mono[i]
+        shift = bits * i
+        step = (1 << (bits * (n + i))) - (1 << shift)
+        for k, c in p.coeffs.items():
+            e = (k >> shift) & digits
             if e:
-                terms[mono[:i] + (e - 1,) + mono[i + 1 :] + unit] = c * e
-    if with_del:
-        for mono, c in p.terms.items():
+                terms[(k & mask) + step + ((k >> width) << high)] = c * e
+    if with_del and not ring.integral:
+        for k, c in p.coeffs.items():
             d = c.derive()
-            if not d.is_zero:
-                terms[mono + zeros] = d
-    return MultiPoly._of(p.field, 2 * n, terms)
+            if d:
+                terms[(k & mask) + ((k >> width) << high)] = d
+    return _normal(target, terms, p.content)
 
 
 def _prolong_variety(v: AffineVariety, kind: str) -> ProlongedVariety:

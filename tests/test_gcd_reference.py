@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from prolong import MultiPoly, Q, QT
+from prolong import poly as poly_module
 from prolong.poly import _rec_join, _rec_prem, _rec_split, exact_div, poly_gcd
 
 from helpers import random_element, random_nonzero_poly
@@ -107,3 +108,35 @@ def test_gcd_of_coprime_pairs_and_monomials():
     assert poly_gcd(p, q) == reference_gcd(p, q) == u * v
     none = MultiPoly.const(Q, 0, 3)
     assert poly_gcd(none, MultiPoly.const(Q, 0, Fraction(1, 2))) == MultiPoly.const(Q, 0, 1)
+
+
+def test_one_variable_gcd_over_qt_keeps_its_remainder_sequence_monic(monkeypatch):
+    """In one variable the coefficients are constants, whose gcd is 1, so a
+    primitive remainder sequence divides nothing out, and over Q(t) its
+    rational functions grow without bound: on this degree-5 pair that
+    sequence (reference_gcd's) ran past 100 s.  poly_gcd makes every
+    polynomial of its sequence monic instead, and takes well under a
+    second."""
+    rng = random.Random(1)
+    t = QT.t
+
+    def coefficient():
+        a, b, c = rng.randint(-5, 5), rng.randint(1, 5), rng.randint(-5, 5)
+        return (t * a + b) / (t * t + t * c + 3)
+
+    g = MultiPoly(QT, 1, {(1,): 1, (0,): (t + 1) / (t - 2)})
+    f1 = MultiPoly(QT, 1, {(k,): coefficient() for k in range(5)})
+    f2 = MultiPoly(QT, 1, {(k,): coefficient() for k in range(5)})
+    sequence = []
+    real = poly_module._rec_primitive
+
+    def recorded(rec, content):
+        out = real(rec, content)
+        sequence.append(out)
+        return out
+
+    monkeypatch.setattr(poly_module, "_rec_primitive", recorded)
+    assert poly_gcd(f1 * g, f2 * g) == g
+    assert len(sequence) > 3
+    assert all(rec[max(rec)].is_one for rec in sequence)
+    assert poly_gcd(f1, f2).is_one
