@@ -21,8 +21,8 @@ Comp. 2011) that groebner divides in as well; see _Ring.
   only multiplies the contents.  Over Q(t) the coefficients are
   FieldElements and content is 1.
 - terms is a read-only view of the same polynomial with exponent tuples for
-  keys and FieldElements for coefficients, built on first read, for
-  printing and for readers outside the package.
+  keys and FieldElements for coefficients, built on first read and kept,
+  for readers outside the package; printing sorts the packed keys.
 
 A MultiPoly is immutable: no method changes one after it is built.
 Rational map components are kept in canonical form: numerator and
