@@ -33,6 +33,8 @@ from prolong.expr import (
     read_rational,
 )
 
+import prolong.expr as expr_module
+
 from helpers import poly, random_poly
 from test_expr_reference import reference_read
 
@@ -368,6 +370,26 @@ def test_check_raises_the_parsers_name_faults(names, message):
             assert _fault(check, src, names, Q) == _fault(parse, src, names, Q)
             with pytest.raises(ValueError, match=message):
                 check(src, names, Q)
+
+
+def test_each_coordinate_list_is_checked_once(monkeypatch):
+    """A model entry parses all its expressions under one list of names:
+    the list is checked on its first parse, a list or a tuple alike, and
+    its index is kept."""
+    checked = []
+    real = expr_module.is_name
+
+    def counted(text):
+        checked.append(text)
+        return real(text)
+
+    monkeypatch.setattr(expr_module, "is_name", counted)
+    expr_module._checked_index.cache_clear()
+    names = ("u", "v", "w_1")
+    for src in ("u + v", "u*w_1 - 1", "v^2"):
+        assert parse_poly(src, list(names), Q) == parse_poly(src, names, Q)
+        check_rational(src, names, Q)
+    assert checked == list(names)
 
 
 @pytest.mark.parametrize("src, pos", [("x + \u0661\u0662", 4), ("x^\u0663", 2),
