@@ -161,7 +161,8 @@ _RINGS: dict = {}
 
 
 def _ring(field: BaseField, nvars: int, bits: int = 8, order: TermOrder = DEFAULT_ORDER) -> _Ring:
-    """The one _Ring for these arguments."""
+    """The one _Ring for these arguments in the process.  A ring never
+    changes, and _pair tells two polynomials of one ring by identity."""
     key = (field.tag, nvars, bits, order.kind)
     try:
         return _RINGS[key]
